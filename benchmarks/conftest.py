@@ -79,8 +79,7 @@ def _build_corpus_parallel(catalog):
     store = RecordStore()
     for partial in partial_stores:
         store.extend(partial.records)
-        for record in partial.consistency_records:
-            store.add_consistency(record)
+        store.extend_consistency(partial.consistency_records)
     return store
 
 

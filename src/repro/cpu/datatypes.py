@@ -147,7 +147,13 @@ def _decode_float80(bits: int) -> float:
     # a naive ``2.0 ** n`` would underflow to zero prematurely.  The
     # float() conversion rounds 80-bit-only precision to the nearest
     # double, which is the best a Python float can represent.
-    value = math.ldexp(float(significand), exponent - 63)
+    try:
+        value = math.ldexp(float(significand), exponent - 63)
+    except OverflowError:
+        # Beyond the double range (a flipped high exponent bit): the
+        # nearest double is infinity, as NumPy's ldexp in the columnar
+        # decoder rounds it.
+        value = math.inf
     return sign * value
 
 

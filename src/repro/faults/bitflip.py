@@ -19,8 +19,9 @@ on every position is IID" §4.2), kept for comparison experiments.
 from __future__ import annotations
 
 import abc
+import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,6 +200,12 @@ class PatternBitflip(BitflipModel):
     patterns: Dict[DataType, List[Tuple[int, float]]]
     pattern_probability: float
     fallback: BitflipModel
+    #: dtype → (masks, CDF) draw tables, built on a dtype's first
+    #: pattern draw (fleet generation builds thousands of these models
+    #: and most never draw).  ``patterns`` is treated as immutable.
+    _tables: Optional[Dict[DataType, Tuple[List[int], List[float]]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.pattern_probability <= 1.0:
@@ -214,13 +221,29 @@ class PatternBitflip(BitflipModel):
                 if weight <= 0:
                     raise ConfigurationError("pattern weights must be positive")
 
+    def _table(self, dtype: DataType) -> Tuple[List[int], List[float]]:
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = {}
+        table = tables.get(dtype)
+        if table is None:
+            entries = self.patterns[dtype]
+            # The float ops `Generator.choice(n, p=weights)` performs:
+            # normalize, cumulative sum, renormalize by the last entry.
+            weights = np.array([weight for _, weight in entries], dtype=float)
+            weights /= weights.sum()
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            table = tables[dtype] = ([mask for mask, _ in entries], cdf.tolist())
+        return table
+
     def sample_mask(self, dtype: DataType, rng: np.random.Generator) -> int:
         entries = self.patterns.get(dtype)
         if entries and rng.random() < self.pattern_probability:
-            masks = [mask for mask, _ in entries]
-            weights = np.array([weight for _, weight in entries], dtype=float)
-            weights /= weights.sum()
-            return masks[int(rng.choice(len(masks), p=weights))]
+            masks, cdf = self._table(dtype)
+            # `choice` draws one double and returns
+            # `cdf.searchsorted(u, side="right")`: same draw, same index.
+            return masks[bisect.bisect_right(cdf, rng.random())]
         return self.fallback.sample_mask(dtype, rng)
 
 

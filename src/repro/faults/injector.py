@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cpu.features import DataType
     from ..cpu.isa import Instruction
     from ..cpu.processor import Processor
+    from .bitflip import BitflipModel
 
 __all__ = ["CorruptionEvent", "FaultInjector"]
 
@@ -118,6 +119,26 @@ class FaultInjector:
 
     # -- value materialization ----------------------------------------------
 
+    @staticmethod
+    def bitflip_for(defect: "Defect", dtype: "DataType") -> "BitflipModel":
+        """The bitflip model that corrupts ``dtype`` results of a defect.
+
+        Raises :class:`ConfigurationError` when the defect cannot
+        corrupt that datatype at all.  The checks depend only on
+        (defect, dtype), so a burst of SDCs runs them once.
+        """
+        if defect.bitflip is None:
+            raise ConfigurationError(
+                f"defect {defect.defect_id} has no bitflip model"
+            )
+        if dtype not in defect.datatypes:
+            # A defect can only corrupt datatypes its feature touches;
+            # the runner filters settings, so reaching here is a bug.
+            raise ConfigurationError(
+                f"defect {defect.defect_id} does not corrupt {dtype}"
+            )
+        return defect.bitflip
+
     def materialize(
         self,
         defect: "Defect",
@@ -126,19 +147,10 @@ class FaultInjector:
         rng: np.random.Generator,
     ) -> CorruptionEvent:
         """Produce the corrupted value for one SDC of a defect."""
-        if defect.bitflip is None:
-            raise ConfigurationError(
-                f"defect {defect.defect_id} has no bitflip model"
-            )
         dtype = instruction.dtype
-        if dtype not in defect.datatypes:
-            # A defect can only corrupt datatypes its feature touches;
-            # the runner filters settings, so reaching here is a bug.
-            raise ConfigurationError(
-                f"defect {defect.defect_id} does not corrupt {dtype}"
-            )
+        bitflip = self.bitflip_for(defect, dtype)
         expected_bits = datatypes.encode(correct_value, dtype)
-        mask = defect.bitflip.sample_mask(dtype, rng)
+        mask = bitflip.sample_mask(dtype, rng)
         actual_bits = expected_bits ^ mask
         return CorruptionEvent(
             defect_id=defect.defect_id,

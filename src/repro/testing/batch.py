@@ -25,7 +25,7 @@ established for batched engines:
   common path (a ``temps >= tmin`` mask over each lane's compiled
   settings) and replays the sparse surviving events through the exact
   scalar helpers — :class:`~repro.faults.trigger.CompiledSetting`
-  sampling and ``ToolchainRunner._materialize_records`` operand/bitflip
+  sampling and ``ToolchainRunner._emit_records`` operand/bitflip
   draws — in scalar window → core → setting order;
 * heterogeneous plans run in lockstep global windows: every lane
   advances by its own ``min(dt_s, remaining)`` window each iteration
@@ -52,7 +52,6 @@ from ..faults.trigger import TriggerModel
 from ..thermal.batch import BatchPackageThermalModel
 from .framework import TestPlan, ToolchainReport
 from .library import TestcaseLibrary
-from .records import ConsistencyRecord
 from .runner import HEAT_THROTTLE, TestcaseRun, ToolchainRunner
 from .testcase import ConsistencyKind
 
@@ -358,8 +357,7 @@ class BatchScreeningEngine:
         run.max_core_temp_c = float(run_max[i])
         report = lane.report
         report.store.extend(run.records)
-        for record in run.consistency_records:
-            report.store.add_consistency(record)
+        report.store.extend_consistency(run.consistency_records)
         report.runs.append(run)
         report.total_duration_s += lane.plan.entries[lane.entry_idx].duration_s
 
@@ -387,28 +385,11 @@ class BatchScreeningEngine:
             # scalar is not guaranteed the last-ulp-identical libm pow.
             temp = float(temps_row[pcore_id])
             count = compiled.sample_errors(temp, dt_i, rng)
-            if not count:
-                continue
-            if mnemonic is not None:
-                run.records.extend(
-                    runner._materialize_records(
-                        testcase, defect, mnemonic, pcore_id,
-                        count, temp, time_i,
-                    )
+            if count:
+                runner._emit_records(
+                    run, testcase, defect, mnemonic, pcore_id,
+                    count, temp, time_i,
                 )
-            else:
-                for _ in range(count):
-                    run.consistency_records.append(
-                        ConsistencyRecord(
-                            processor_id=lane.processor.processor_id,
-                            testcase_id=testcase.testcase_id,
-                            pcore_id=pcore_id,
-                            defect_id=defect.defect_id,
-                            kind=testcase.consistency_kind.value,
-                            temperature_c=temp,
-                            time_s=time_i,
-                        )
-                    )
 
     # -- main loop ----------------------------------------------------------
 

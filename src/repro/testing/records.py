@@ -102,6 +102,9 @@ class RecordStore:
     def extend(self, records: Iterable[SDCRecord]) -> None:
         self.records.extend(records)
 
+    def extend_consistency(self, records: Iterable[ConsistencyRecord]) -> None:
+        self.consistency_records.extend(records)
+
     def __len__(self) -> int:
         return len(self.records) + len(self.consistency_records)
 

@@ -137,37 +137,36 @@ class ToolchainRunner:
 
     # -- defect/testcase matching -----------------------------------------
 
-    def _computation_settings(
-        self, testcase: Testcase, pcore_id: int
-    ) -> List[Tuple[Defect, str]]:
-        """(defect, mnemonic) pairs this testcase can trigger on a core."""
-        if testcase.is_consistency or pcore_id in self.processor.masked_cores:
-            return []
-        pairs = []
-        for defect in self.processor.active_defects():
-            if defect.is_consistency or not defect.affects_core(pcore_id):
-                continue
-            for mnemonic in defect.instructions:
-                if testcase.uses_instruction(mnemonic):
-                    pairs.append((defect, mnemonic))
-        return pairs
+    def _matched_settings(
+        self, testcase: Testcase
+    ) -> List[Tuple[Defect, Optional[str], float]]:
+        """Active defects this testcase exercises, before core filtering.
 
-    def _consistency_defects(
-        self, testcase: Testcase, pcore_id: int
-    ) -> List[Defect]:
-        if not testcase.is_consistency or pcore_id in self.processor.masked_cores:
-            return []
-        wanted = (
-            Feature.CACHE
-            if testcase.consistency_kind is ConsistencyKind.COHERENCE
-            else Feature.TRX_MEM
-        )
+        Each entry is ``(defect, mnemonic-or-None, usage_per_s)``: a
+        computation testcase matches every (defect, mnemonic) pair it
+        executes, a consistency testcase every consistency defect with
+        the feature its kind stresses (``None`` mnemonic).  Entries
+        follow defect order, then mnemonic order — the per-core setting
+        order of both engines.
+        """
+        active = self.processor.active_defects()
+        if testcase.is_consistency:
+            wanted = (
+                Feature.CACHE
+                if testcase.consistency_kind is ConsistencyKind.COHERENCE
+                else Feature.TRX_MEM
+            )
+            return [
+                (defect, None, testcase.consistency_ops_per_s)
+                for defect in active
+                if defect.is_consistency and wanted in defect.features
+            ]
         return [
-            defect
-            for defect in self.processor.active_defects()
-            if defect.is_consistency
-            and defect.affects_core(pcore_id)
-            and wanted in defect.features
+            (defect, mnemonic, testcase.usage_per_s(mnemonic))
+            for defect in active
+            if not defect.is_consistency
+            for mnemonic in defect.instructions
+            if testcase.uses_instruction(mnemonic)
         ]
 
     def compiled_core_settings(
@@ -177,82 +176,55 @@ class ToolchainRunner:
 
         This hoists the per-setting work of
         :meth:`TriggerModel.sample_errors` — behaviour resolution, core
-        multiplier, usage-stress power — out of the window loop.  Per
-        core the order is computation settings then consistency
-        defects, the order :meth:`_collect_interval` samples in.
-        Settings whose law can never fire (``compile_setting`` →
-        ``None``) draw nothing in the uncompiled path either, so
+        multiplier, usage-stress power — out of the sampling loops.
+        Defects are matched against the testcase once, not once per
+        core; per core only the unmasked/affected filter remains, so
+        the per-core order is the matched order.  Settings whose law
+        can never fire (``compile_setting`` → ``None``) would draw
+        nothing from :meth:`TriggerModel.sample_errors` either, so
         dropping them changes no draw.  Each entry is ``(pcore_id,
         [(compiled, defect, mnemonic-or-None), ...])``; a ``None``
         mnemonic marks a consistency setting.
         """
-        # Match defects against the testcase once, not once per core:
-        # `_computation_settings` re-derives the same (defect, mnemonic)
-        # candidates for all 64 cores, and on a full-library sweep most
-        # testcases match nothing at all.  Per core only the
-        # core-affinity filter remains, which preserves the scalar
-        # per-core setting order (a subsequence of the hoisted lists).
-        active = self.processor.active_defects()
-        comp_matches: List[Tuple[Defect, str]] = []
-        cons_matches: List[Defect] = []
-        if testcase.is_consistency:
-            wanted = (
-                Feature.CACHE
-                if testcase.consistency_kind is ConsistencyKind.COHERENCE
-                else Feature.TRX_MEM
-            )
-            cons_matches = [
-                defect
-                for defect in active
-                if defect.is_consistency and wanted in defect.features
-            ]
-        else:
-            for defect in active:
-                if defect.is_consistency:
-                    continue
-                for mnemonic in defect.instructions:
-                    if testcase.uses_instruction(mnemonic):
-                        comp_matches.append((defect, mnemonic))
-        if not comp_matches and not cons_matches:
+        matches = self._matched_settings(testcase)
+        if not matches:
             return [(pcore_id, []) for pcore_id in cores]
         masked = self.processor.masked_cores
+        # `affected_cores` builds a fresh frozenset per call; take it
+        # once per match instead of once per (core, match).
+        hoisted = [
+            (defect, defect.affected_cores, mnemonic, usage)
+            for defect, mnemonic, usage in matches
+        ]
         plan = []
         for pcore_id in cores:
             settings: List[tuple] = []
             if pcore_id not in masked:
-                for defect, mnemonic in comp_matches:
-                    if not defect.affects_core(pcore_id):
+                for defect, affected, mnemonic, usage in hoisted:
+                    if pcore_id not in affected:
                         continue
                     compiled = self.trigger.compile_setting(
-                        defect,
-                        testcase.testcase_id,
-                        testcase.usage_per_s(mnemonic),
-                        pcore_id,
+                        defect, testcase.testcase_id, usage, pcore_id
                     )
                     if compiled is not None:
                         settings.append((compiled, defect, mnemonic))
-                for defect in cons_matches:
-                    if not defect.affects_core(pcore_id):
-                        continue
-                    compiled = self.trigger.compile_setting(
-                        defect,
-                        testcase.testcase_id,
-                        testcase.consistency_ops_per_s,
-                        pcore_id,
-                    )
-                    if compiled is not None:
-                        settings.append((compiled, defect, None))
             plan.append((pcore_id, settings))
         return plan
 
     def can_ever_fail(self, testcase: Testcase) -> bool:
-        """Whether any (core, defect) combination matches this testcase."""
-        for pcore_id in range(self.processor.arch.physical_cores):
-            if self._computation_settings(testcase, pcore_id):
-                return True
-            if self._consistency_defects(testcase, pcore_id):
-                return True
-        return False
+        """Whether any (core, defect) combination matches this testcase.
+
+        Decided from the active defects alone: a matched defect (see
+        :meth:`_matched_settings`) counts when it affects at least one
+        unmasked physical core of the processor.
+        """
+        masked = self.processor.masked_cores
+        n_cores = self.processor.arch.physical_cores
+        return any(
+            0 <= pcore_id < n_cores and pcore_id not in masked
+            for defect, _, _ in self._matched_settings(testcase)
+            for pcore_id in defect.core_ids
+        )
 
     # -- record materialization ---------------------------------------------
 
@@ -267,17 +239,23 @@ class ToolchainRunner:
         time_s: float,
     ) -> List[SDCRecord]:
         instruction = self.isa[mnemonic]
-        operand_dtype = _operand_dtype(instruction)
-        records = []
+        dtype = instruction.dtype
+        # `FaultInjector.materialize`'s checks depend only on (defect,
+        # dtype): run them once per burst, then corrupt each result
+        # with the same encode → sample_mask → XOR sequence.
+        sample_mask = self.injector.bitflip_for(defect, dtype).sample_mask
+        rng = self._rng
         arity = instruction.arity
         # One batched draw for the whole burst instead of per-operand
         # generator round trips.
-        flat = datatypes.random_values(self._rng, operand_dtype, count * arity)
+        flat = datatypes.random_values(
+            rng, _operand_dtype(instruction), count * arity
+        )
+        records = []
         for index in range(count):
-            operands = tuple(flat[index * arity:(index + 1) * arity])
-            correct = instruction.execute(*operands)
-            event = self.injector.materialize(
-                defect, instruction, correct, self._rng
+            operands = flat[index * arity:(index + 1) * arity]
+            expected_bits = datatypes.encode(
+                instruction.execute(*operands), dtype
             )
             records.append(
                 SDCRecord(
@@ -286,14 +264,51 @@ class ToolchainRunner:
                     pcore_id=pcore_id,
                     defect_id=defect.defect_id,
                     instruction=mnemonic,
-                    dtype=instruction.dtype,
-                    expected_bits=event.expected_bits,
-                    actual_bits=event.actual_bits,
+                    dtype=dtype,
+                    expected_bits=expected_bits,
+                    actual_bits=expected_bits ^ sample_mask(dtype, rng),
                     temperature_c=temperature_c,
                     time_s=time_s,
                 )
             )
         return records
+
+    def _emit_records(
+        self,
+        run: TestcaseRun,
+        testcase: Testcase,
+        defect: Defect,
+        mnemonic: Optional[str],
+        pcore_id: int,
+        count: int,
+        temperature_c: float,
+        time_s: float,
+    ) -> None:
+        """Append one setting's burst of ``count`` errors to ``run``.
+
+        The single emission path of every engine: computation settings
+        materialize one record per error; a consistency burst carries
+        no per-error payload, so it is one frozen record repeated
+        ``count`` times (equal to ``count`` separately built records).
+        """
+        if mnemonic is not None:
+            run.records.extend(
+                self._materialize_records(
+                    testcase, defect, mnemonic, pcore_id,
+                    count, temperature_c, time_s,
+                )
+            )
+            return
+        record = ConsistencyRecord(
+            processor_id=self.processor.processor_id,
+            testcase_id=testcase.testcase_id,
+            pcore_id=pcore_id,
+            defect_id=defect.defect_id,
+            kind=testcase.consistency_kind.value,
+            temperature_c=temperature_c,
+            time_s=time_s,
+        )
+        run.consistency_records.extend([record] * count)
 
     # -- main entry points ------------------------------------------------------
 
@@ -339,8 +354,7 @@ class ToolchainRunner:
         )
         # Hoisted per-run: trigger-law compilation happens once, not
         # once per (window, core, setting).  The per-window loop below
-        # then only reads temperatures and samples the compiled laws,
-        # consuming exactly the draws `_collect_interval` would.
+        # then only reads temperatures and samples the compiled laws.
         core_settings = self.compiled_core_settings(testcase, cores)
         elapsed = 0.0
         while elapsed < duration_s - 1e-9:
@@ -354,33 +368,15 @@ class ToolchainRunner:
                     run.max_core_temp_c = temp
                 for compiled, defect, mnemonic in settings:
                     count = compiled.sample_errors(temp, step, self._rng)
-                    if not count:
-                        continue
-                    if mnemonic is not None:
-                        run.records.extend(
-                            self._materialize_records(
-                                testcase, defect, mnemonic, pcore_id,
-                                count, temp, time_s,
-                            )
+                    if count:
+                        self._emit_records(
+                            run, testcase, defect, mnemonic, pcore_id,
+                            count, temp, time_s,
                         )
-                    else:
-                        for _ in range(count):
-                            run.consistency_records.append(
-                                ConsistencyRecord(
-                                    processor_id=self.processor.processor_id,
-                                    testcase_id=testcase.testcase_id,
-                                    pcore_id=pcore_id,
-                                    defect_id=defect.defect_id,
-                                    kind=testcase.consistency_kind.value,
-                                    temperature_c=temp,
-                                    time_s=time_s,
-                                )
-                            )
         run.end_temp_c = self.thermal.package_temp
         if store is not None:
             store.extend(run.records)
-            for record in run.consistency_records:
-                store.add_consistency(record)
+            store.extend_consistency(run.consistency_records)
         return run
 
     def run_at_fixed_temperature(
@@ -391,11 +387,24 @@ class ToolchainRunner:
         cores: Optional[Sequence[int]] = None,
         store: Optional[RecordStore] = None,
     ) -> TestcaseRun:
-        """Run with the core temperature pinned (§5's preheat methodology)."""
-        if duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive")
+        """Run with the core temperature pinned (§5's preheat methodology).
+
+        Every core under test spends one ``duration_s`` interval at
+        ``temperature_c``, so each compiled setting samples its Poisson
+        count exactly once, in :meth:`compiled_core_settings` order.
+        Masked cores in an explicit ``cores`` list compile no settings
+        and so record nothing.
+        """
+        if not math.isfinite(duration_s) or duration_s <= 0:
+            raise ConfigurationError(
+                f"duration_s must be positive and finite, got {duration_s!r}"
+            )
+        if not math.isfinite(temperature_c):
+            raise ConfigurationError(
+                f"temperature_c must be finite, got {temperature_c!r}"
+            )
         if cores is None:
-            cores = [c.pcore_id for c in self.processor.available_cores()]
+            cores = self.default_cores()
         run = TestcaseRun(
             processor_id=self.processor.processor_id,
             testcase_id=testcase.testcase_id,
@@ -404,64 +413,20 @@ class ToolchainRunner:
             end_temp_c=temperature_c,
             max_core_temp_c=temperature_c,
         )
-        for pcore_id in cores:
-            self._collect_interval(
-                testcase, pcore_id, temperature_c, duration_s, 0.0, run
-            )
+        for pcore_id, settings in self.compiled_core_settings(testcase, cores):
+            for compiled, defect, mnemonic in settings:
+                count = compiled.sample_errors(
+                    temperature_c, duration_s, self._rng
+                )
+                if count:
+                    self._emit_records(
+                        run, testcase, defect, mnemonic, pcore_id,
+                        count, temperature_c, 0.0,
+                    )
         if store is not None:
             store.extend(run.records)
-            for record in run.consistency_records:
-                store.add_consistency(record)
+            store.extend_consistency(run.consistency_records)
         return run
-
-    def _collect_interval(
-        self,
-        testcase: Testcase,
-        pcore_id: int,
-        temperature_c: float,
-        interval_s: float,
-        time_s: float,
-        run: TestcaseRun,
-    ) -> None:
-        for defect, mnemonic in self._computation_settings(testcase, pcore_id):
-            count = self.trigger.sample_errors(
-                defect,
-                testcase.testcase_id,
-                temperature_c,
-                testcase.usage_per_s(mnemonic),
-                pcore_id,
-                interval_s,
-                self._rng,
-            )
-            if count:
-                run.records.extend(
-                    self._materialize_records(
-                        testcase, defect, mnemonic, pcore_id,
-                        count, temperature_c, time_s,
-                    )
-                )
-        for defect in self._consistency_defects(testcase, pcore_id):
-            count = self.trigger.sample_errors(
-                defect,
-                testcase.testcase_id,
-                temperature_c,
-                testcase.consistency_ops_per_s,
-                pcore_id,
-                interval_s,
-                self._rng,
-            )
-            for _ in range(count):
-                run.consistency_records.append(
-                    ConsistencyRecord(
-                        processor_id=self.processor.processor_id,
-                        testcase_id=testcase.testcase_id,
-                        pcore_id=pcore_id,
-                        defect_id=defect.defect_id,
-                        kind=testcase.consistency_kind.value,
-                        temperature_c=temperature_c,
-                        time_s=time_s,
-                    )
-                )
 
     def run_sequence(
         self,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from repro.cpu.defects import TriggerProfile
 from repro.detectors import DecodeStatus, Secded64, crc32
 from repro.faults import (
     IIDBitflip,
+    PatternBitflip,
     PositionBiasedBitflip,
     TriggerModel,
     UniformBitflip,
@@ -43,6 +45,37 @@ def test_bitflip_masks_always_valid(dtype, seed):
         mask = model.sample_mask(dtype, rng)
         assert 0 < mask < (1 << dtype.width)
         assert 1 <= popcount(mask) <= 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=12
+    ),
+    st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_pattern_cdf_draw_matches_generator_choice(weights, probability, seed):
+    """The cached-CDF bisect draw returns the mask `Generator.choice`
+    picks and leaves the bit generator in the same state."""
+    dtype = DataType.INT32
+    masks = [index + 1 for index in range(len(weights))]
+    fallback = IIDBitflip()
+    model = PatternBitflip(
+        {dtype: list(zip(masks, weights))}, probability, fallback
+    )
+    rng = substream(seed, "prop-pattern")
+    reference = substream(seed, "prop-pattern")
+    p = np.array(weights, dtype=float)
+    p /= p.sum()
+    for _ in range(8):
+        drawn = model.sample_mask(dtype, rng)
+        if reference.random() < probability:
+            expected = masks[int(reference.choice(len(masks), p=p))]
+        else:
+            expected = fallback.sample_mask(dtype, reference)
+        assert drawn == expected
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)

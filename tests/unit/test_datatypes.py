@@ -129,3 +129,47 @@ class TestPrecisionLoss:
 
     def test_nan_actual_is_infinite_loss(self):
         assert relative_precision_loss(1.0, math.nan, DataType.FLOAT64) == math.inf
+
+
+class TestFloat64xBeyondDoubleRange:
+    """A flipped top exponent bit can lift an 80-bit value past the
+    largest double; it decodes to the nearest double, ±infinity, as the
+    columnar decoder does."""
+
+    # 0.75 has biased exponent 0x3FFE; setting bit 78 makes it 0x7FFE.
+    EXPECTED = encode(0.75, DataType.FLOAT64X)
+    ACTUAL = EXPECTED ^ (1 << 78)
+
+    def test_decodes_to_signed_infinity(self):
+        assert decode(self.ACTUAL, DataType.FLOAT64X) == math.inf
+        negative = self.ACTUAL | (1 << 79)
+        assert decode(negative, DataType.FLOAT64X) == -math.inf
+
+    def test_precision_loss_is_infinite(self):
+        actual = decode(self.ACTUAL, DataType.FLOAT64X)
+        loss = relative_precision_loss(0.75, actual, DataType.FLOAT64X)
+        assert loss == math.inf
+
+    def test_scalar_summary_matches_columnar(self):
+        from repro.analysis import RecordFrame, summarize_precision
+        from repro.analysis import summarize_precision_frame
+        from repro.testing import RecordStore, SDCRecord
+
+        def record(expected_bits, actual_bits):
+            return SDCRecord(
+                processor_id="P", testcase_id="T", pcore_id=0,
+                defect_id="D", instruction="FATAN_F64X",
+                dtype=DataType.FLOAT64X, expected_bits=expected_bits,
+                actual_bits=actual_bits, temperature_c=78.0, time_s=0.0,
+            )
+
+        store = RecordStore(records=[
+            record(self.EXPECTED, self.ACTUAL),
+            record(self.EXPECTED, self.EXPECTED ^ 1),
+        ])
+        scalar = summarize_precision(store.records, DataType.FLOAT64X)
+        columnar = summarize_precision_frame(
+            RecordFrame.from_store(store), DataType.FLOAT64X
+        )
+        assert scalar == columnar
+        assert scalar.max == math.inf
