@@ -1,20 +1,12 @@
-"""Timing benchmark: scalar vs vectorized vs parallel fleet campaign.
+"""Timing benchmark: scalar vs vectorized fleet campaign.
 
 Runs the same seeded staged test campaign through the scalar
-``TestPipeline``, the batch ``VectorizedTestPipeline``, and the
-multi-process ``ParallelTestPipeline``; asserts all engines produce
-*identical* detections (same processors, stages, days, and
-failing-testcase sets, in the same order) and that the parallel engine
-finishes at the exact serial stream position; and records the
-wall-clock comparisons in ``BENCH_fleet.json`` and
-``BENCH_parallel.json`` at the repository root so the perf trajectory
-is tracked across PRs.
-
-Parity is enforced unconditionally.  The parallel *speedup* gate
-(``--min-parallel-speedup``) only makes sense on real cores, so it is
-applied when the machine exposes at least 4 effective CPUs (scheduler
-affinity); on smaller machines the measured numbers are still recorded
-honestly, they just don't fail the run.
+``TestPipeline`` and the batch ``VectorizedTestPipeline``; asserts both
+engines produce *identical* detections (same processors, stages, days,
+and failing-testcase sets, in the same order) and finish at the same
+stream position; and records the wall-clock comparison in
+``BENCH_fleet.json`` at the repository root so the perf trajectory is
+tracked across PRs.  Parity is enforced unconditionally.
 
 The default configuration is a 100k-processor fleet densified with
 ``failure_rate_scale`` so the campaign actually exercises thousands of
@@ -40,7 +32,6 @@ import numpy as np
 from repro.faults.trigger import TriggerModel
 from repro.fleet import (
     FleetSpec,
-    ParallelTestPipeline,
     TestPipeline,
     VectorizedTestPipeline,
     generate_fleet,
@@ -85,6 +76,7 @@ def run(args: argparse.Namespace) -> dict:
         start = time.perf_counter()
         scalar_result = pipeline.run()
         scalar_s = min(scalar_s, time.perf_counter() - start)
+        scalar_position = pipeline._stream.consumed
 
         engine = VectorizedTestPipeline(
             fleet, library, trigger_model=TriggerModel(), seed=args.seed
@@ -92,63 +84,14 @@ def run(args: argparse.Namespace) -> dict:
         start = time.perf_counter()
         vectorized_result = engine.run()
         vectorized_s = min(vectorized_s, time.perf_counter() - start)
-        serial_position = engine._scalar._stream.consumed
-
-    workers = (
-        args.workers if args.workers is not None else default_workers()
-    )
-    parallel_position = None
-    parallel_s = float("inf")
-    parallel_result = None
-    for _ in range(args.repeats):
-        with ParallelTestPipeline(
-            fleet, library, trigger_model=TriggerModel(), seed=args.seed,
-            workers=workers,
-        ) as engine:
-            start = time.perf_counter()
-            parallel_result = engine.run()
-            parallel_s = min(parallel_s, time.perf_counter() - start)
-            parallel_position = engine._scalar._stream.consumed
-
-    # Worker-scaling curve: 1/2/4 workers (plus the default count when
-    # it differs), every point parity-checked against the scalar run.
-    # On a 1-core box the curve is still recorded honestly — it simply
-    # documents that no speedup is available — and the scaling gate in
-    # main() only engages at >= 4 effective cores.
-    curve_workers = sorted({1, 2, 4, workers})
-    scaling_curve = []
-    for count in curve_workers:
-        best_s = float("inf")
-        curve_result = None
-        for _ in range(args.repeats):
-            with ParallelTestPipeline(
-                fleet, library, trigger_model=TriggerModel(),
-                seed=args.seed, workers=count,
-            ) as engine:
-                start = time.perf_counter()
-                curve_result = engine.run()
-                best_s = min(best_s, time.perf_counter() - start)
-        assert (
-            [_detection_key(d) for d in curve_result.detections]
-            == [_detection_key(d) for d in scalar_result.detections]
-        ), f"parallel detections diverged at workers={count}"
-        scaling_curve.append({"workers": count, "seconds": round(best_s, 4)})
-    base_s = scaling_curve[0]["seconds"]
-    for point in scaling_curve:
-        point["speedup"] = round(base_s / point["seconds"], 2)
-        point["efficiency"] = round(
-            base_s / (point["seconds"] * point["workers"]), 2
-        )
+        vectorized_position = engine._scalar._stream.consumed
 
     scalar_keys = [_detection_key(d) for d in scalar_result.detections]
     vector_keys = [_detection_key(d) for d in vectorized_result.detections]
     assert scalar_keys == vector_keys, "vectorized detections diverged"
     assert scalar_result.undetected_ids == vectorized_result.undetected_ids
-    parallel_keys = [_detection_key(d) for d in parallel_result.detections]
-    assert scalar_keys == parallel_keys, "parallel detections diverged"
-    assert scalar_result.undetected_ids == parallel_result.undetected_ids
-    assert parallel_position == serial_position, (
-        "parallel engine must finish at the exact serial stream position"
+    assert scalar_position == vectorized_position, (
+        "vectorized engine must finish at the scalar stream position"
     )
 
     fleet_info = {
@@ -163,7 +106,7 @@ def run(args: argparse.Namespace) -> dict:
         "machine": platform.machine(),
         "effective_cores": default_workers(),
     }
-    fleet_report = {
+    return {
         "benchmark": "bench_perf_fleet",
         "fleet": fleet_info,
         "pipeline_seed": args.seed,
@@ -175,22 +118,6 @@ def run(args: argparse.Namespace) -> dict:
         "parity": "exact",
         "environment": environment,
     }
-    parallel_report = {
-        "benchmark": "bench_parallel_fleet",
-        "fleet": fleet_info,
-        "pipeline_seed": args.seed,
-        "repeats": args.repeats,
-        "workers": workers,
-        "serial_vectorized_s": round(vectorized_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "parallel_speedup": round(vectorized_s / parallel_s, 2),
-        "detections": len(scalar_keys),
-        "parity": "exact",
-        "stream_position": serial_position,
-        "scaling_curve": scaling_curve,
-        "environment": environment,
-    }
-    return fleet_report, parallel_report
 
 
 def main(argv=None) -> int:
@@ -206,86 +133,24 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11, help="pipeline seed")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel engine worker count (default: effective CPUs)",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup", type=float, default=0.0,
-        help="fail unless parallel speedup reaches this (only enforced "
-             "on machines with >= 4 effective cores; parity is always "
-             "enforced)",
-    )
-    parser.add_argument(
-        "--min-scaling-efficiency", type=float, default=0.0,
-        help="fail unless the 4-worker point of the scaling curve keeps "
-             "at least this parallel efficiency (speedup/workers; only "
-             "enforced on machines with >= 4 effective cores)",
-    )
-    parser.add_argument(
         "--out",
         type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_fleet.json",
-    )
-    parser.add_argument(
-        "--parallel-out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent
-        / "BENCH_parallel.json",
     )
     args = parser.parse_args(argv)
     logging_setup(verbose=1)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    report, parallel_report = run(args)
+    report = run(args)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    args.parallel_out.write_text(
-        json.dumps(parallel_report, indent=2) + "\n"
-    )
     print(
         f"scalar {report['scalar_s']:.3f}s  "
         f"vectorized {report['vectorized_s']:.3f}s  "
         f"speedup {report['speedup']:.1f}x  "
         f"({report['detections']} detections, parity exact)"
     )
-    print(
-        f"parallel x{parallel_report['workers']} "
-        f"{parallel_report['parallel_s']:.3f}s  "
-        f"speedup over serial vectorized "
-        f"{parallel_report['parallel_speedup']:.2f}x  "
-        f"({parallel_report['environment']['effective_cores']} effective "
-        f"cores, parity exact)"
-    )
-    curve = " ".join(
-        f"x{p['workers']}={p['seconds']:.3f}s({p['speedup']:.2f}x)"
-        for p in parallel_report["scaling_curve"]
-    )
-    print(f"scaling curve: {curve}")
-    logger.info("wrote %s and %s", args.out, args.parallel_out)
-    cores = parallel_report["environment"]["effective_cores"]
-    if args.min_parallel_speedup > 0.0 and cores >= 4:
-        if parallel_report["parallel_speedup"] < args.min_parallel_speedup:
-            logger.error(
-                "FAIL: parallel speedup %.2fx below gate %.2fx on %d cores",
-                parallel_report["parallel_speedup"],
-                args.min_parallel_speedup,
-                cores,
-            )
-            return 1
-    if args.min_scaling_efficiency > 0.0 and cores >= 4:
-        four = next(
-            (
-                p for p in parallel_report["scaling_curve"]
-                if p["workers"] == 4
-            ),
-            None,
-        )
-        if four is not None and four["efficiency"] < args.min_scaling_efficiency:
-            logger.error(
-                "FAIL: 4-worker efficiency %.2f below gate %.2f on %d cores",
-                four["efficiency"], args.min_scaling_efficiency, cores,
-            )
-            return 1
+    logger.info("wrote %s", args.out)
     return 0
 
 

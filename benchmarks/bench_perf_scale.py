@@ -3,22 +3,17 @@
 Proves the paper-scale claim of the out-of-core substrate end-to-end:
 
 1. **Parity** — a reference fleet (default 100k CPUs) is campaigned
-   twice, once fully in memory through ``VectorizedTestPipeline`` over
-   ``generate_fleet`` and once streamed through ``ParallelTestPipeline``
-   over a windowed ``FrameFleetPopulation``; detections, undetected
-   ids, and the finishing stream position must be bit-identical.
+   twice through ``VectorizedTestPipeline``, once fully in memory over
+   ``generate_fleet`` and once streamed over a windowed
+   ``FrameFleetPopulation``; detections, undetected ids, and the
+   finishing stream position must be bit-identical.
 2. **Scale** — a 1,000,000-CPU fleet is generated chunk-by-chunk
    (never materializing Processor objects for the whole population),
-   campaigned through the parallel engine over zero-copy shared-memory
-   slices, and analysed through the columnar ``DetectionFrame`` spilled
-   to a CRC-checked on-disk column store and memory-mapped back.  Peak
-   RSS over the whole run must stay under ``--max-peak-rss-mb``
-   (default 512 MB — the stated bound enforced in CI).
-3. **Scaling** — the streamed campaign is timed at 1/2/4 workers so
-   ``BENCH_scale.json`` carries a worker-scaling datapoint; the numbers
-   are recorded honestly together with the machine's effective core
-   count (gating near-linear scaling only makes sense at >= 4 cores and
-   lives in ``bench_perf_fleet.py`` / CI).
+   campaigned window by window through the vectorized engine, and
+   analysed through the columnar ``DetectionFrame`` spilled to a
+   CRC-checked on-disk column store and memory-mapped back.  Peak RSS
+   over the whole run must stay under ``--max-peak-rss-mb`` (default
+   512 MB — the stated bound enforced in CI).
 
 Results land in ``BENCH_scale.json`` at the repository root.
 
@@ -45,12 +40,12 @@ from repro.analysis import DetectionFrame
 from repro.faults.trigger import TriggerModel
 from repro.fleet import (
     FleetSpec,
-    ParallelTestPipeline,
     VectorizedTestPipeline,
     generate_fleet,
     generate_fleet_frame,
     stats,
 )
+from repro.fleet.pipeline import FleetStudyResult
 from repro.obs import Observability, logging_setup, record_memory
 from repro.perf.parallel import default_workers
 from repro.testing import build_library
@@ -68,19 +63,24 @@ def _detection_key(detection):
     )
 
 
-def _run_streamed(spec, library, *, window, workers, seed, obs=None):
-    """Streamed campaign: chunked generation -> shared-memory parallel
-    pipeline over a lazily materializing frame population."""
+def _run_streamed(spec, library, *, window, seed, obs=None):
+    """Streamed campaign: chunked generation -> the vectorized engine
+    over a lazily materializing frame population, one window-sized
+    range at a time so no range outgrows the resident window."""
     frame_population = generate_fleet_frame(
         spec, chunk_size=window, window=window, obs=obs
     )
-    with ParallelTestPipeline(
-        frame_population, library, trigger_model=TriggerModel(),
-        seed=seed, workers=workers,
-    ) as engine:
-        result = engine.run()
-        position = engine._scalar._stream.consumed
-    return frame_population, result, position
+    engine = VectorizedTestPipeline(
+        frame_population, library, trigger_model=TriggerModel(), seed=seed,
+    )
+    result = FleetStudyResult(
+        population_total=frame_population.total,
+        arch_counts=dict(frame_population.arch_counts),
+    )
+    faulty = len(frame_population.faulty)
+    for start in range(0, faulty, window):
+        engine.run_range(start, min(start + window, faulty), result)
+    return frame_population, result, engine._scalar._stream.consumed
 
 
 def _check_reference_parity(args, library) -> dict:
@@ -97,10 +97,7 @@ def _check_reference_parity(args, library) -> dict:
     reference_position = engine._scalar._stream.consumed
 
     _, streamed, streamed_position = _run_streamed(
-        spec, library,
-        window=args.max_resident_cpus,
-        workers=args.workers,
-        seed=args.seed,
+        spec, library, window=args.max_resident_cpus, seed=args.seed,
     )
     ref_keys = [_detection_key(d) for d in reference.detections]
     streamed_keys = [_detection_key(d) for d in streamed.detections]
@@ -128,10 +125,7 @@ def _run_scale(args, library, obs) -> dict:
     )
     start = time.perf_counter()
     population, result, _ = _run_streamed(
-        spec, library,
-        window=args.max_resident_cpus,
-        workers=args.workers,
-        seed=args.seed,
+        spec, library, window=args.max_resident_cpus, seed=args.seed,
         obs=obs,
     )
     campaign_s = time.perf_counter() - start
@@ -172,47 +166,19 @@ def _run_scale(args, library, obs) -> dict:
     return report
 
 
-def _scaling_datapoints(args, library) -> list:
-    spec = FleetSpec(
-        total_processors=args.processors,
-        failure_rate_scale=args.scale,
-        seed=args.fleet_seed,
-    )
-    points = []
-    for workers in (1, 2, 4):
-        start = time.perf_counter()
-        _run_streamed(
-            spec, library,
-            window=args.max_resident_cpus,
-            workers=workers,
-            seed=args.seed,
-        )
-        points.append({
-            "workers": workers,
-            "seconds": round(time.perf_counter() - start, 4),
-        })
-    base_s = points[0]["seconds"]
-    for point in points:
-        point["speedup"] = round(base_s / point["seconds"], 2)
-    return points
-
-
 def run(args: argparse.Namespace) -> dict:
     library = build_library()
     obs = Observability.in_memory()
 
     reference = _check_reference_parity(args, library)
     scale = _run_scale(args, library, obs)
-    scaling = _scaling_datapoints(args, library)
 
     return {
         "benchmark": "bench_perf_scale",
         "fleet_seed": args.fleet_seed,
         "pipeline_seed": args.seed,
-        "workers": args.workers,
         "reference": reference,
         "scale": scale,
-        "scaling_curve": scaling,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -240,10 +206,6 @@ def main(argv=None) -> int:
         help="streamed chunk size and lazy-materialization window",
     )
     parser.add_argument(
-        "--workers", type=int, default=2,
-        help="parallel engine worker count for the main scale run",
-    )
-    parser.add_argument(
         "--max-peak-rss-mb", type=float, default=512.0,
         help="fail if peak RSS over the whole benchmark exceeds this",
     )
@@ -269,11 +231,6 @@ def main(argv=None) -> int:
         f"peak RSS {scale['peak_rss_mb']:.1f} MB "
         f"(bound {scale['max_peak_rss_mb']:.0f} MB)"
     )
-    curve = " ".join(
-        f"x{p['workers']}={p['seconds']:.2f}s({p['speedup']:.2f}x)"
-        for p in report["scaling_curve"]
-    )
-    print(f"scaling curve: {curve}")
     logger.info("wrote %s", args.out)
     if scale["peak_rss_mb"] > args.max_peak_rss_mb:
         logger.error(

@@ -1,30 +1,20 @@
 #!/usr/bin/env python
-"""Promote a measured multi-core scaling datapoint into BENCH_parallel.json.
+"""Promote a measured multi-core speedup into a committed BENCH file.
 
-The committed ``BENCH_parallel.json`` was captured on a 1-effective-core
-box, so its scaling curve honestly documents "no speedup available"
-rather than the engine's real multi-core behavior (ROADMAP item 1's
-leftover).  CI's perf job writes a fresh candidate report
-(``bench_perf_fleet.py --parallel-out``); this script promotes that
+A committed benchmark report captured on a 1-effective-core box cannot
+speak to multi-core behaviour.  CI writes a fresh candidate report
+(e.g. ``bench_perf_toolchain.py --out``); this script promotes that
 candidate into the committed artifact **only** when the candidate was
-measured somewhere that can actually speak to scaling:
+measured somewhere that can actually speak to it:
 
 * the candidate runner reports ``>= --min-cores`` effective cores
   (1-core runners skip cleanly with exit 0 — the gate, not a failure);
-* the candidate's parity field is ``exact`` (a report whose detections
+* the candidate's parity field is ``exact`` (a report whose results
   diverged must never be promoted);
-* the candidate's curve reaches at least the committed multi-core
-  efficiency when the committed artifact already came from a capable
-  runner (never replace a good measurement with a worse one).
-
-The same gates generalize to any benchmark whose report carries
-``parity`` and ``environment.effective_cores``: reports with a
-``scaling_curve`` compare by their 4-worker efficiency (pass
-``--benchmark-name bench_perf_service`` to promote the service
-throughput curve into ``BENCH_service.json``); flat reports compare by
-their ``speedup`` field (``--benchmark-name bench_perf_toolchain``
-promotes the batch-screening measurement into
-``BENCH_toolchain.json``).
+* the candidate is a ``--benchmark-name`` report;
+* the candidate's ``speedup`` reaches at least the committed one when
+  the committed artifact already came from a capable runner (never
+  replace a good measurement with a worse one).
 
 Exit codes: 0 promoted or cleanly skipped, 1 candidate rejected.
 """
@@ -33,8 +23,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Tuple
-
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -42,32 +30,12 @@ def log(message: str) -> None:
     print(f"[promote-parallel-bench] {message}", flush=True)
 
 
-def _multi_core_efficiency(report: dict, workers: int = 4) -> float:
-    """The committed gate point: efficiency of the ``workers``-wide run."""
-    for point in report.get("scaling_curve", []):
-        if point.get("workers") == workers:
-            return float(point.get("efficiency", 0.0))
-    return 0.0
-
-
-def _merit(report: dict) -> Tuple[float, str]:
-    """The promotion figure of merit for a report.
-
-    Scaling reports compare by their 4-worker efficiency; flat reports
-    (no ``scaling_curve``, e.g. the batch-screening bench) compare by
-    their plain ``speedup`` field.
-    """
-    if "scaling_curve" in report:
-        return _multi_core_efficiency(report), "4-worker efficiency"
-    return float(report.get("speedup", 0.0)), "speedup"
-
-
 def promote(
     candidate_path: Path,
     committed_path: Path,
     min_cores: int,
     dry_run: bool = False,
-    benchmark_name: str = "bench_parallel_fleet",
+    benchmark_name: str = "bench_perf_toolchain",
 ) -> int:
     try:
         candidate = json.loads(candidate_path.read_text())
@@ -90,9 +58,9 @@ def promote(
             f"{candidate.get('benchmark')!r}"
         )
         return 1
-    candidate_eff, merit_name = _merit(candidate)
-    if candidate_eff <= 0.0:
-        log(f"reject: candidate has no usable {merit_name}")
+    candidate_speedup = float(candidate.get("speedup", 0.0))
+    if candidate_speedup <= 0.0:
+        log("reject: candidate has no usable speedup")
         return 1
     try:
         committed = json.loads(committed_path.read_text())
@@ -101,18 +69,18 @@ def promote(
     committed_cores = int(
         committed.get("environment", {}).get("effective_cores", 0)
     )
-    committed_eff, _ = _merit(committed)
-    if committed_cores >= min_cores and committed_eff >= candidate_eff:
+    committed_speedup = float(committed.get("speedup", 0.0))
+    if committed_cores >= min_cores and committed_speedup >= candidate_speedup:
         log(
             f"skip: committed artifact already holds a >= {min_cores}-core "
-            f"measurement at {merit_name} {committed_eff:.2f} "
-            f"(candidate {candidate_eff:.2f})"
+            f"measurement at speedup {committed_speedup:.2f} "
+            f"(candidate {candidate_speedup:.2f})"
         )
         return 0
     log(
-        f"promoting: {cores}-core measurement, {merit_name} "
-        f"{candidate_eff:.2f} (was {committed_cores}-core, "
-        f"{committed_eff:.2f})"
+        f"promoting: {cores}-core measurement, speedup "
+        f"{candidate_speedup:.2f} (was {committed_cores}-core, "
+        f"{committed_speedup:.2f})"
     )
     if dry_run:
         log("dry run: committed artifact left untouched")
@@ -127,11 +95,11 @@ def promote(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
-        "--candidate", default="/tmp/BENCH_parallel_smoke.json",
-        help="fresh report from bench_perf_fleet.py --parallel-out",
+        "--candidate", default="/tmp/BENCH_toolchain_candidate.json",
+        help="fresh benchmark report to promote",
     )
     parser.add_argument(
-        "--committed", default=str(REPO / "BENCH_parallel.json"),
+        "--committed", default=str(REPO / "BENCH_toolchain.json"),
         help="committed artifact to promote into",
     )
     parser.add_argument(
@@ -143,10 +111,10 @@ def main(argv=None) -> int:
         help="report the decision without writing the committed file",
     )
     parser.add_argument(
-        "--benchmark-name", default="bench_parallel_fleet",
+        "--benchmark-name", default="bench_perf_toolchain",
         help="required 'benchmark' field of the candidate report; the "
-             "same curve/parity/core gates apply to any scaling "
-             "benchmark (e.g. bench_perf_service)",
+             "same speedup/parity/core gates apply to any flat "
+             "benchmark report (e.g. bench_perf_fleet)",
     )
     args = parser.parse_args(argv)
     return promote(

@@ -19,20 +19,12 @@ robustness contract in one pass:
 * ``repro trace-export`` stitches the rotated trace segments from all
   three daemon incarnations — torn tails included — into one Chrome
   trace with spans from at least two pids;
-* the state directory holds no leaked ``*.tmp`` files and the daemon
-  leaves no orphaned processes behind.
+* the state directory holds no leaked ``*.tmp`` files and the drained
+  daemon leaves no stale endpoint file.
 
 Exit status 0 means the drill passed.  Run from the repo root::
 
     PYTHONPATH=src python scripts/service_chaos.py
-    PYTHONPATH=src python scripts/service_chaos.py \
-        --core-budget 2 --parallel-granule 8   # multi-process mode
-
-With ``--core-budget`` the daemon runs jobs on its process pool over
-shared-memory fleets (the drill spec grows shards past the pool's
-64-CPU sub-shard floor so workers actually engage), and the same
-contract must hold: SIGKILLing a daemon whose shards were mid-flight
-in worker processes still yields bit-identical verdicts on restart.
 """
 
 import argparse
@@ -62,18 +54,6 @@ SPEC = dict(
     shard_size=4,
 )
 
-#: Multi-process mode needs shard spans above the pool's 64-CPU
-#: sub-shard floor or the promoted engine falls through to in-process
-#: vectorized execution; the larger fleet keeps several shards so the
-#: SIGKILL rounds still land mid-campaign.
-MP_SPEC = dict(
-    total_processors=20_000,
-    fleet_seed=9,
-    pipeline_seed=13,
-    failure_rate_scale=80.0,
-    shard_size=80,
-)
-
 #: Per-shard chaos delay keeps the reference campaign in flight long
 #: enough for both SIGKILLs to land mid-campaign deterministically.
 SLOW_CHAOS = {"schedule": {str(shard): ["delay"] for shard in range(64)}}
@@ -83,10 +63,7 @@ def log(message: str) -> None:
     print(f"[service-chaos] {message}", flush=True)
 
 
-def start_daemon(
-    state_dir: Path, max_queue: int, core_budget: int | None = None,
-    parallel_granule: int | None = None,
-) -> subprocess.Popen:
+def start_daemon(state_dir: Path, max_queue: int) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     cmd = [
@@ -101,10 +78,6 @@ def start_daemon(
         "--trace-out", str(state_dir / "trace.jsonl"),
         "--trace-rotate-bytes", "262144",
     ]
-    if core_budget is not None:
-        cmd += ["--core-budget", str(core_budget)]
-    if parallel_granule is not None:
-        cmd += ["--parallel-granule", str(parallel_granule)]
     return subprocess.Popen(cmd, env=env, cwd=REPO)
 
 
@@ -140,37 +113,26 @@ def expected_result(spec: dict) -> dict:
     return campaign.result.to_dict()
 
 
-def drive(
-    state_dir: Path, core_budget: int | None = None,
-    parallel_granule: int | None = None,
-) -> int:
-    spec = SPEC if core_budget is None else MP_SPEC
-    mode = (
-        "single-process" if core_budget is None
-        else f"multi-process (core budget {core_budget})"
-    )
-    reference = expected_result(spec)
-    log(
-        f"reference verdict: {len(reference['detections'])} detections "
-        f"[{mode}]"
-    )
+def drive(state_dir: Path) -> int:
+    reference = expected_result(SPEC)
+    log(f"reference verdict: {len(reference['detections'])} detections")
 
     max_queue = 4
-    daemon = start_daemon(state_dir, max_queue, core_budget, parallel_granule)
+    daemon = start_daemon(state_dir, max_queue)
     try:
         client = wait_ready(state_dir)
 
         # Concurrent-ish admission: the slow reference job plus filler
         # jobs up to the queue bound, then saturation must answer 429.
         acked = []
-        ack = client.submit(dict(spec, job_id="reference", chaos=SLOW_CHAOS))
+        ack = client.submit(dict(SPEC, job_id="reference", chaos=SLOW_CHAOS))
         acked.append(ack["job_id"])
         log(f"acked reference (seq {ack['seq']})")
         rejections = 0
         for index in range(max_queue + 8):
             try:
                 ack = client.submit(
-                    dict(spec, job_id=f"filler-{index}", chaos=SLOW_CHAOS)
+                    dict(SPEC, job_id=f"filler-{index}", chaos=SLOW_CHAOS)
                 )
                 acked.append(ack["job_id"])
             except Rejected as rejection:
@@ -213,9 +175,7 @@ def drive(
                 )
             log(f"SIGKILL round {round_index}: daemon dead, restarting")
             last_restart_wall = time.time()
-            daemon = start_daemon(
-                state_dir, max_queue, core_budget, parallel_granule
-            )
+            daemon = start_daemon(state_dir, max_queue)
             client = wait_ready(state_dir)
             for job_id in acked:
                 if client.job(job_id) is None:
@@ -350,24 +310,12 @@ def main(argv=None) -> int:
         "--state-dir", default=None,
         help="state directory to use (default: a fresh temp dir)",
     )
-    parser.add_argument(
-        "--core-budget", type=int, default=None,
-        help="run the drill in multi-process mode: the daemon gets this "
-             "core budget and the drill spec grows shards large enough "
-             "to engage the process pool",
-    )
-    parser.add_argument(
-        "--parallel-granule", type=int, default=None,
-        help="governor granule passed to the daemon (multi-process mode)",
-    )
     args = parser.parse_args(argv)
     if args.state_dir is not None:
-        return drive(
-            Path(args.state_dir), args.core_budget, args.parallel_granule
-        )
+        return drive(Path(args.state_dir))
     tmp = Path(tempfile.mkdtemp(prefix="repro-service-chaos-"))
     try:
-        return drive(tmp, args.core_budget, args.parallel_granule)
+        return drive(tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

@@ -88,15 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument("--seed", type=int, default=1)
     fleet.add_argument(
-        "--engine", choices=("scalar", "vectorized", "parallel"),
+        "--engine", choices=("scalar", "vectorized"),
         default="vectorized",
-        help="campaign engine; all three are bit-identical (vectorized is "
-             "~100x scalar, parallel shards it over --workers processes)",
-    )
-    fleet.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for --engine parallel "
-             "(default: usable CPUs per scheduler affinity)",
+        help="campaign engine; both are bit-identical (vectorized is "
+             "~100x scalar)",
     )
     fleet.add_argument(
         "--checkpoint-dir", default=None,
@@ -176,11 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoint_dir",
         help="directory previously passed to fleet-study --checkpoint-dir",
     )
-    resume.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes when the checkpointed engine is parallel "
-             "(default: usable CPUs per scheduler affinity)",
-    )
 
     serve = sub.add_parser(
         "serve", parents=[obs],
@@ -207,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-active", type=int, default=1,
-        help="campaign worker threads (default 1)",
+        help="jobs that run at once, one in-process campaign thread "
+             "each (default 1)",
     )
     serve.add_argument(
         "--checkpoint-every", type=int, default=2,
@@ -217,22 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--job-timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget per job, checked between shards "
              "(default: unlimited)",
-    )
-    serve.add_argument(
-        "--core-budget", type=int, default=None, metavar="N",
-        help="cores the daemon may spend across all active jobs; heavy "
-             "jobs fan shards out to a process pool within this budget "
-             "(default: usable CPUs per scheduler affinity)",
-    )
-    serve.add_argument(
-        "--job-workers", type=int, default=None, metavar="N",
-        help="per-job worker-process cap inside the core budget "
-             "(default: the whole budget)",
-    )
-    serve.add_argument(
-        "--parallel-granule", type=int, default=64, metavar="CPUS",
-        help="remaining faulty CPUs that justify one more worker; jobs "
-             "below one granule stay in-process vectorized (default 64)",
     )
     serve.add_argument(
         "--retain-verdicts", default=None, metavar="N|AGE",
@@ -369,11 +344,9 @@ def _cmd_fleet_study(args, obs=None) -> int:
         spec, build_library(),
         checkpoint_store=store,
         checkpoint_every=args.checkpoint_every,
-        workers=args.workers,
         obs=obs,
     )
-    with campaign:
-        result = campaign.run()
+    result = campaign.run()
     _print_fleet_tables(result)
     logger.info("campaign health: %s", campaign.health.summary())
     if args.spill_dir is not None:
@@ -414,9 +387,7 @@ def _cmd_resume(args, obs=None) -> int:
 
     store = CheckpointStore(args.checkpoint_dir)
     try:
-        campaign = ResilientCampaign.resume(
-            store, build_library(), workers=args.workers, obs=obs
-        )
+        campaign = ResilientCampaign.resume(store, build_library(), obs=obs)
     except ReproError as error:
         logger.error("error: %s", error)
         return 2
@@ -424,8 +395,7 @@ def _cmd_resume(args, obs=None) -> int:
         "resuming at cursor %d of %d faulty CPUs",
         campaign.cursor, len(campaign.population.faulty),
     )
-    with campaign:
-        result = campaign.run()
+    result = campaign.run()
     _print_fleet_tables(result)
     logger.info("campaign health: %s", campaign.health.summary())
     return 0
@@ -568,9 +538,6 @@ def _cmd_serve(args, obs=None) -> int:
         max_active=args.max_active,
         checkpoint_every=args.checkpoint_every,
         job_timeout_s=args.job_timeout,
-        core_budget=args.core_budget,
-        job_workers=args.job_workers,
-        parallel_granule=args.parallel_granule,
         retain_verdicts=args.retain_verdicts,
         scrape_interval_s=args.scrape_interval,
         rss_limit_bytes=(
@@ -644,8 +611,6 @@ def _fmt_bytes(value: float) -> str:
 _TOP_GAUGES = (
     ("repro_service_active_jobs", "active jobs", None),
     ("repro_service_queue_depth", "queue depth", None),
-    ("repro_service_cores_leased", "cores leased", None),
-    ("repro_service_core_budget", "core budget", None),
     ("repro_sdc_detection_ratio", "SDC detection ratio", None),
     ("repro_rss_bytes", "coordinator RSS", _fmt_bytes),
     ("repro_peak_rss_bytes", "peak RSS", _fmt_bytes),

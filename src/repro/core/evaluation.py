@@ -349,7 +349,7 @@ def coverage_sweep(
         raise ConfigurationError("group_size must be positive")
     # Imported here, not at module top: repro.perf.parallel pulls in
     # repro.core.backoff, so a top-level import would be circular when
-    # the perf layer loads first (e.g. via repro.fleet.parallel).
+    # the perf layer loads first.
     from ..perf.parallel import deterministic_map
 
     if engine == "batch":

@@ -15,7 +15,6 @@ from .frame import (
     LazyFaultyList,
     generate_fleet_frame,
 )
-from .shm import SharedFleetFrame, SharedFrameHandle, shared_memory_available
 from .machine import (
     Cluster,
     Datacenter,
@@ -30,7 +29,6 @@ from .pipeline import (
     StageConfig,
     TestPipeline,
 )
-from .parallel import ParallelTestPipeline
 from .salvage import SalvageReport, salvage_study
 from .vectorized import VectorizedTestPipeline
 from . import stats
@@ -47,9 +45,6 @@ __all__ = [
     "FrameFleetPopulation",
     "LazyFaultyList",
     "generate_fleet_frame",
-    "SharedFleetFrame",
-    "SharedFrameHandle",
-    "shared_memory_available",
     "Cluster",
     "Datacenter",
     "FleetTopology",
@@ -61,7 +56,6 @@ __all__ = [
     "StageConfig",
     "TestPipeline",
     "VectorizedTestPipeline",
-    "ParallelTestPipeline",
     "SalvageReport",
     "salvage_study",
     "stats",

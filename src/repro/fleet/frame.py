@@ -187,8 +187,8 @@ class LazyFaultyList(Sequence):
     lowering path; integer access materializes the window-aligned block
     around the index — the replay path, which walks CPUs in order
     within a shard and therefore hits the cache after the first touch.
-    Pickling drops the cache, so shipping a population to workers costs
-    only the SoA columns.
+    Pickling drops the cache, so a pickled population costs only the
+    SoA columns.
     """
 
     def __init__(self, frame: FleetFrame, window: int = DEFAULT_CHUNK_SIZE, obs=None):
@@ -272,8 +272,7 @@ class FrameFleetPopulation(FleetPopulation):
 
     Drop-in for every engine (they only slice/index ``faulty``), but
     peak resident Processors stay bounded by the window.  The frame is
-    exposed so the parallel engine can ship it to workers over shared
-    memory instead of pickling Processor objects.
+    exposed so a campaign can spill it to a column store.
     """
 
     def __init__(self, frame: FleetFrame, window: int = DEFAULT_CHUNK_SIZE, obs=None):

@@ -56,10 +56,9 @@ def record_range_metrics(
 ) -> None:
     """Account one *completed* campaign range into ``obs``.
 
-    Shared by all three engines (the parallel engine's workers call it
-    through :meth:`VectorizedTestPipeline.replay_range`).  Called only
-    after a range finishes, so retried/abandoned attempts never pollute
-    the exact per-engine totals the worker-aggregation tests pin.
+    Shared by both engines.  Called only after a range finishes, so
+    retried/abandoned attempts never pollute the exact per-engine
+    totals the telemetry tests pin.
     """
     obs.inc("repro_campaign_cpus_total", cpus, engine=engine)
     for detection in result.detections[entry_detections:]:
@@ -269,7 +268,6 @@ class TestPipeline:
         #: (the default) disables telemetry; the only cost left on the
         #: hot path is one attribute check per ``run_range`` call.
         self.obs = obs
-        self.obs_label = "scalar"
         #: The campaign's single Bernoulli stream.  A counted stream so
         #: checkpointing can record the exact draw position and a
         #: resumed run continues bit-identically (see repro.resilience).
@@ -406,7 +404,7 @@ class TestPipeline:
                 result.detections.append(detection)
         if obs is not None:
             record_range_metrics(
-                obs, self.obs_label, result,
+                obs, "scalar", result,
                 entry_detections, entry_undetected,
                 self._stream.consumed - entry_draws,
                 stop - start,

@@ -88,11 +88,10 @@ class VectorizedTestPipeline:
         )
         #: Optional :class:`repro.obs.Observability` context; ``None``
         #: disables telemetry.  Ranges replayed by *this* engine are
-        #: accounted under ``obs_label`` ("vectorized" here; the
-        #: parallel engine relabels its worker engines "parallel"), so
-        #: mixed-engine campaigns keep exact per-engine totals.
+        #: accounted under ``engine="vectorized"``, so mixed-engine
+        #: campaigns (a shard degraded to scalar) keep exact per-engine
+        #: totals.
         self.obs = obs
-        self.obs_label = "vectorized"
         self.population = population
         self.library = library
         self.config = self._scalar.config
@@ -103,7 +102,7 @@ class VectorizedTestPipeline:
         # The lowering is deterministic and consumes no pipeline-stream
         # draws, so blocks are computed once per CPU range and reused
         # across run_range calls (sharded campaigns, checkpoint resume,
-        # parallel shard workers).  The stage schedule is
+        # shard retries).  The stage schedule is
         # population-independent and cached separately.
         self._schedule_cache: Optional[Tuple] = None
         self._blocks: Dict[Tuple[int, int], Tuple] = {}
@@ -227,8 +226,8 @@ class VectorizedTestPipeline:
         index-ordered ``bincount`` accumulations (whose addends never
         cross a CPU boundary) — is computed identically whether the CPU
         is lowered alone, in a shard, or in the full population, which
-        is what lets parallel shard workers lower disjoint ranges and
-        still match the serial engine bit for bit.
+        is what lets a sharded campaign match the unsharded engine bit
+        for bit.
 
         All returned arrays are indexed by ``cpu - range_start``.
         """
@@ -456,18 +455,7 @@ class VectorizedTestPipeline:
         engine, so any per-shard engine mix is bit-identical to one
         uninterrupted run.
         """
-        return self.replay_range(start, stop, result, self._scalar._stream)
-
-    def replay_range(
-        self, start: int, stop: int, result: FleetStudyResult, stream
-    ) -> FleetStudyResult:
-        """:meth:`run_range`, but reading draws from a caller-owned stream.
-
-        The parallel engine positions a fresh
-        :class:`~repro.rng.CountedStream` at a shard's draw offset
-        (O(1) jump-ahead) and replays the shard in a worker; passing the
-        engine's own pipeline stream makes this exactly ``run_range``.
-        """
+        stream = self._scalar._stream
         obs = self.obs
         if obs is not None:
             started = time.perf_counter()
@@ -528,25 +516,13 @@ class VectorizedTestPipeline:
                 detections_append(detection)
         if obs is not None:
             record_range_metrics(
-                obs, self.obs_label, result,
+                obs, "vectorized", result,
                 entry_detections, entry_undetected,
                 stream.consumed - entry_draws,
                 stop - start,
                 time.perf_counter() - started,
             )
         return result
-
-    def accounting_range(self, start: int, stop: int) -> Tuple:
-        """Compact draw-accounting arrays for faulty CPUs ``[start, stop)``.
-
-        ``(cpu_skip, cpu_onset, cpu_probs, kind_nnz)``, all indexed by
-        ``cpu - start`` — exactly the inputs the parallel engine's
-        parent-side scan needs to walk the shared Bernoulli stream
-        (one draw per passing gate, ``nnz`` skipped draws per
-        detection) without materialising the per-pair replay arrays.
-        """
-        block = self._lower_range(start, stop)
-        return (block[0], block[1], block[5], block[6])
 
     @staticmethod
     def _sample_failing(

@@ -7,7 +7,7 @@ through the campaign engines, the resilience layer, and the online
 simulators via a keyword-only ``obs=None`` parameter:
 
 * :class:`MetricsRegistry` — counters/gauges/histograms with labeled
-  series, exact snapshot/merge for cross-process worker aggregation,
+  series, exact snapshot/merge aggregation,
   Prometheus-text and canonical-JSON (CRC-32 self-checking) exporters.
 * :class:`Tracer` / :class:`JsonlTraceSink` — context-manager spans
   and point events on an injected monotonic clock (telemetry never

@@ -98,8 +98,7 @@ class Observability:
     def in_memory(cls) -> "Observability":
         """Context capturing everything in process memory (tests).
 
-        Deliberately does *not* stamp build info: worker snapshots are
-        merged into the coordinator's registry and tests compare
+        Deliberately does *not* stamp build info: tests compare
         snapshots for exact equality, so ambient gauges stay out of
         the in-memory flavor.
         """
@@ -180,12 +179,8 @@ _HELP = {
         "Faulty processors that escaped the campaign, by engine.",
     "repro_campaign_draws_total":
         "CountedStream uniforms consumed by campaign ranges, by engine.",
-    "repro_campaign_shards_total":
-        "Campaign shards finished, by engine and outcome.",
     "repro_campaign_range_seconds":
         "Wall-clock seconds per campaign range/shard, by engine.",
-    "repro_parallel_tasks_total":
-        "Parallel-engine worker tasks, by phase (lower/replay).",
     "repro_checkpoint_total":
         "Checkpoint container operations, by op (save/load/fallback).",
     "repro_health_events_total":
@@ -221,8 +216,6 @@ _HELP = {
         "Processor windows rebuilt from frame-backed populations.",
     "repro_spill_bytes_total":
         "Bytes spilled to on-disk column stores.",
-    "repro_shm_bytes":
-        "Bytes of shared-memory fleet segments currently published.",
     "repro_service_http_requests_total":
         "HTTP requests served by the repro daemon, by route and code.",
     "repro_service_http_request_seconds":
@@ -242,12 +235,8 @@ _HELP = {
         "Duration of the last graceful drain, in seconds.",
     "repro_service_shard_seconds":
         "Wall-clock seconds per completed service campaign shard.",
-    "repro_service_cores_leased":
-        "Cores currently leased to jobs by the CoreGovernor.",
     "repro_service_journal_append_seconds":
         "Wall-clock seconds per journal append, fsync included.",
-    "repro_parallel_lower_seconds":
-        "Wall-clock seconds lowering shards in pool workers.",
     "repro_build_info":
         "Constant 1 gauge carrying the library version label.",
     "repro_uptime_seconds":

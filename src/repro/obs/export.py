@@ -5,17 +5,19 @@ verification, not for looking at.  :func:`to_chrome_trace` converts a
 merged record list into the Trace Event Format that ``chrome://tracing``
 and https://ui.perfetto.dev both open:
 
-* one **process track per pid** (scheduler, each pool worker), named by
-  metadata events so the coordinator reads "repro coordinator" and the
-  workers "repro worker";
+* one **process track per pid**, named by metadata events so the
+  coordinator (the first pid in the trace) reads "repro coordinator"
+  and every other process "repro worker" (later daemon incarnations,
+  or the pool workers of traces written by older releases);
 * spans as complete ``"X"`` events (begin spans that never ended — a
   SIGKILL mid-shard — degrade to ``"B"`` events so the tear stays
   visible);
 * tracer events as ``"i"`` instants;
-* cross-process parent links (``parent_pid`` on worker root spans) as
-  flow event pairs (``"s"`` at the parent, ``"f"`` at the child), which
-  Perfetto renders as arrows from the scheduler's shard span down into
-  the worker that ran it.
+* cross-process parent links (``parent_pid`` on the worker root spans
+  of traces written by older releases, whose campaigns could run on a
+  process pool) as flow event pairs (``"s"`` at the parent, ``"f"`` at
+  the child), which Perfetto renders as arrows from the scheduler's
+  shard span down into the worker that ran it.
 
 Monotonic clocks do not share an epoch across processes, so absolute
 cross-pid alignment is impossible from the records alone; each pid's

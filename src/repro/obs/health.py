@@ -17,8 +17,8 @@ Three rule kinds cover the failure modes ISSUE 10 names:
 
 ``threshold``
     Compare the latest sample of every matching series against a bound
-    (`repro_service_shard_seconds_p99 > 30`, RSS ceilings, governor
-    starvation).
+    (`repro_service_shard_seconds_p99 > 30`, journal latency, RSS
+    ceilings).
 ``rate``
     Compare the change per second over a trailing window
     (SDC-detection-ratio drift: a sustained negative slope means the
@@ -315,8 +315,9 @@ def default_service_rules(
     journal_append_limit_s: float = 0.5,
     detection_drift_per_s: float = 1e-4,
 ) -> Tuple[HealthRule, ...]:
-    """The stock rule set ``repro serve`` evaluates (ISSUE 10 coverage:
-    SDC drift, shard p99, governor starvation, journal latency, RSS)."""
+    """The stock rule set ``repro serve`` evaluates: SDC drift, shard
+    p99, journal latency, backlog, stalled progress and (optionally)
+    RSS."""
     rules = [
         HealthRule(
             name="sdc_detection_rate_drift",
@@ -341,21 +342,6 @@ def default_service_rules(
             for_s=2.0,
             severity="warning",
             description="Shard p99 latency regressed past the SLO bound.",
-        ),
-        HealthRule(
-            name="core_governor_starvation",
-            metric="repro_service_cores_leased",
-            kind="threshold",
-            op="<",
-            threshold=1.0,
-            for_s=5.0,
-            severity="critical",
-            description=(
-                "Jobs are active but the CoreGovernor has leased no "
-                "cores — the fleet is queued behind a stuck lease."
-            ),
-            guard_metric="repro_service_active_jobs",
-            guard_min=1.0,
         ),
         HealthRule(
             name="journal_append_latency",

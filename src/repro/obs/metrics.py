@@ -10,11 +10,10 @@ around three properties the campaign engines need:
 * **Exact snapshot/merge semantics.**  ``snapshot()`` produces a
   canonical, JSON-able document and ``merge()`` folds one back in —
   counters and histogram buckets add, gauges last-write-win — so
-  :class:`~repro.fleet.parallel.ParallelTestPipeline` workers can count
-  per-shard work in their own process and the parent can aggregate the
-  shards into totals that equal a serial run *exactly* (integer-valued
-  float adds of per-shard totals are associative at these magnitudes,
-  and the test suite pins the equality).
+  registries filled in separate processes or per shard aggregate into
+  totals that equal one registry's *exactly* (integer-valued float
+  adds of per-shard totals are associative at these magnitudes, and
+  the test suite pins the equality).
 * **Fixed histogram bucket layouts.**  Buckets are part of a family's
   identity; merging snapshots with different layouts is an error, never
   a silent re-binning.
@@ -225,9 +224,8 @@ def _normalize_buckets(buckets: Iterable[float]) -> Tuple[float, ...]:
 class MetricsRegistry:
     """A process-local collection of metric families.
 
-    One registry per observability context; worker processes build their
-    own per-task registries and ship ``snapshot()`` documents back for
-    ``merge()``.
+    One registry per observability context; ``snapshot()`` documents
+    from other registries fold in with ``merge()``.
     """
 
     def __init__(self) -> None:

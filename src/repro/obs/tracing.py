@@ -18,13 +18,12 @@ rules keep tracing safe to enable on seeded campaigns:
 
 Spans stitch across processes and threads.  Every record carries the
 emitting ``pid`` and a small per-tracer thread index ``tid``; span ids
-are only unique *within* a process, so joins key on ``(pid, span)``.
-A parent hands its identity to workers as a ``(pid, span)`` ref
-(:meth:`Tracer.current_ref`); the worker opens a
-:meth:`Tracer.remote_span` carrying ``parent`` + ``parent_pid``, and
-after the work ships its records home the parent replays them through
-:meth:`Tracer.emit_foreign` into its own sink — one trace file, one
-connected job → shard → worker tree.
+are only unique *within* a process, so joins key on ``(pid, span)`` —
+one trace (e.g. the rotated segments of several daemon incarnations)
+can hold records from many processes.  Traces written by older
+releases also hold pool-worker spans whose ``parent_pid`` names the
+coordinating process; :func:`iter_spans` and the Chrome exporter still
+honour that link.
 
 When telemetry is disabled the campaign code holds no tracer at all
 (``obs is None``); :class:`NullTracer` exists for call sites that want
@@ -61,9 +60,6 @@ __all__ = [
 
 TRACE_FORMAT = "repro-obs-trace"
 TRACE_VERSION = 1
-
-#: A cross-process span reference: ``(pid, span_id)``.
-SpanRef = Tuple[int, int]
 
 
 def _canonical(record: Dict[str, object]) -> bytes:
@@ -272,43 +268,9 @@ class Tracer:
     def enabled(self) -> bool:
         return True
 
-    def current_ref(self) -> Optional[SpanRef]:
-        """``(pid, span_id)`` of the innermost open span on this
-        thread, or None — the handle a parent sends to workers so
-        their spans join this trace."""
-        stack = self._local_stack()
-        if not stack:
-            return None
-        return (self._pid, stack[-1])
-
     def span(self, name: str, **attrs: object) -> _Span:
-        parent = self._local_stack()[-1] if self._local_stack() else None
-        return self._begin(name, parent, None, attrs)
-
-    def remote_span(
-        self, name: str, parent_ref: Optional[SpanRef], **attrs: object
-    ) -> _Span:
-        """Open a span whose parent lives in another process.
-
-        ``parent_ref`` is a :meth:`current_ref` tuple from the
-        coordinating process (None degrades to a plain root span).  A
-        locally open span still wins — remote parentage only applies
-        at the top of this thread's stack.
-        """
-        local_parent = (
-            self._local_stack()[-1] if self._local_stack() else None
-        )
-        if local_parent is not None or parent_ref is None:
-            return self._begin(name, local_parent, None, attrs)
-        return self._begin(name, parent_ref[1], parent_ref[0], attrs)
-
-    def _begin(
-        self,
-        name: str,
-        parent: Optional[int],
-        parent_pid: Optional[int],
-        attrs: Dict[str, object],
-    ) -> _Span:
+        stack = self._local_stack()
+        parent = stack[-1] if stack else None
         span_id = next(self._ids)
         record: Dict[str, object] = {
             "kind": "span_begin",
@@ -320,8 +282,6 @@ class Tracer:
         }
         if parent is not None:
             record["parent"] = parent
-        if parent_pid is not None and parent_pid != self._pid:
-            record["parent_pid"] = parent_pid
         if attrs:
             record["attrs"] = attrs
         self._sink.emit(record)
@@ -341,18 +301,6 @@ class Tracer:
         if attrs:
             record["attrs"] = attrs
         self._sink.emit(record)
-
-    def emit_foreign(self, record: Dict[str, object]) -> None:
-        """Replay a record produced by another process's tracer into
-        this tracer's sink, verbatim.
-
-        Worker tracers collect into a :class:`ListTraceSink`; after a
-        shard succeeds the parent merges those records here so the
-        sealed trace file holds the whole distributed tree.  The
-        record keeps its own ``pid``/``span`` ids — joins are keyed by
-        ``(pid, span)`` so no renumbering is needed.
-        """
-        self._sink.emit(dict(record))
 
     def close(self) -> None:
         self._sink.close()
@@ -382,19 +330,10 @@ class NullTracer:
     def enabled(self) -> bool:
         return False
 
-    def current_ref(self) -> None:
-        return None
-
     def span(self, name: str, **attrs: object) -> _NullSpan:
         return _NULL_SPAN
 
-    def remote_span(self, name: str, parent_ref=None, **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
     def event(self, name: str, **attrs: object) -> None:
-        pass
-
-    def emit_foreign(self, record: Dict[str, object]) -> None:
         pass
 
     def close(self) -> None:
@@ -492,8 +431,8 @@ def read_trace_segments(
 def span_key(record: Dict[str, object]) -> Tuple[int, int]:
     """The globally unique join key of a span record.
 
-    Span ids are per-process counters; after merging worker records a
-    trace holds colliding ``span`` values, so everything that pairs
+    Span ids are per-process counters; a trace written by several
+    processes holds colliding ``span`` values, so everything that pairs
     begins with ends keys on ``(pid, span)``.  Records from before
     stitching (no ``pid`` field) key under pid 0.
     """

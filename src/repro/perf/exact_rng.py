@@ -244,46 +244,6 @@ def _mul128_const(limbs: list[np.ndarray]) -> list[np.ndarray]:
     return [r0, r1, r2, r3]
 
 
-def _mul128(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-    """(a * b) mod 2**128 for two limb vectors (general jump-ahead form).
-
-    Same column scheme as :func:`_mul128_const`, but the right operand
-    is per-lane data (the running squares of the jump polynomial), not
-    the fixed PCG multiplier.
-    """
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    # Column 0
-    p = a0 * b0
-    r0 = p & _M32
-    carry = p >> _U32
-    # Column 1
-    lo_acc = carry
-    p = a0 * b1
-    lo_acc = lo_acc + (p & _M32)
-    carry = p >> _U32
-    p = a1 * b0
-    lo_acc = lo_acc + (p & _M32)
-    carry = carry + (p >> _U32)
-    r1 = lo_acc & _M32
-    carry = carry + (lo_acc >> _U32)
-    # Column 2
-    lo_acc = carry
-    carry = np.zeros_like(carry)
-    for x, y in ((a0, b2), (a1, b1), (a2, b0)):
-        p = x * y
-        lo_acc = lo_acc + (p & _M32)
-        carry = carry + (p >> _U32)
-    r2 = lo_acc & _M32
-    carry = carry + (lo_acc >> _U32)
-    # Column 3 (mod 2**128: discard the outgoing carry)
-    lo_acc = carry
-    for x, y in ((a0, b3), (a1, b2), (a2, b1), (a3, b0)):
-        lo_acc = lo_acc + ((x * y) & _M32)
-    r3 = lo_acc & _M32
-    return [r0, r1, r2, r3]
-
-
 def _add128(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
     out = []
     carry = np.zeros_like(a[0])
@@ -327,77 +287,6 @@ class VectorPCG64:
         state = _add128(inc, initstate)
         state = _add128(_mul128_const(state), inc)
         return cls(state, inc)
-
-    def advance(
-        self, delta, idx: np.ndarray | None = None
-    ) -> "VectorPCG64":
-        """Jump the selected lanes ``delta`` steps ahead in O(log delta).
-
-        Matches ``numpy.random.PCG64.advance`` bit for bit: the LCG
-        ``state' = A*state + inc`` composes in closed form, so ``delta``
-        steps are ``state' = A^delta * state + (A^delta - 1)/(A - 1) *
-        inc``, evaluated by square-and-multiply on 32-bit limbs.
-        ``delta`` is either a non-negative int applied to every selected
-        lane or a per-lane ``uint64`` array (lanes with different draw
-        debts jump independently).  Returns ``self`` for chaining.
-        """
-        state, inc = self._gather(idx)
-        shape = state[0].shape
-        per_lane = not isinstance(delta, (int, np.integer))
-        if per_lane:
-            delta = np.asarray(delta, dtype=np.uint64)
-            if delta.shape != shape:
-                raise ValueError("per-lane delta must have one entry per lane")
-            bits = int(delta.max()).bit_length() if delta.size else 0
-            delta_limbs = [delta & _M32, delta >> _U32]
-        else:
-            if delta < 0 or delta >= (1 << 128):
-                raise ValueError("delta must be in [0, 2**128)")
-            delta = int(delta)
-            bits = delta.bit_length()
-
-        zeros = np.zeros(shape, dtype=np.uint64)
-        ones = np.ones(shape, dtype=np.uint64)
-
-        def _const(value: int) -> list[np.ndarray]:
-            return [
-                np.full(shape, (value >> (32 * i)) & 0xFFFFFFFF, dtype=np.uint64)
-                for i in range(4)
-            ]
-
-        acc_mult = [ones.copy(), zeros.copy(), zeros.copy(), zeros.copy()]
-        acc_plus = [zeros.copy() for _ in range(4)]
-        cur_mult = _const(_PCG_MULT)
-        cur_plus = [limb.copy() for limb in inc]
-        one_limbs = [ones, zeros, zeros, zeros]
-        for bit in range(bits):
-            new_mult = _mul128(acc_mult, cur_mult)
-            new_plus = _add128(_mul128(acc_plus, cur_mult), cur_plus)
-            if per_lane:
-                mask = (
-                    (delta_limbs[bit // 32] >> np.uint64(bit % 32))
-                    & np.uint64(1)
-                ).astype(bool)
-                acc_mult = [
-                    np.where(mask, new, old)
-                    for new, old in zip(new_mult, acc_mult)
-                ]
-                acc_plus = [
-                    np.where(mask, new, old)
-                    for new, old in zip(new_plus, acc_plus)
-                ]
-            elif (delta >> bit) & 1:
-                acc_mult = new_mult
-                acc_plus = new_plus
-            cur_plus = _mul128(_add128(cur_mult, one_limbs), cur_plus)
-            cur_mult = _mul128(cur_mult, cur_mult)
-        state = _add128(_mul128(acc_mult, state), acc_plus)
-        if idx is None:
-            self._state = state
-        else:
-            for limb, new in zip(self._state, state):
-                limb[idx] = new
-        return self
 
     def _gather(self, idx: np.ndarray | None) -> tuple[list, list]:
         if idx is None:

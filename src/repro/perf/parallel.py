@@ -52,12 +52,7 @@ from ..core.backoff import ExponentialBackoff
 from ..errors import TransientWorkerError
 from ..obs.context import observed_sleep
 
-__all__ = [
-    "default_workers",
-    "deterministic_map",
-    "DeterministicPool",
-    "worker_trace_parent",
-]
+__all__ = ["default_workers", "deterministic_map"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -131,38 +126,6 @@ def _pool_worker_init(initializer, initargs) -> None:
 def _record(health, kind: str, detail: str, item: int | None = None) -> None:
     if health is not None:
         health.record(kind, detail, item=item)
-
-
-#: Trace context of the task currently running in this worker process:
-#: a ``(pid, span)`` ref naming the coordinator span that submitted it,
-#: or None.  Set around the task by :func:`_traced_call`; task functions
-#: read it via :func:`worker_trace_parent` to parent their spans into
-#: the coordinator's trace.
-_WORKER_TRACE_PARENT: Tuple[int, int] | None = None
-
-
-def worker_trace_parent() -> Tuple[int, int] | None:
-    """The submitting coordinator's ``(pid, span)`` trace ref, if the
-    current task was submitted with one (see :meth:`DeterministicPool.
-    submit`); None in serial/degraded execution or untraced runs."""
-    return _WORKER_TRACE_PARENT
-
-
-def _traced_call(payload: Tuple[Tuple[int, int], Callable, Any]) -> Any:
-    """Run a task with its coordinator trace ref published.
-
-    Wrapping the payload — instead of shipping the ref through worker
-    globals at init time — keeps the ref per *task*: each shard carries
-    the span that actually submitted it, so retries and interleaved
-    jobs cannot mis-parent.
-    """
-    global _WORKER_TRACE_PARENT
-    ref, fn, item = payload
-    _WORKER_TRACE_PARENT = (int(ref[0]), int(ref[1]))
-    try:
-        return fn(item)
-    finally:
-        _WORKER_TRACE_PARENT = None
 
 
 def _chunk_runner(payload: Tuple[Callable, int, Sequence]) -> Tuple:
@@ -264,292 +227,6 @@ def _serial_map(
     return out
 
 
-class DeterministicPool:
-    """A persistent, supervised deterministic mapper.
-
-    Same result contract as :func:`deterministic_map` — task-order
-    results, independent of worker count or scheduling — but the
-    process pool and its per-worker ``initializer`` context survive
-    across :meth:`map` calls.  Multi-phase dispatch (the parallel fleet
-    engine lowers shards in one pass and replays them in a second)
-    would otherwise pay worker spawn + context pickling per phase, and
-    worker-side caches keyed on the initializer payload could never
-    hit.
-
-    The pool is created lazily on the first parallel :meth:`map`.  Any
-    failure that makes the pool untrustworthy (creation error, broken
-    pool, chunk timeout) degrades *permanently* to serial execution in
-    the parent: results stay identical, only wall-clock changes, and a
-    flapping pool cannot oscillate.  Close with :meth:`close` or use as
-    a context manager.
-    """
-
-    def __init__(
-        self,
-        *,
-        workers: int | None = None,
-        initializer: Callable[..., Any] | None = None,
-        initargs: Iterable[Any] = (),
-        retries: int = 0,
-        timeout_s: float | None = None,
-        backoff: Optional[ExponentialBackoff] = None,
-        health=None,
-        obs=None,
-    ):
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers if workers is not None else default_workers()
-        self.retries = retries
-        self.timeout_s = timeout_s
-        self.backoff = backoff or ExponentialBackoff(base_s=0.05, cap_s=2.0)
-        self.health = health
-        self.obs = obs
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
-        self._pool: ProcessPoolExecutor | None = None
-        self._degraded_reason: str | None = None
-        self._parent_ready = False
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def __enter__(self) -> "DeterministicPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self, wait: bool = True) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(
-                wait=wait and self._degraded_reason is None,
-                cancel_futures=True,
-            )
-            self._pool = None
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the pool has permanently fallen back to serial."""
-        return self._degraded_reason is not None
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of live pool workers (empty when serial/degraded/lazy).
-
-        Chaos tooling uses this to SIGKILL a real worker process
-        mid-shard; operators use it to attribute CPU time.  The list is
-        a snapshot — workers the executor is still spawning are missed,
-        which callers poll around.
-        """
-        if self._pool is None:
-            return []
-        processes = getattr(self._pool, "_processes", None) or {}
-        return sorted(
-            pid for pid, proc in list(processes.items())
-            if proc.is_alive()
-        )
-
-    def degrade(self, reason: str) -> None:
-        """Permanently retire the worker pool (callers saw it misbehave).
-
-        Outstanding futures are cancelled, the processes are abandoned
-        without waiting, and every later :meth:`map`/:meth:`submit` runs
-        serially.  Used by streaming callers (:meth:`submit`) that do
-        their own failure detection.
-        """
-        self._degrade(reason)
-
-    def _degrade(self, reason: str) -> None:
-        self._degraded_reason = reason
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def _ensure_parent_init(self) -> None:
-        # Parent-side execution (serial mode, retries, degraded tails)
-        # needs the worker context too; build it lazily, at most once.
-        if not self._parent_ready:
-            if self._initializer is not None:
-                self._initializer(*self._initargs)
-            self._parent_ready = True
-
-    def _ensure_pool(self) -> ProcessPoolExecutor | None:
-        if self._degraded_reason is not None:
-            return None
-        if self._pool is None:
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_pool_worker_init,
-                    initargs=(self._initializer, self._initargs),
-                )
-            except (OSError, PermissionError, ValueError) as error:
-                # Sandboxes without /dev/shm or fork support.
-                _record(
-                    self.health, _KIND_DEGRADATION,
-                    f"process pool unavailable "
-                    f"({type(error).__name__}: {error}); running serially",
-                )
-                self._degrade(f"{type(error).__name__}: {error}")
-                return None
-        return self._pool
-
-    # -- mapping ------------------------------------------------------------
-
-    def submit(
-        self,
-        fn: Callable[[_T], _R],
-        item: _T,
-        *,
-        trace_parent: Tuple[int, int] | None = None,
-    ):
-        """Submit one task; a ``Future`` of a chunk outcome, or ``None``.
-
-        The streaming primitive under :meth:`map`, for callers that
-        interleave submission with result consumption (the parallel
-        fleet engine scans shard *i* while shard *i+1* is still
-        lowering).  ``None`` means the pool is serial/degraded and the
-        caller should run the task itself.  The future resolves to
-        ``("ok", [result])`` or ``("err", [], 0, item_repr, cause)`` —
-        never raises from inside the task — but waiting on it can still
-        raise ``BrokenProcessPool``/``TimeoutError``, which the caller
-        must map to :meth:`degrade` + its own fallback.
-
-        ``trace_parent`` (a :meth:`Tracer.current_ref` tuple) rides
-        along with the task and is visible to the task function via
-        :func:`worker_trace_parent`, letting worker-side spans join the
-        coordinator's trace tree.
-        """
-        pool = self._ensure_pool()
-        if pool is None:
-            return None
-        if trace_parent is not None:
-            fn, item = _traced_call, (trace_parent, fn, item)
-        try:
-            return pool.submit(_chunk_runner, (fn, 0, [item]))
-        except RuntimeError:
-            self._degrade("pool rejected submissions")
-            return None
-
-    def _serial(self, fn, tasks, start, out):
-        self._ensure_parent_init()
-        return _serial_map(
-            fn, tasks, start,
-            retries=self.retries, backoff=self.backoff, health=self.health,
-            out=out, obs=self.obs,
-        )
-
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        tasks: Sequence[_T],
-        *,
-        chunksize: int | None = None,
-    ) -> list[_R]:
-        """Map ``fn`` over ``tasks``, results in task order.
-
-        Identical supervision ladder to :func:`deterministic_map`:
-        worker-side item failures are retried in the parent against a
-        per-item budget (surfacing as
-        :class:`~repro.errors.TransientWorkerError` when exhausted), and
-        a broken pool or chunk timeout degrades the remaining work — and
-        every later ``map`` call on this pool — to serial execution.
-        """
-        tasks = list(tasks)
-        if self.workers <= 1 or len(tasks) <= 2:
-            return self._serial(fn, tasks, 0, [])
-        pool = self._ensure_pool()
-        if pool is None:
-            return self._serial(fn, tasks, 0, [])
-        if chunksize is None:
-            chunksize = max(1, len(tasks) // (self.workers * 4))
-        chunks: List[Tuple[int, List[_T]]] = [
-            (start, tasks[start:start + chunksize])
-            for start in range(0, len(tasks), chunksize)
-        ]
-        try:
-            futures = [
-                pool.submit(_chunk_runner, (fn, start, chunk))
-                for start, chunk in chunks
-            ]
-        except RuntimeError:
-            # Pool was closed underneath us (shutdown raced); degrade.
-            self._degrade("pool rejected submissions")
-            return self._serial(fn, tasks, 0, [])
-
-        results: List[_R] = []
-        for chunk_index, (start, chunk) in enumerate(chunks):
-            if self._degraded_reason is not None:
-                self._serial(fn, chunk, start, results)
-                continue
-            future = futures[chunk_index]
-            chunk_timeout = (
-                self.timeout_s * len(chunk)
-                if self.timeout_s is not None
-                else None
-            )
-            try:
-                outcome = future.result(timeout=chunk_timeout)
-            except FutureTimeout:
-                reason = f"chunk at {start} exceeded {chunk_timeout:.1f}s"
-                _record(
-                    self.health, _KIND_FAULT, f"timeout: {reason}", item=start
-                )
-                _record(
-                    self.health, _KIND_DEGRADATION,
-                    "pool abandoned after timeout; remaining tasks run "
-                    "serially",
-                )
-                self._degrade(reason)
-                self._serial(fn, chunk, start, results)
-                continue
-            except BrokenProcessPool:
-                reason = "process pool broke (worker died)"
-                _record(
-                    self.health, _KIND_FAULT,
-                    f"{reason} while waiting on chunk at {start}",
-                    item=start,
-                )
-                _record(
-                    self.health, _KIND_DEGRADATION,
-                    "remaining tasks run serially in the parent",
-                )
-                self._degrade(reason)
-                self._serial(fn, chunk, start, results)
-                continue
-            if outcome[0] == "ok":
-                results.extend(outcome[1])
-                continue
-            # Worker-side item failure: keep the chunk's computed
-            # prefix, charge the failure against the item's retry
-            # budget, and finish the chunk in the parent.
-            _, prefix, fail_index, item_repr, cause = outcome
-            results.extend(prefix)
-            _record(
-                self.health, _KIND_FAULT,
-                f"worker failure on task {fail_index} ({item_repr}): {cause}",
-                item=fail_index,
-            )
-            self._ensure_parent_init()
-            results.append(
-                _run_item_supervised(
-                    fn, tasks[fail_index], fail_index,
-                    retries=self.retries, backoff=self.backoff,
-                    health=self.health,
-                    failures=1, last_error=cause, obs=self.obs,
-                )
-            )
-            remainder_start = fail_index + 1
-            self._serial(
-                fn, tasks[remainder_start:start + len(chunk)],
-                remainder_start, results,
-            )
-        return results
-
-
 def deterministic_map(
     fn: Callable[[_T], _R],
     tasks: Sequence[_T],
@@ -571,9 +248,7 @@ def deterministic_map(
     ``workers`` resolves to 1, when there are at most 2 tasks, or when a
     process pool cannot be created (restricted environments).
 
-    One-shot convenience over :class:`DeterministicPool` (which callers
-    with several mapping phases should hold directly to keep workers and
-    their initializer context warm).  Supervision (all optional):
+    Supervision (all optional):
 
     * ``retries`` — per-item retry budget; a worker-side failure counts
       as the first attempt and remaining attempts run in the parent.
@@ -588,20 +263,144 @@ def deterministic_map(
       deterministic ~50 ms-base exponential).
     * ``health`` — a ``CampaignHealthReport`` to receive fault/retry/
       degradation events.
+
+    Any failure that makes the pool untrustworthy (creation error,
+    broken pool, chunk timeout) degrades the rest of the map to serial
+    execution in the parent: results stay identical, only wall-clock
+    changes.
     """
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    if timeout_s is not None and timeout_s <= 0:
+        raise ValueError("timeout_s must be positive")
     tasks = list(tasks)
     if workers is None:
         workers = default_workers(len(tasks))
     workers = max(1, min(workers, len(tasks))) if tasks else 1
-    pool = DeterministicPool(
-        workers=workers,
-        initializer=initializer,
-        initargs=initargs,
-        retries=retries,
-        timeout_s=timeout_s,
-        backoff=backoff,
-        health=health,
-        obs=obs,
-    )
-    with pool:
-        return pool.map(fn, tasks, chunksize=chunksize)
+    backoff = backoff or ExponentialBackoff(base_s=0.05, cap_s=2.0)
+    initargs = tuple(initargs)
+    parent_ready = False
+
+    def ensure_parent_context() -> None:
+        # Parent-side execution (serial mode, retries, degraded tails)
+        # needs the worker context too; build it lazily, at most once.
+        nonlocal parent_ready
+        if not parent_ready and initializer is not None:
+            initializer(*initargs)
+        parent_ready = True
+
+    def serial(chunk: Sequence[_T], start: int, out: List[_R]) -> List[_R]:
+        ensure_parent_context()
+        return _serial_map(
+            fn, chunk, start,
+            retries=retries, backoff=backoff, health=health,
+            out=out, obs=obs,
+        )
+
+    if workers <= 1 or len(tasks) <= 2:
+        return serial(tasks, 0, [])
+    try:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_pool_worker_init,
+            initargs=(initializer, initargs),
+        )
+    except (OSError, PermissionError, ValueError) as error:
+        # Sandboxes without /dev/shm or fork support.
+        _record(
+            health, _KIND_DEGRADATION,
+            f"process pool unavailable "
+            f"({type(error).__name__}: {error}); running serially",
+        )
+        return serial(tasks, 0, [])
+    if chunksize is None:
+        chunksize = max(1, len(tasks) // (workers * 4))
+    chunks: List[Tuple[int, List[_T]]] = [
+        (start, tasks[start:start + chunksize])
+        for start in range(0, len(tasks), chunksize)
+    ]
+    degraded = False
+
+    def abandon_pool() -> None:
+        # Outstanding futures are cancelled and the processes abandoned
+        # without waiting; the rest of the map runs in the parent.
+        nonlocal degraded
+        degraded = True
+        pool.shutdown(wait=False, cancel_futures=True)
+
+    try:
+        try:
+            futures = [
+                pool.submit(_chunk_runner, (fn, start, chunk))
+                for start, chunk in chunks
+            ]
+        except RuntimeError:
+            # Pool was closed underneath us (shutdown raced); degrade.
+            abandon_pool()
+            return serial(tasks, 0, [])
+
+        results: List[_R] = []
+        for future, (start, chunk) in zip(futures, chunks):
+            if degraded:
+                serial(chunk, start, results)
+                continue
+            chunk_timeout = (
+                timeout_s * len(chunk) if timeout_s is not None else None
+            )
+            try:
+                outcome = future.result(timeout=chunk_timeout)
+            except FutureTimeout:
+                reason = f"chunk at {start} exceeded {chunk_timeout:.1f}s"
+                _record(health, _KIND_FAULT, f"timeout: {reason}", item=start)
+                _record(
+                    health, _KIND_DEGRADATION,
+                    "pool abandoned after timeout; remaining tasks run "
+                    "serially",
+                )
+                abandon_pool()
+                serial(chunk, start, results)
+                continue
+            except BrokenProcessPool:
+                _record(
+                    health, _KIND_FAULT,
+                    f"process pool broke (worker died) while waiting on "
+                    f"chunk at {start}",
+                    item=start,
+                )
+                _record(
+                    health, _KIND_DEGRADATION,
+                    "remaining tasks run serially in the parent",
+                )
+                abandon_pool()
+                serial(chunk, start, results)
+                continue
+            if outcome[0] == "ok":
+                results.extend(outcome[1])
+                continue
+            # Worker-side item failure: keep the chunk's computed
+            # prefix, charge the failure against the item's retry
+            # budget, and finish the chunk in the parent.
+            _, prefix, fail_index, item_repr, cause = outcome
+            results.extend(prefix)
+            _record(
+                health, _KIND_FAULT,
+                f"worker failure on task {fail_index} ({item_repr}): {cause}",
+                item=fail_index,
+            )
+            ensure_parent_context()
+            results.append(
+                _run_item_supervised(
+                    fn, tasks[fail_index], fail_index,
+                    retries=retries, backoff=backoff, health=health,
+                    failures=1, last_error=cause, obs=obs,
+                )
+            )
+            remainder_start = fail_index + 1
+            serial(
+                tasks[remainder_start:start + len(chunk)],
+                remainder_start, results,
+            )
+        return results
+    finally:
+        if not degraded:
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -39,7 +39,6 @@ from ..errors import (
     ParityDegradedError,
     TransientWorkerError,
 )
-from ..fleet.parallel import ParallelTestPipeline
 from ..fleet.pipeline import Detection, FleetStudyResult, PipelineConfig
 from ..fleet.population import FleetPopulation, FleetSpec, generate_fleet
 from ..fleet.vectorized import VectorizedTestPipeline
@@ -56,7 +55,7 @@ from .health import (
 
 __all__ = ["CampaignSpec", "ResilientCampaign", "run_resilient_campaign"]
 
-ENGINES = ("scalar", "vectorized", "parallel")
+ENGINES = ("scalar", "vectorized")
 
 
 @dataclass(frozen=True)
@@ -124,6 +123,11 @@ class CampaignSpec:
                 raise ConfigurationError(
                     f"campaign spec is missing field {spec_field.name!r}"
                 )
+        if kwargs.get("engine") == "parallel":
+            # The retired process-pool engine gave the vectorized
+            # engine's result bits, so specs journaled or checkpointed
+            # with it still load.
+            kwargs["engine"] = "vectorized"
         return cls(**kwargs)
 
     def build_population(self, obs=None) -> FleetPopulation:
@@ -161,7 +165,6 @@ class ResilientCampaign:
         seed: int = 11,
         engine: str = "vectorized",
         shard_size: int = 256,
-        workers: Optional[int] = None,
         checkpoint_store: Optional[CheckpointStore] = None,
         checkpoint_every: int = 1,
         chaos: Optional[ChaosInjector] = None,
@@ -177,8 +180,6 @@ class ResilientCampaign:
             )
         if shard_size <= 0:
             raise ConfigurationError("shard_size must be positive")
-        if workers is not None and workers < 1:
-            raise ConfigurationError("workers must be >= 1")
         if checkpoint_every <= 0:
             raise ConfigurationError("checkpoint_every must be positive")
         if max_shard_retries < 0:
@@ -188,7 +189,6 @@ class ResilientCampaign:
         self.spec = spec
         self.engine = engine
         self.shard_size = shard_size
-        self.workers = workers
         self.store = checkpoint_store
         self.checkpoint_every = checkpoint_every
         self.chaos = chaos
@@ -214,10 +214,6 @@ class ResilientCampaign:
         )
         self._scalar = self._vectorized._scalar
         self._stream = self._scalar._stream
-        # The parallel engine wraps the same vectorized engine (same
-        # stream, same lowering cache); built lazily so scalar and
-        # vectorized campaigns never construct a pool.
-        self._parallel: Optional[ParallelTestPipeline] = None
         self._cursor = 0
         self._shards_since_checkpoint = 0
         self.result = FleetStudyResult(
@@ -372,26 +368,6 @@ class ResilientCampaign:
         if self.chaos is not None:
             self.chaos.damage_checkpoint(path, shard)
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the parallel pool and any shared-memory segment.
-
-        Idempotent, and a no-op for scalar/vectorized campaigns that
-        never built a pool.  Must run even when the campaign dies
-        mid-run (the supervisor driver guarantees it), so an injected
-        kill can never leak a published fleet segment.
-        """
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
-
-    def __enter__(self) -> "ResilientCampaign":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- execution ----------------------------------------------------------
 
     @property
@@ -402,65 +378,17 @@ class ResilientCampaign:
     def done(self) -> bool:
         return self._cursor >= len(self.population.faulty)
 
-    @property
-    def remaining(self) -> int:
-        """Faulty CPUs not yet executed (the core governor's input)."""
-        return max(0, len(self.population.faulty) - self._cursor)
-
-    @property
-    def parallel_degraded(self) -> bool:
-        """True once the parallel engine's pool broke and retired.
-
-        Later shards silently rerun on the in-process vectorized engine
-        (identical output); a supervising host reads this to stop
-        leasing cores to a campaign that can no longer use them.
-        """
-        return self._parallel is not None and self._parallel.degraded
-
-    def worker_pids(self) -> list:
-        """Live pool worker PIDs (empty for in-process campaigns)."""
-        if self._parallel is None:
-            return []
-        return self._parallel.worker_pids()
-
-    def set_workers(self, workers: int) -> None:
-        """Re-target the parallel fan-out width at a shard boundary.
-
-        Safe between any two :meth:`step` calls: the pool is respawned
-        lazily, the published shared-memory segment survives, and the
-        draw-position discipline is untouched — worker count never
-        changes results, only wall-clock.
-        """
-        if workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if workers == self.workers:
-            return
-        self.workers = workers
-        if self._parallel is not None:
-            self._parallel.set_workers(workers)
-
     def _shard_result(self) -> FleetStudyResult:
         return FleetStudyResult(
             population_total=self.population.total,
             arch_counts=dict(self.population.arch_counts),
         )
 
-    def _ensure_parallel(self) -> ParallelTestPipeline:
-        if self._parallel is None:
-            self._parallel = ParallelTestPipeline.from_vectorized(
-                self._vectorized,
-                workers=self.workers,
-                health=self.health,
-            )
-        return self._parallel
-
     def _run_shard_once(
         self, start: int, stop: int, engine: str
     ) -> FleetStudyResult:
         shard_result = self._shard_result()
-        if engine == "parallel":
-            self._ensure_parallel().run_range(start, stop, shard_result)
-        elif engine == "vectorized":
+        if engine == "vectorized":
             self._vectorized.run_range(start, stop, shard_result)
         else:
             self._scalar.run_range(start, stop, shard_result)
@@ -683,9 +611,3 @@ def run_resilient_campaign(
                 raise CampaignAbortedError(
                     "campaign killed with no checkpoint store to resume from"
                 ) from error
-        finally:
-            # Pool processes and shared-memory segments must not outlive
-            # the campaign instance, however it ended — a real
-            # supervisor would be reaping a dead scanner's resources
-            # here.
-            campaign.close()

@@ -6,11 +6,10 @@ Layering, bottom-up:
   (checkpoint-container line format, per-incarnation segments).
 * :mod:`~repro.service.scheduler` — crash-tolerant campaign scheduler:
   journaled admission, bounded queues, rolling
-  :class:`~repro.resilience.campaign.ResilientCampaign` shards on a
-  worker pool, journal replay + checkpoint resume on restart.
-* :mod:`~repro.service.governor` — daemon-wide core arbitration for
-  multi-process job execution, verdict retention policies, and the
-  adaptive Retry-After latency window.
+  :class:`~repro.resilience.campaign.ResilientCampaign` shards on
+  ``max_active`` job threads, journal replay + checkpoint resume on
+  restart, verdict retention policies, and the adaptive Retry-After
+  latency window.
 * :mod:`~repro.service.api` — the hand-rolled HTTP/1.1 surface
   (``/submit``, ``/verdicts/<job>``, ``/healthz``, ``/readyz``,
   ``/metrics``).
@@ -23,24 +22,23 @@ Layering, bottom-up:
 
 from .chaos import HOOK_POINTS, ServiceChaos, parse_chaos_spec
 from .client import Rejected, ServiceClient, read_endpoint
-from .governor import (
-    CoreGovernor,
-    RetentionPolicy,
-    ShardLatencyWindow,
-    parse_retention,
-)
 from .journal import (
     JournalEntry,
     JournalWriter,
     ReplayReport,
     replay_journal,
 )
-from .scheduler import CampaignScheduler, JobRecord
+from .scheduler import (
+    CampaignScheduler,
+    JobRecord,
+    RetentionPolicy,
+    ShardLatencyWindow,
+    parse_retention,
+)
 from .server import ENDPOINT_FILE, ReproService, ServiceThread
 
 __all__ = [
     "CampaignScheduler",
-    "CoreGovernor",
     "ENDPOINT_FILE",
     "HOOK_POINTS",
     "JobRecord",

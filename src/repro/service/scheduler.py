@@ -23,14 +23,16 @@ State directory layout::
     <state-dir>/jobs/<job-id>/verdict.json   CRC-checked verdict
     <state-dir>/endpoint.json                host/port/pid discovery
 
-Shard threads drive the campaign granules, but the heavy lifting is
-multi-core: jobs that did not pin an engine run on the parallel engine,
-their fleet published once over shared memory to a persistent process
-pool, with the daemon-wide :class:`~repro.service.governor.CoreGovernor`
-re-arbitrating each job's worker lease at every shard boundary.  The
-asyncio side never blocks on campaign work, and the drain path stops
-the pool **between** shards, checkpoints, and leaves the rest to the
-next incarnation.
+Up to ``max_active`` job threads each drive one campaign in process,
+one shard per step, on the engine its spec names.  The asyncio side
+never blocks on campaign work, and the drain path stops every job
+**between** shards, checkpoints, and leaves the rest to the next
+incarnation.
+
+:func:`parse_retention` parses the ``--retain-verdicts`` grammar shared
+by the CLI and :class:`~repro.service.server.ReproService`, and
+:class:`ShardLatencyWindow` turns observed shard latencies into the
+adaptive ``Retry-After`` hint served on 429/503.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from ..errors import (
     ReproError,
 )
 from ..obs.context import span
-from ..perf.parallel import default_workers
 from ..resilience.campaign import CampaignSpec, ResilientCampaign
 from ..resilience.chaos import ChaosInjector, InjectedKillError
 from ..resilience.checkpoint import (
@@ -63,14 +64,16 @@ from ..resilience.checkpoint import (
 )
 from ..testing.library import TestcaseLibrary
 from .chaos import ServiceChaos
-from .governor import CoreGovernor, ShardLatencyWindow, parse_retention
 from .journal import JournalWriter, ReplayReport, replay_journal
 
 __all__ = [
     "JOB_STATES",
     "JobRecord",
     "CampaignScheduler",
+    "RetentionPolicy",
+    "ShardLatencyWindow",
     "VERDICT_FILE",
+    "parse_retention",
 ]
 
 JOB_QUEUED = "queued"
@@ -86,7 +89,107 @@ _JOB_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 _AUTO_ID_RE = re.compile(r"^job-(\d{6,})$")
 
 #: Spec keys a submission may carry besides the CampaignSpec fields.
-_SUBMIT_EXTRAS = ("job_id", "chaos", "workers")
+_SUBMIT_EXTRAS = ("job_id", "chaos")
+
+
+# -- verdict retention -------------------------------------------------------
+
+_AGE_RE = re.compile(r"^(\d+)([smhd])$")
+_AGE_UNIT_S = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
+
+
+@dataclass(frozen=True)
+class RetentionPolicy:
+    """Parsed ``--retain-verdicts`` value.
+
+    ``kind`` is ``"count"`` (keep the newest N verdicts) or ``"age"``
+    (keep verdicts younger than ``value`` seconds).
+    """
+
+    kind: str
+    value: float
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("count", "age"):
+            raise ConfigurationError(
+                f"retention kind must be count|age, got {self.kind!r}"
+            )
+        if self.value <= 0:
+            raise ConfigurationError("retention value must be positive")
+
+
+def parse_retention(text) -> Optional[RetentionPolicy]:
+    """Parse ``--retain-verdicts``: ``N`` verdicts or ``30m``/``24h``/``7d``.
+
+    ``None``/empty means retain forever (the default).  Already-parsed
+    policies pass through, so callers can hand either form around.
+    """
+    if text is None or isinstance(text, RetentionPolicy):
+        return text
+    if isinstance(text, int):
+        return RetentionPolicy("count", text)
+    text = str(text).strip()
+    if not text:
+        return None
+    if text.isdigit():
+        return RetentionPolicy("count", int(text))
+    match = _AGE_RE.match(text)
+    if match:
+        return RetentionPolicy(
+            "age", int(match.group(1)) * _AGE_UNIT_S[match.group(2)]
+        )
+    raise ConfigurationError(
+        f"--retain-verdicts must be a count or <N>[smhd] age, got {text!r}"
+    )
+
+
+# -- adaptive Retry-After ----------------------------------------------------
+
+
+class ShardLatencyWindow:
+    """Rolling window of observed shard latencies -> back-off hint.
+
+    The 429 ``Retry-After`` answer should reflect how fast the daemon
+    is actually clearing work: a saturated queue of heavy jobs deserves
+    a longer hint than one of ten-millisecond smoke jobs.  The hint is
+    the window's median shard latency scaled by the number of in-flight
+    jobs, clamped to ``[floor_s, cap_s]`` so an idle or brand-new
+    daemon still answers something sane.
+    """
+
+    def __init__(
+        self, *, floor_s: float = 1.0, cap_s: float = 60.0, size: int = 64
+    ):
+        if floor_s <= 0 or cap_s < floor_s:
+            raise ConfigurationError(
+                "retry-after window needs 0 < floor_s <= cap_s"
+            )
+        self.floor_s = floor_s
+        self.cap_s = cap_s
+        self.size = size
+        self._lock = threading.Lock()
+        self._samples: list = []
+        self._next = 0
+
+    def record(self, latency_s: float) -> None:
+        with self._lock:
+            if len(self._samples) < self.size:
+                self._samples.append(latency_s)
+            else:
+                self._samples[self._next] = latency_s
+                self._next = (self._next + 1) % self.size
+
+    def hint(self, in_flight: int) -> float:
+        """Suggested client back-off given ``in_flight`` queued+active jobs."""
+        with self._lock:
+            if not self._samples:
+                return self.floor_s
+            ordered = sorted(self._samples)
+            median = ordered[len(ordered) // 2]
+        return min(self.cap_s, max(self.floor_s, median * max(1, in_flight)))
+
+
+# -- jobs --------------------------------------------------------------------
 
 
 @dataclass
@@ -104,15 +207,6 @@ class JobRecord:
     restarts: int = 0
     recovered: bool = False
     finished_at: Optional[float] = None
-    #: Client ``workers`` cap from the submission (None = governor's call).
-    workers_hint: Optional[int] = None
-    #: True when the client named an engine explicitly; pinned jobs are
-    #: executed exactly as submitted, never promoted to the pool.
-    engine_pinned: bool = False
-    #: Cores currently leased from the governor (0 while not running).
-    workers_leased: int = 0
-    #: Sticky: this job's process pool broke; it runs in-process now.
-    pool_degraded: bool = False
     #: Journal seq of the verdict entry (retention orders by this).
     verdict_seq: int = 0
     #: Wall-clock completion time journaled with the verdict, so age
@@ -130,8 +224,6 @@ class JobRecord:
         }
         if self.error is not None:
             doc["error"] = self.error
-        if self.workers_leased:
-            doc["workers"] = self.workers_leased
         return doc
 
 
@@ -163,9 +255,6 @@ class CampaignScheduler:
         max_job_restarts: int = 8,
         job_timeout_s: Optional[float] = None,
         retry_after_s: float = 1.0,
-        core_budget: Optional[int] = None,
-        job_workers: Optional[int] = None,
-        parallel_granule: int = 64,
         retain_verdicts=None,
         obs=None,
         chaos: Optional[ServiceChaos] = None,
@@ -182,23 +271,12 @@ class CampaignScheduler:
         self.max_job_restarts = max_job_restarts
         self.job_timeout_s = job_timeout_s
         self.retry_after_s = retry_after_s
-        self.core_budget = (
-            core_budget if core_budget is not None else default_workers()
-        )
-        self.governor = CoreGovernor(
-            self.core_budget,
-            granule=parallel_granule,
-            job_cap=job_workers,
-            obs=obs,
-        )
         self.retention = parse_retention(retain_verdicts)
         self._latency = ShardLatencyWindow(
             floor_s=retry_after_s, cap_s=max(60.0, retry_after_s)
         )
         self.obs = obs
         self.chaos = chaos
-        self._running: Dict[str, ResilientCampaign] = {}
-        self._running_lock = threading.Lock()
         self._gc_lock = threading.Lock()
         self.jobs: Dict[str, JobRecord] = {}
         self.replay_report = ReplayReport()
@@ -257,14 +335,9 @@ class CampaignScheduler:
                         ).items()
                     }
                     record.chaos_seed = int(chaos.get("seed", 0))
-                exec_hints = entry.data.get("exec")
-                if isinstance(exec_hints, dict):
-                    workers = exec_hints.get("workers")
-                    if isinstance(workers, int) and workers >= 1:
-                        record.workers_hint = workers
-                    record.engine_pinned = bool(
-                        exec_hints.get("engine_pinned", False)
-                    )
+                # Entries from older releases may also carry ``exec``
+                # hints (pool worker count, engine pin); replay ignores
+                # them.
                 self.jobs[job_id] = record
                 self._order.append(job_id)
                 match = _AUTO_ID_RE.match(job_id)
@@ -467,26 +540,7 @@ class CampaignScheduler:
                 raise ConfigurationError(
                     "chaos must be {'schedule': {shard: [kinds]}, 'seed': n}"
                 )
-        workers = body.get("workers")
-        if workers is not None:
-            if isinstance(workers, bool) or not isinstance(workers, int):
-                raise ConfigurationError("workers must be an integer")
-            if workers < 1:
-                raise ConfigurationError("workers must be >= 1")
-            # Capped, not rejected: the budget is a deployment detail a
-            # client cannot know, so an over-ask degrades gracefully.
-            workers = min(workers, self.core_budget)
-        return {
-            "spec": spec,
-            "job_id": job_id,
-            "chaos": chaos,
-            "workers": workers,
-            # An explicit engine is a pin: the job runs exactly as
-            # submitted.  Anything else is an execution detail the
-            # daemon may promote to the process pool (identical output
-            # by the engines' parity contract).
-            "engine_pinned": "engine" in body,
-        }
+        return {"spec": spec, "job_id": job_id, "chaos": chaos}
 
     async def submit(self, body: Dict[str, object]) -> JobRecord:
         """Admit one job: validate, journal (fsync), queue, return.
@@ -521,12 +575,7 @@ class CampaignScheduler:
                 raise AdmissionError(
                     f"job id {job_id!r} already exists", status=409
                 )
-            record = JobRecord(
-                job_id=job_id,
-                spec=normalized["spec"],
-                workers_hint=normalized["workers"],
-                engine_pinned=normalized["engine_pinned"],
-            )
+            record = JobRecord(job_id=job_id, spec=normalized["spec"])
             chaos = normalized["chaos"]
             if chaos is not None:
                 record.chaos_schedule = {
@@ -550,14 +599,6 @@ class CampaignScheduler:
                     for shard, kinds in record.chaos_schedule.items()
                 },
                 "seed": record.chaos_seed,
-            }
-        if record.workers_hint is not None or record.engine_pinned:
-            # Execution hints ride the journal so a restarted daemon
-            # honours them; they never touch the campaign spec (and so
-            # never perturb checkpoints or verdict payloads).
-            journal_data["exec"] = {
-                "workers": record.workers_hint,
-                "engine_pinned": record.engine_pinned,
             }
         try:
             record.submitted_seq = await asyncio.get_running_loop(
@@ -604,19 +645,6 @@ class CampaignScheduler:
         if record is None or record.state != JOB_DONE:
             return None
         return read_checkpoint(self._verdict_path(job_id))
-
-    def worker_pids(self) -> List[int]:
-        """Live pool-worker PIDs across every running campaign.
-
-        Empty while no job is on the parallel path; the chaos suite
-        uses this to aim a SIGKILL at a worker *process* mid-shard.
-        """
-        with self._running_lock:
-            campaigns = list(self._running.values())
-        pids = set()
-        for campaign in campaigns:
-            pids.update(campaign.worker_pids())
-        return sorted(pids)
 
     # -- retention -----------------------------------------------------------
 
@@ -685,78 +713,28 @@ class CampaignScheduler:
                 self._active -= 1
                 self._update_gauges()
 
-    def _promoted(self, record: JobRecord) -> bool:
-        """Whether this job executes on the process pool.
-
-        Only jobs that did *not* pin an engine are promoted; engine
-        choice never changes verdict bits (the parity contract every
-        engine upholds), so promotion is purely an execution detail —
-        the submitted spec, its checkpoints, and the verdict payload
-        are untouched.
-        """
-        return not record.engine_pinned and self.core_budget > 1
-
-    def _population_for(self, record: JobRecord):
-        """Build the job's population, frame-backed for pool jobs.
-
-        A frame-backed population carries its struct-of-arrays columns,
-        which is what lets the parallel engine publish the fleet once
-        over shared memory instead of pickling it into every worker.
-        Generation parity is exact either way (PR 6's contract), so the
-        verdict does not depend on which path is taken.
-        """
-        spec = record.spec
-        if spec.max_resident_cpus > 0 or not self._promoted(record):
-            return spec.build_population(self.obs)
-        from ..fleet.frame import generate_fleet_frame
-        from ..fleet.population import FleetSpec
-
-        return generate_fleet_frame(
-            FleetSpec(
-                total_processors=spec.total_processors,
-                seed=spec.fleet_seed,
-                failure_rate_scale=spec.failure_rate_scale,
-                escape_fraction=spec.escape_fraction,
-            ),
-            window=max(spec.shard_size, 256),
-            obs=self.obs,
-        )
-
     def _campaign_for(
         self, record: JobRecord, store: CheckpointStore,
         chaos: Optional[ChaosInjector],
     ) -> ResilientCampaign:
-        overrides: Dict[str, object] = {}
-        if self._promoted(record):
-            # Workers start at 1; the pump loop leases the real count
-            # from the governor before the first shard runs.  At one
-            # worker the parallel engine routes through the in-process
-            # vectorized path without ever building a pool, so small
-            # jobs pay nothing for the promotion.
-            overrides = {"engine": "parallel", "workers": 1}
-        elif record.workers_hint is not None:
-            # A pinned-parallel job still honours its (budget-capped)
-            # workers ask; pinned serial engines ignore it.
-            overrides = {"workers": record.workers_hint}
+        population = record.spec.build_population(self.obs)
         if store.load_latest() is not None:
             return ResilientCampaign.resume(
                 store,
                 self.library,
-                population=self._population_for(record),
+                population=population,
                 spec=record.spec,
                 chaos=chaos,
                 checkpoint_every=self.checkpoint_every,
                 obs=self.obs,
-                **overrides,
             )
         return ResilientCampaign(
-            self._population_for(record),
+            population,
             self.library,
             spec=record.spec,
             seed=record.spec.pipeline_seed,
-            engine=str(overrides.get("engine", record.spec.engine)),
+            engine=record.spec.engine,
             shard_size=record.spec.shard_size,
-            workers=overrides.get("workers"),  # type: ignore[arg-type]
             checkpoint_store=store,
             chaos=chaos,
             checkpoint_every=self.checkpoint_every,
@@ -787,54 +765,33 @@ class CampaignScheduler:
             if self.job_timeout_s is not None
             else None
         )
-        self.governor.register(record.job_id, hint=record.workers_hint)
-        try:
-            with span(self.obs, "service.job", job=record.job_id):
-                while True:  # in-daemon supervisor loop (injected kills)
-                    campaign = self._campaign_for(record, store, chaos_inj)
-                    with self._running_lock:
-                        self._running[record.job_id] = campaign
-                    try:
-                        suspended = self._pump(campaign, record, deadline)
-                        if suspended:
-                            # Drain: state stays journaled as running;
-                            # the next incarnation re-queues and resumes.
-                            return
-                        self._finish(record, campaign)
+        with span(self.obs, "service.job", job=record.job_id):
+            while True:  # in-daemon supervisor loop (injected kills)
+                campaign = self._campaign_for(record, store, chaos_inj)
+                try:
+                    suspended = self._pump(campaign, deadline)
+                    if suspended:
+                        # Drain: state stays journaled as running;
+                        # the next incarnation re-queues and resumes.
                         return
-                    except InjectedKillError as error:
-                        record.restarts += 1
-                        if record.restarts > self.max_job_restarts:
-                            self._fail(
-                                record,
-                                f"killed {record.restarts} times: {error}",
-                            )
-                            return
-                    except (CampaignAbortedError, ReproError) as error:
-                        self._fail(record, str(error))
+                    self._finish(record, campaign)
+                    return
+                except InjectedKillError as error:
+                    record.restarts += 1
+                    if record.restarts > self.max_job_restarts:
+                        self._fail(
+                            record,
+                            f"killed {record.restarts} times: {error}",
+                        )
                         return
-                    finally:
-                        with self._running_lock:
-                            self._running.pop(record.job_id, None)
-                        campaign.close()
-        finally:
-            self.governor.release(record.job_id)
-            record.workers_leased = 0
+                except (CampaignAbortedError, ReproError) as error:
+                    self._fail(record, str(error))
+                    return
 
     def _pump(
-        self,
-        campaign: ResilientCampaign,
-        record: JobRecord,
-        deadline: Optional[float],
+        self, campaign: ResilientCampaign, deadline: Optional[float]
     ) -> bool:
-        """Step the campaign until done; True means drain-suspended.
-
-        On the parallel path, every iteration re-leases the job's
-        worker count from the governor before stepping — the shard
-        boundary *is* the re-arbitration point, so a shrinking job
-        hands cores back while its neighbours are still mid-flight.
-        """
-        parallel = campaign.engine == "parallel"
+        """Step the campaign until done; True means drain-suspended."""
         while True:
             if self._stop_event.is_set():
                 campaign.checkpoint_now()
@@ -844,32 +801,6 @@ class CampaignScheduler:
                     f"job exceeded its {self.job_timeout_s:.0f}s budget "
                     f"at cursor {campaign.cursor}"
                 )
-            if parallel:
-                if campaign.parallel_degraded and not record.pool_degraded:
-                    # The pool broke (worker killed, fork failure); the
-                    # engine already reran the shard in-process with
-                    # identical output.  Stickily stop leasing: a fresh
-                    # pool for a job that just lost one helps nobody.
-                    record.pool_degraded = True
-                    self.governor.release(record.job_id)
-                    if self.obs is not None:
-                        self.obs.inc(
-                            "repro_service_jobs_total",
-                            event="pool_degraded",
-                        )
-                if record.pool_degraded:
-                    # One worker routes every later range through the
-                    # in-process vectorized engine; the retired pool is
-                    # released rather than consulted (and re-tripped)
-                    # on each remaining shard.
-                    campaign.set_workers(1)
-                    record.workers_leased = 1
-                else:
-                    target = self.governor.lease(
-                        record.job_id, campaign.remaining
-                    )
-                    campaign.set_workers(target)
-                    record.workers_leased = target
             started = time.monotonic()
             more = campaign.step()
             elapsed = time.monotonic() - started

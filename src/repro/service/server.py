@@ -72,9 +72,6 @@ class ReproService:
         request_timeout_s: float = 10.0,
         max_body_bytes: int = 1 << 20,
         retry_after_s: float = 1.0,
-        core_budget: Optional[int] = None,
-        job_workers: Optional[int] = None,
-        parallel_granule: int = 64,
         retain_verdicts=None,
         scrape_interval_s: float = 1.0,
         health_rules: Optional[Sequence[HealthRule]] = None,
@@ -118,9 +115,6 @@ class ReproService:
             checkpoint_every=checkpoint_every,
             job_timeout_s=job_timeout_s,
             retry_after_s=retry_after_s,
-            core_budget=core_budget,
-            job_workers=job_workers,
-            parallel_granule=parallel_granule,
             retain_verdicts=retain_verdicts,
             obs=self.obs,
             chaos=chaos,

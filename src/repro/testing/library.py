@@ -231,11 +231,13 @@ def build_library(seed: int = 633, isa: ISA = DEFAULT_ISA) -> TestcaseLibrary:
         while remaining[feature] > 0:
             own = by_primary[feature]
             count = min(len(all_mnemonics), int(rng.integers(6, 10)))
-            chosen = set(
+            # An insertion-ordered dict, not a set: the mix order (and
+            # so every sum over it) must not follow string hashing.
+            chosen = dict.fromkeys(
                 rng.choice(all_mnemonics, size=count, replace=False)
             )
             if own:
-                chosen.add(own[int(rng.integers(len(own)))])
+                chosen.setdefault(own[int(rng.integers(len(own)))])
             mix = {}
             share = 0.6 / len(chosen)
             for mnemonic in chosen:

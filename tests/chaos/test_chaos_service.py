@@ -42,43 +42,6 @@ SPEC = dict(
 
 REPO = Path(__file__).resolve().parents[2]
 
-#: Multi-process mode: 173 faulty CPUs in 3 shards whose spans exceed
-#: the pool's 64-CPU sub-shard floor, so a ``--core-budget 2`` daemon
-#: actually builds worker processes for every full shard.
-MP_SPEC = dict(
-    total_processors=6000,
-    fleet_seed=3,
-    pipeline_seed=5,
-    failure_rate_scale=80.0,
-    shard_size=80,
-)
-
-MP_EXTRA = ("--core-budget", "2", "--parallel-granule", "8")
-
-
-def child_pids(parent_pid):
-    """Live pool-worker children of ``parent_pid``, via /proc.  The
-    daemon's other child — multiprocessing's resource tracker, spawned
-    the moment the shared-memory fleet is published — is excluded: it
-    is not a worker, and killing it breaks nothing."""
-    pids = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            stat = Path(f"/proc/{entry}/stat").read_text()
-            cmdline = Path(f"/proc/{entry}/cmdline").read_bytes()
-        except OSError:
-            continue
-        if b"resource_tracker" in cmdline:
-            continue
-        # Field 4 is ppid; comm can hold spaces, so split past the ')'.
-        fields = stat.rsplit(")", 1)[1].split()
-        if int(fields[1]) == parent_pid:
-            pids.append(int(entry))
-    return sorted(pids)
-
-
 @pytest.fixture(scope="module")
 def library():
     return build_library()
@@ -270,76 +233,6 @@ class TestRealSigkill:
         assert leftovers == []
 
 
-class TestMultiProcessDaemon:
-    """The kill matrix and worker-murder cases with the daemon running
-    jobs on its process pool (``--core-budget 2``)."""
-
-    @pytest.fixture(scope="class")
-    def expected_mp_result(self, library):
-        campaign = ResilientCampaign.from_spec(CampaignSpec(**MP_SPEC), library)
-        campaign.run()
-        return campaign.result.to_dict()
-
-    @pytest.mark.parametrize("chaos_point", [
-        "kill:shard_done:2",        # daemon dies between pooled shards
-        "kill:checkpoint_done:1",   # dies right after a snapshot landed
-    ])
-    def test_restart_parity_after_kill_multiproc(
-        self, tmp_path, chaos_point, expected_mp_result
-    ):
-        """Daemon SIGKILL mid-campaign while shards run on the process
-        pool; the restarted daemon (still multi-process) resumes from
-        the checkpoint and the verdict is bit-identical to thread mode."""
-        daemon = start_daemon(tmp_path, chaos=chaos_point, extra=MP_EXTRA)
-        try:
-            client = wait_ready(tmp_path)
-            submit_expecting_death(client, dict(MP_SPEC, job_id="victim"))
-            assert daemon.wait(timeout=120) == KILL_EXIT_CODE
-        finally:
-            if daemon.poll() is None:
-                daemon.kill()
-                daemon.wait(30)
-        daemon = start_daemon(tmp_path, extra=MP_EXTRA)
-        try:
-            client = wait_ready(tmp_path)
-            assert client.job("victim") is not None
-            verdict = client.wait_verdict("victim", timeout_s=120)
-            assert verdict["result"] == expected_mp_result
-        finally:
-            daemon.send_signal(signal.SIGTERM)
-            assert daemon.wait(timeout=60) == 0
-
-    def test_sigkill_pool_worker_degrades_not_corrupts(
-        self, tmp_path, library
-    ):
-        """SIGKILL a pool *worker* (a child of the daemon, found via
-        /proc) mid-shard: the job degrades to in-process execution with
-        a health event and still lands the thread-mode verdict."""
-        big = dict(MP_SPEC, total_processors=20000, shard_size=512)
-        reference = ResilientCampaign.from_spec(CampaignSpec(**big), library)
-        reference.run()
-        daemon = start_daemon(tmp_path, extra=MP_EXTRA)
-        try:
-            client = wait_ready(tmp_path)
-            client.submit(dict(big, job_id="maimed"))
-            deadline = time.monotonic() + 60
-            workers = []
-            while time.monotonic() < deadline:
-                workers = child_pids(daemon.pid)
-                if workers:
-                    break
-                time.sleep(0.002)
-            assert workers, "daemon never forked pool workers"
-            os.kill(workers[0], signal.SIGKILL)
-            verdict = client.wait_verdict("maimed", timeout_s=300)
-            assert verdict["result"] == reference.result.to_dict()
-            kinds = [event["kind"] for event in verdict["health"]["events"]]
-            assert "degradation" in kinds
-        finally:
-            daemon.send_signal(signal.SIGTERM)
-            assert daemon.wait(timeout=60) == 0
-
-
 class TestConcurrentClients:
     def test_32_inflight_submissions_unique_and_complete(
         self, tmp_path, library
@@ -386,47 +279,4 @@ class TestConcurrentClients:
                     reference = verdict["result"]
                 assert verdict["result"] == reference, (
                     "identical specs produced diverging verdicts"
-                )
-
-    def test_32_inflight_submissions_multiprocess_mode(
-        self, tmp_path, library
-    ):
-        """The same stress with a core budget of 2: the governor
-        arbitrates pool cores across 32 competing jobs, and every
-        verdict still matches the first — multi-process execution is
-        invisible in the results."""
-        with ServiceThread(
-            tmp_path, library=library, max_queue=256, checkpoint_every=4,
-            core_budget=2, parallel_granule=8,
-        ) as handle:
-            client = ServiceClient("127.0.0.1", handle.port)
-            acks, errors = [], []
-            lock = threading.Lock()
-
-            def one(index):
-                try:
-                    ack = client.submit(dict(MP_SPEC))
-                    with lock:
-                        acks.append(ack)
-                except Exception as error:  # pragma: no cover
-                    with lock:
-                        errors.append(error)
-
-            threads = [
-                threading.Thread(target=one, args=(i,)) for i in range(32)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not errors, f"submissions failed: {errors[:3]}"
-            ids = [ack["job_id"] for ack in acks]
-            assert len(set(ids)) == 32, "duplicate job ids issued"
-            reference = None
-            for job_id in ids:
-                verdict = client.wait_verdict(job_id, timeout_s=600)
-                if reference is None:
-                    reference = verdict["result"]
-                assert verdict["result"] == reference, (
-                    "multi-process mode diverged across identical specs"
                 )

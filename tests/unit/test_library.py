@@ -1,5 +1,11 @@
 """Unit tests for testcases and the 633-testcase library."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cpu import DEFAULT_ISA, Feature
@@ -149,3 +155,27 @@ class TestLibrary:
         assert users
         for testcase in users:
             assert testcase.uses_instruction("FATAN_F64X")
+
+    def test_mixes_do_not_follow_string_hashing(self):
+        """Every testcase's mix order, fractions and heat factor are the
+        same bit for bit under two different ``PYTHONHASHSEED`` values."""
+        script = (
+            "import json\n"
+            "from repro.testing import build_library\n"
+            "print(json.dumps([\n"
+            "    [tc.testcase_id, [[m, f.hex()] for m, f in\n"
+            "     tc.instruction_mix.items()], tc.heat_factor().hex()]\n"
+            "    for tc in build_library()\n"
+            "]))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            outputs.append(json.loads(subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            ).stdout))
+        assert len(outputs[0]) == TOOLCHAIN_SIZE
+        assert outputs[0] == outputs[1]
+

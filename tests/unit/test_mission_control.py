@@ -1,6 +1,5 @@
-"""Mission-control layer: time-series store, health rules, stitched
-traces, rotation, Chrome export, and the daemon endpoints that serve
-them.
+"""Mission-control layer: time-series store, health rules, trace
+rotation, Chrome export, and the daemon endpoints that serve them.
 
 Everything here follows the determinism rules of the rest of the
 suite: stores and engines never read clocks themselves (tests stamp
@@ -13,8 +12,6 @@ import pytest
 
 from repro.cli import _render_top, main
 from repro.errors import ObservabilityError, TimeSeriesCorruptError
-from repro.fleet import FleetSpec, generate_fleet
-from repro.fleet.parallel import ParallelTestPipeline
 from repro.obs import (
     DEFAULT_TIERS,
     HealthEngine,
@@ -28,9 +25,7 @@ from repro.obs import (
     Tier,
     Tracer,
     default_service_rules,
-    iter_spans,
     read_trace_segments,
-    span_key,
     to_chrome_trace,
     trace_segment_paths,
     write_chrome_trace,
@@ -327,8 +322,8 @@ class TestHealthRules:
         rules = {r.name for r in default_service_rules()}
         assert {
             "sdc_detection_rate_drift", "shard_latency_p99",
-            "core_governor_starvation", "journal_append_latency",
-            "service_backlog", "campaign_progress_stalled",
+            "journal_append_latency", "service_backlog",
+            "campaign_progress_stalled",
         } <= rules
         assert "rss_ceiling" not in rules
         with_rss = {r.name for r in
@@ -399,82 +394,6 @@ class TestSinkRotation:
     def test_max_bytes_floor(self, tmp_path):
         with pytest.raises(ObservabilityError, match=">= 1024"):
             JsonlTraceSink(tmp_path / "t.jsonl", max_bytes=10)
-
-
-def _span_tree(records):
-    """Canonical parent→child name tree, pids erased.
-
-    Returns a sorted list of (name, parent_name) edges so two runs with
-    different worker pids (and pools of different sizes) compare equal
-    when their stitched structure matches.
-    """
-    names = {span_key(r): r["name"] for r in records
-             if r.get("kind") == "span_begin"}
-    edges = []
-    for record in records:
-        if record.get("kind") != "span_begin":
-            continue
-        parent = record.get("parent")
-        if parent is None:
-            edges.append((record["name"], None))
-            continue
-        parent_pid = record.get("parent_pid", record.get("pid", 0))
-        parent_name = names.get((int(parent_pid), int(parent)))
-        edges.append((record["name"], parent_name))
-    return sorted(edges)
-
-
-@pytest.fixture(scope="module")
-def faulty_fleet():
-    return generate_fleet(
-        FleetSpec(total_processors=6_000, failure_rate_scale=60.0, seed=9)
-    )
-
-
-class TestStitchedTracing:
-    def _run(self, fleet, library, workers):
-        sink = ListTraceSink()
-        obs = Observability(MetricsRegistry(), Tracer(sink))
-        pipeline = ParallelTestPipeline(
-            fleet, library, seed=5, workers=workers, shard_size=32, obs=obs
-        )
-        result = pipeline.run()
-        if pipeline.degraded:
-            pytest.skip("process pool degraded to serial on this host")
-        return result, sink.records
-
-    def test_worker_spans_are_parented_and_foreign(
-        self, faulty_fleet, library
-    ):
-        _result, records = self._run(faulty_fleet, library, workers=2)
-        pids = {r.get("pid") for r in records}
-        assert len(pids) >= 2  # coordinator + at least one worker
-        lowers = [r for r in records if r.get("kind") == "span_begin"
-                  and r["name"] == "parallel.lower"]
-        assert lowers
-        for record in lowers:
-            assert record.get("parent") is not None
-            assert record.get("parent_pid") is not None
-            assert record["parent_pid"] != record["pid"]
-        # Every begin has a matching end — nothing was torn in shipping.
-        begins = {span_key(r) for r in records
-                  if r.get("kind") == "span_begin"}
-        ends = {span_key(r) for r in records if r.get("kind") == "span_end"}
-        assert begins == ends
-        # And iter_spans joins them without pid collisions.
-        spans = list(iter_spans(records))
-        assert {s["name"] for s in spans} >= {
-            "parallel.run_range", "parallel.scan", "parallel.lower",
-            "parallel.replay",
-        }
-
-    def test_span_tree_invariant_under_worker_count(
-        self, faulty_fleet, library
-    ):
-        result2, records2 = self._run(faulty_fleet, library, workers=2)
-        result3, records3 = self._run(faulty_fleet, library, workers=3)
-        assert result2.detections == result3.detections
-        assert _span_tree(records2) == _span_tree(records3)
 
 
 class TestChromeExport:

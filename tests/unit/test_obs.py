@@ -3,9 +3,8 @@
 The load-bearing contract is the last section: enabling telemetry must
 never change a campaign's results — detections, undetected lists, and
 the exact CountedStream position are bit-identical with ``obs`` on or
-off, for all three engines and multiple seeds — and the parallel
-engine's per-worker metric snapshots must merge to exactly the serial
-totals.
+off, for both engines and multiple seeds — and the recorded totals must
+equal the campaign's results exactly.
 """
 
 import json
@@ -17,7 +16,6 @@ import pytest
 from repro.errors import ObservabilityError, TraceCorruptError
 from repro.fleet import (
     FleetSpec,
-    ParallelTestPipeline,
     TestPipeline,
     VectorizedTestPipeline,
     generate_fleet,
@@ -395,19 +393,13 @@ def _run_engine(engine_name, fleet, library, seed, obs):
         engine = TestPipeline(fleet, library, seed=seed, obs=obs)
         result = engine.run()
         return result, engine._stream.consumed
-    if engine_name == "vectorized":
-        engine = VectorizedTestPipeline(fleet, library, seed=seed, obs=obs)
-        result = engine.run()
-        return result, engine._scalar._stream.consumed
-    with ParallelTestPipeline(
-        fleet, library, seed=seed, workers=2, shard_size=16, obs=obs
-    ) as engine:
-        result = engine.run()
-        return result, engine._scalar._stream.consumed
+    engine = VectorizedTestPipeline(fleet, library, seed=seed, obs=obs)
+    result = engine.run()
+    return result, engine._scalar._stream.consumed
 
 
 class TestCampaignDeterminism:
-    @pytest.mark.parametrize("engine_name", ["scalar", "vectorized", "parallel"])
+    @pytest.mark.parametrize("engine_name", ["scalar", "vectorized"])
     @pytest.mark.parametrize("seed", [11, 23])
     def test_enabled_vs_disabled_bit_identical(
         self, fleet, library, engine_name, seed
@@ -444,78 +436,3 @@ class TestCampaignDeterminism:
         assert metrics.value(
             "repro_campaign_draws_total", engine="vectorized"
         ) == float(position)
-
-
-class TestWorkerAggregation:
-    def test_parallel_shard_metrics_sum_to_serial(self, fleet, library):
-        serial_obs = Observability.in_memory()
-        serial, serial_position = _run_engine(
-            "vectorized", fleet, library, 11, serial_obs
-        )
-        obs = Observability.in_memory()
-        result, position = _run_engine("parallel", fleet, library, 11, obs)
-        assert result.detections == serial.detections
-        assert position == serial_position
-        metrics = obs.metrics
-        # Worker-side snapshots merged in the parent must sum exactly
-        # to the serial engine's totals — nothing lost, nothing twice.
-        for name in (
-            "repro_campaign_cpus_total",
-            "repro_campaign_draws_total",
-            "repro_campaign_detections_total",
-            "repro_campaign_undetected_total",
-        ):
-            assert metrics.total(name) == serial_obs.metrics.total(name), name
-        shards = metrics.value(
-            "repro_campaign_shards_total", engine="parallel", outcome="ok"
-        )
-        assert shards == pytest.approx(len(fleet.faulty) // 16 + 1)
-        assert metrics.value(
-            "repro_parallel_tasks_total", phase="lower"
-        ) == shards
-        assert metrics.value(
-            "repro_parallel_tasks_total", phase="replay"
-        ) == shards
-
-    def test_degraded_pool_keeps_telemetry_complete(self, fleet, library):
-        """Pool death mid-campaign must not lose or double-count."""
-
-        class _DeadPool:
-            def submit(self, fn, item, trace_parent=None):
-                return None
-
-            def degrade(self, reason):
-                pass
-
-            def close(self, wait=True):
-                pass
-
-        plain, plain_position = _run_engine(
-            "vectorized", fleet, library, 11, None
-        )
-        obs = Observability.in_memory()
-        engine = ParallelTestPipeline(
-            fleet, library, seed=11, workers=4, shard_size=16, obs=obs
-        )
-        engine._pool = _DeadPool()
-        result = engine.run()
-        assert result.detections == plain.detections
-        assert engine._scalar._stream.consumed == plain_position
-        metrics = obs.metrics
-        assert metrics.value(
-            "repro_campaign_shards_total",
-            engine="parallel", outcome="degraded",
-        ) > 0
-        # The staged worker snapshots were dropped; the in-process
-        # rerun re-recorded the whole range under "vectorized".
-        assert metrics.value(
-            "repro_campaign_cpus_total", engine="vectorized"
-        ) == float(len(fleet.faulty))
-        assert metrics.total("repro_campaign_draws_total") == float(
-            plain_position
-        )
-        degraded = [
-            r for r in obs.tracer._sink.records
-            if r["kind"] == "event" and r["name"] == "parallel.degraded"
-        ]
-        assert degraded, "degradation must leave a trace event"

@@ -1,10 +1,9 @@
-"""Out-of-core substrate: streamed generation, frames, shm, spill.
+"""Out-of-core substrate: streamed generation, frames, spill.
 
-The contract under test is the perf tentpole's: every out-of-core path
-— chunked population generation, frame-backed lazy populations,
-shared-memory transport, and column-store spill — is *bit-identical*
-to the eager in-memory path it replaces, and bounded in what it keeps
-resident.
+The contract under test: every out-of-core path — chunked population
+generation, frame-backed lazy populations, and column-store spill — is
+*bit-identical* to the eager in-memory path it replaces, and bounded in
+what it keeps resident.
 """
 
 import pickle
@@ -28,17 +27,15 @@ from repro.errors import (
 from repro.fleet import (
     FleetSpec,
     FrameFleetPopulation,
-    ParallelTestPipeline,
-    SharedFleetFrame,
     VectorizedTestPipeline,
     fleet_arch_counts,
     generate_fleet,
     generate_fleet_frame,
     iter_fleet_chunks,
-    shared_memory_available,
     stats,
 )
 from repro.fleet.frame import FleetFrame, LazyFaultyList
+from repro.fleet.pipeline import FleetStudyResult
 from repro.obs import Observability
 from repro.resilience import CampaignSpec
 
@@ -204,14 +201,25 @@ def test_colstore_spill_bytes_metered(tmp_path):
 
 
 def test_streamed_campaign_bit_identical(eager, framed, library):
-    reference = VectorizedTestPipeline(eager, library, seed=11).run()
-    with ParallelTestPipeline(
-        framed, library, seed=11, workers=2, shard_size=64
-    ) as engine:
-        streamed = engine.run()
+    reference_engine = VectorizedTestPipeline(eager, library, seed=11)
+    reference = reference_engine.run()
+    # Window-sized ranges, so no range asks the frame for more resident
+    # Processors than its window holds.
+    engine = VectorizedTestPipeline(framed, library, seed=11)
+    streamed = FleetStudyResult(
+        population_total=framed.total, arch_counts=dict(framed.arch_counts)
+    )
+    faulty = len(framed.faulty)
+    for start in range(0, faulty, framed.faulty.window):
+        engine.run_range(
+            start, min(start + framed.faulty.window, faulty), streamed
+        )
     assert streamed.detections == reference.detections
     assert streamed.undetected_ids == reference.undetected_ids
     assert streamed.arch_counts == reference.arch_counts
+    assert engine._scalar._stream.consumed == (
+        reference_engine._scalar._stream.consumed
+    )
 
 
 def test_campaign_spec_out_of_core_population():
@@ -246,46 +254,6 @@ def test_campaign_spec_from_dict_tolerates_old_payloads():
     assert spec.to_dict()["max_resident_cpus"] == 0
     with pytest.raises(ConfigurationError):
         CampaignSpec.from_dict({"fleet_seed": 5})
-
-
-# -- shared-memory transport ---------------------------------------------------
-
-needs_shm = pytest.mark.skipif(
-    not shared_memory_available(), reason="no POSIX shared memory here"
-)
-
-
-@needs_shm
-def test_shared_frame_roundtrip(framed, eager):
-    shared = SharedFleetFrame.create(framed.frame, window=64)
-    try:
-        assert shared.nbytes >= framed.frame.nbytes
-        handle = pickle.loads(pickle.dumps(shared.handle))
-        assert len(pickle.dumps(shared.handle)) < 4096
-        attached = SharedFleetFrame.attach(handle)
-        try:
-            population = attached.population()
-            assert population.faulty[:40] == eager.faulty[:40]
-            for name, column in framed.frame.columns.items():
-                np.testing.assert_array_equal(
-                    attached.frame.columns[name], column
-                )
-        finally:
-            attached.close()
-    finally:
-        shared.close()
-    shared.close()  # idempotent
-
-
-@needs_shm
-def test_shared_frame_owner_unlinks(framed):
-    shared = SharedFleetFrame.create(framed.frame, window=64)
-    name = shared.handle.shm_name
-    shared.close()
-    from multiprocessing import shared_memory as shm_module
-
-    with pytest.raises(FileNotFoundError):
-        shm_module.SharedMemory(name=name)
 
 
 # -- columnar detections spill -------------------------------------------------

@@ -1,9 +1,9 @@
 """Gating logic of scripts/promote_parallel_bench.py.
 
-The promotion is the ROADMAP-item-1 leftover: a multi-core scaling
-datapoint measured by CI replaces the committed 1-core artifact — but
-only from a runner with enough effective cores, only with exact
-parity, and never overwriting a better multi-core measurement.
+A multi-core speedup measured by CI replaces the committed 1-core
+artifact — but only from a runner with enough effective cores, only
+with exact parity, and never overwriting a better multi-core
+measurement.
 """
 
 import importlib.util
@@ -21,14 +21,11 @@ promote_mod = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(promote_mod)
 
 
-def report(cores, efficiency, parity="exact", benchmark="bench_parallel_fleet"):
+def report(cores, speedup, parity="exact", benchmark="bench_perf_toolchain"):
     return {
         "benchmark": benchmark,
         "parity": parity,
-        "scaling_curve": [
-            {"workers": 1, "efficiency": 1.0},
-            {"workers": 4, "efficiency": efficiency},
-        ],
+        "speedup": speedup,
         "environment": {"effective_cores": cores},
     }
 
@@ -36,7 +33,7 @@ def report(cores, efficiency, parity="exact", benchmark="bench_parallel_fleet"):
 @pytest.fixture()
 def paths(tmp_path):
     candidate = tmp_path / "candidate.json"
-    committed = tmp_path / "BENCH_parallel.json"
+    committed = tmp_path / "BENCH_toolchain.json"
     committed.write_text(json.dumps(report(1, 0.1)))
     return candidate, committed
 
@@ -74,7 +71,7 @@ class TestGate:
     def test_wrong_benchmark_rejected(self, paths):
         candidate, committed = paths
         candidate.write_text(
-            json.dumps(report(8, 0.7, benchmark="bench_perf_fleet"))
+            json.dumps(report(8, 0.7, benchmark="bench_perf_analysis"))
         )
         assert run(candidate, committed) == 1
 
@@ -103,19 +100,19 @@ class TestGate:
         assert committed.read_text() == before
 
     def test_benchmark_name_generalizes_the_gate(self, tmp_path):
-        """--benchmark-name retargets the whole gate at another scaling
-        report (the service bench reuses the promotion machinery)."""
+        """--benchmark-name retargets the whole gate at another flat
+        report (the fleet bench's speedup)."""
         candidate = tmp_path / "cand.json"
-        committed = tmp_path / "BENCH_service.json"
+        committed = tmp_path / "BENCH_fleet.json"
         candidate.write_text(
-            json.dumps(report(8, 0.7, benchmark="bench_perf_service"))
+            json.dumps(report(8, 0.7, benchmark="bench_perf_fleet"))
         )
         committed.write_text(
-            json.dumps(report(1, 0.1, benchmark="bench_perf_service"))
+            json.dumps(report(1, 0.1, benchmark="bench_perf_fleet"))
         )
         assert promote_mod.promote(
             candidate, committed, 4,
-            benchmark_name="bench_perf_service",
+            benchmark_name="bench_perf_fleet",
         ) == 0
         assert json.loads(
             committed.read_text()
@@ -127,20 +124,20 @@ class TestGate:
         candidate = tmp_path / "cand.json"
         committed = tmp_path / "comm.json"
         candidate.write_text(
-            json.dumps(report(8, 0.7, benchmark="bench_perf_service"))
+            json.dumps(report(8, 0.7, benchmark="bench_perf_fleet"))
         )
         committed.write_text(
-            json.dumps(report(1, 0.1, benchmark="bench_perf_service"))
+            json.dumps(report(1, 0.1, benchmark="bench_perf_fleet"))
         )
         assert promote_mod.main([
             "--candidate", str(candidate),
             "--committed", str(committed),
-            "--benchmark-name", "bench_perf_service",
+            "--benchmark-name", "bench_perf_fleet",
         ]) == 0
 
     def test_flat_speedup_report_promotes_by_speedup(self, tmp_path):
-        """Reports without a scaling_curve (the toolchain bench) gate
-        on their plain speedup field."""
+        """Flat reports (the toolchain bench) gate on their plain
+        speedup field."""
 
         def flat(cores, speedup):
             return {

@@ -5,13 +5,11 @@ chaos-spec grammar, the scheduler's recovery state machine, and the
 in-process HTTP API end to end — including the acceptance-criteria
 behaviors: verdict parity with a direct campaign run, a saturated
 admission queue answering 429 with Retry-After while losing nothing,
-multi-process execution parity (with and without a SIGKILLed pool
-worker), and verdict retention that survives restarts.
+concurrent jobs, state directories written before the process-pool
+engine was retired, and verdict retention that survives restarts.
 """
 
 import json
-import os
-import signal
 import threading
 import time
 import zlib
@@ -23,7 +21,9 @@ from repro.errors import (
     JournalCorruptError,
     ServiceError,
 )
-from repro.resilience import CampaignSpec, ResilientCampaign
+from repro.cli import main
+from repro.obs import ListTraceSink, MetricsRegistry, Observability, Tracer
+from repro.resilience import CampaignSpec, CheckpointStore, ResilientCampaign
 from repro.service import (
     JournalWriter,
     Rejected,
@@ -53,15 +53,14 @@ SPEC = dict(
     shard_size=8,
 )
 
-#: Heavy enough that the promoted parallel path really builds a pool:
-#: ~173 faulty CPUs in one 256-CPU campaign shard splits into three
-#: 64-CPU sub-shards, so two leased workers engage the process pool.
+#: ~173 faulty CPUs: each job runs long enough (a few shards of real
+#: work) that jobs admitted together overlap in time.
 HEAVY_SPEC = dict(
     total_processors=6000,
     fleet_seed=3,
     pipeline_seed=5,
     failure_rate_scale=80.0,
-    shard_size=256,
+    shard_size=32,
 )
 
 
@@ -420,7 +419,7 @@ class TestGracefulDrain:
         assert verdict["result"] == direct.result.to_dict()
 
 
-# -- multi-process execution -------------------------------------------------
+# -- concurrent jobs ----------------------------------------------------------
 
 
 def _direct_result(spec_dict, library):
@@ -429,126 +428,112 @@ def _direct_result(spec_dict, library):
     return campaign.result.to_dict()
 
 
-class TestWorkersHint:
-    @pytest.fixture()
-    def scheduler(self, tmp_path, library):
-        return CampaignScheduler(tmp_path, library, core_budget=2)
+def _peak_overlap(records, name):
+    """Most ``name`` spans open at once in a trace record list."""
+    edges = []
+    for record in records:
+        if record.get("name") != name:
+            continue
+        if record["kind"] == "span_begin":
+            edges.append((record["ts"], 1))
+        elif record["kind"] == "span_end":
+            edges.append((record["ts"], -1))
+    peak = active = 0
+    for _, step in sorted(edges):
+        active += step
+        peak = max(peak, active)
+    return peak
 
-    @pytest.mark.parametrize("bad", ["two", 0, -3, 1.5, True])
-    def test_invalid_workers_rejected(self, scheduler, bad):
-        with pytest.raises(ConfigurationError, match="workers"):
-            scheduler.parse_submission(dict(SPEC, workers=bad))
 
-    def test_workers_capped_by_core_budget(self, scheduler):
-        normalized = scheduler.parse_submission(dict(SPEC, workers=64))
-        assert normalized["workers"] == 2
+class TestConcurrentJobs:
+    def test_max_active_two_runs_jobs_side_by_side(self, tmp_path, library):
+        """Two job threads run four campaigns, two at a time, and every
+        verdict equals the in-process campaign's."""
+        specs = [
+            dict(HEAVY_SPEC, fleet_seed=3 + index, job_id=f"side-{index}")
+            for index in range(4)
+        ]
+        sink = ListTraceSink()
+        with ServiceThread(
+            tmp_path, library=library, max_active=2,
+            obs=Observability(MetricsRegistry(), Tracer(sink)),
+        ) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            for spec in specs:
+                client.submit(spec)
+            verdicts = {
+                spec["job_id"]: client.wait_verdict(
+                    spec["job_id"], timeout_s=300
+                )
+                for spec in specs
+            }
+        for spec in specs:
+            fields = {k: v for k, v in spec.items() if k != "job_id"}
+            assert verdicts[spec["job_id"]]["result"] == _direct_result(
+                fields, library
+            )
+        assert _peak_overlap(sink.records, "service.job") == 2
 
-    def test_workers_hint_passes_through(self, scheduler):
-        normalized = scheduler.parse_submission(dict(SPEC, workers=1))
-        assert normalized["workers"] == 1
-        assert scheduler.parse_submission(dict(SPEC))["workers"] is None
 
-    def test_explicit_engine_is_a_pin(self, scheduler):
-        assert scheduler.parse_submission(dict(SPEC))["engine_pinned"] is False
-        pinned = scheduler.parse_submission(dict(SPEC, engine="vectorized"))
-        assert pinned["engine_pinned"] is True
+# -- state written before the process-pool engine was retired -----------------
 
-    def test_hints_survive_recovery(self, tmp_path, library):
-        spec = CampaignSpec(**SPEC).to_dict()
+
+def _pool_era_checkpoint(ckpt_dir, spec_fields, library, shards):
+    """A mid-campaign snapshot whose embedded spec names the retired
+    ``parallel`` engine, as a pool-era daemon or CLI run wrote it."""
+    spec = CampaignSpec(**spec_fields)
+    campaign = ResilientCampaign.from_spec(
+        spec, library, checkpoint_every=10**6
+    )
+    for _ in range(shards):
+        assert campaign.step(), "the snapshot must be mid-campaign"
+    payload = campaign._payload()
+    payload["spec"]["engine"] = "parallel"
+    CheckpointStore(ckpt_dir).save(payload)
+
+
+class TestPoolEraState:
+    def test_legacy_parallel_engine_reads_as_vectorized(self):
+        spec = CampaignSpec.from_dict(dict(SPEC, engine="parallel"))
+        assert spec.engine == "vectorized"
+        with pytest.raises(ConfigurationError, match="engine"):
+            CampaignSpec(**dict(SPEC, engine="parallel"))
+
+    def test_restart_on_pool_era_state_dir(self, tmp_path, library):
+        """A journaled ``parallel`` submission with ``exec`` hints plus
+        a mid-campaign pool-era checkpoint: the new daemon resumes it
+        and lands the in-process campaign's verdict."""
+        legacy_spec = dict(CampaignSpec(**SPEC).to_dict(), engine="parallel")
         with JournalWriter(tmp_path / "journal") as journal:
             journal.append(
-                "submit", job="hinted", spec=spec,
-                exec={"workers": 3, "engine_pinned": True},
+                "submit", job="legacy", spec=legacy_spec,
+                exec={"workers": 2, "engine_pinned": False},
             )
-            journal.append("submit", job="plain", spec=spec)
-        scheduler = CampaignScheduler(tmp_path, library, core_budget=4)
-        assert scheduler.jobs["hinted"].workers_hint == 3
-        assert scheduler.jobs["hinted"].engine_pinned is True
-        assert scheduler.jobs["plain"].workers_hint is None
-        assert scheduler.jobs["plain"].engine_pinned is False
-
-
-class TestMultiProcessExecution:
-    def test_promoted_job_bit_identical_and_pool_observable(
-        self, tmp_path, library
-    ):
-        """A heavy job promoted to the process pool produces the exact
-        thread-mode verdict, and the workers' metric snapshots land in
-        the daemon's live registry."""
-        with ServiceThread(
-            tmp_path, library=library,
-            core_budget=2, parallel_granule=8, checkpoint_every=1,
-        ) as handle:
+            journal.append("start", job="legacy", resume=False)
+        _pool_era_checkpoint(
+            tmp_path / "jobs" / "legacy" / "ckpt", SPEC, library, shards=2
+        )
+        with ServiceThread(tmp_path, library=library) as handle:
             client = ServiceClient("127.0.0.1", handle.port)
-            client.submit(dict(HEAVY_SPEC, job_id="heavy"))
-            verdict = client.wait_verdict("heavy", timeout_s=300)
-            metrics = client.metrics_text()
-        assert verdict["result"] == _direct_result(HEAVY_SPEC, library)
-        # Worker-process registries merged into the live /metrics
-        # stream: the parallel task counters only ever increment inside
-        # pool workers.
-        assert "repro_parallel_tasks_total" in metrics
-        assert "repro_service_core_budget" in metrics
+            assert client.job("legacy")["recovered"] is True
+            verdict = client.wait_verdict("legacy", timeout_s=120)
+        assert verdict["result"] == _direct_result(SPEC, library)
+        kinds = [event["kind"] for event in verdict["health"]["events"]]
+        assert "resume" in kinds
 
-    def test_engine_pinned_job_never_builds_a_pool(self, tmp_path, library):
-        with ServiceThread(
-            tmp_path, library=library,
-            core_budget=4, parallel_granule=8, checkpoint_every=1,
-        ) as handle:
-            client = ServiceClient("127.0.0.1", handle.port)
-            client.submit(
-                dict(HEAVY_SPEC, engine="vectorized", job_id="pinned")
-            )
-            verdict = client.wait_verdict("pinned", timeout_s=300)
-            metrics = client.metrics_text()
-            record = handle.service.scheduler.jobs["pinned"]
-        assert record.engine_pinned is True
-        assert "repro_parallel_tasks_total" not in metrics
-        assert verdict["result"] == _direct_result(HEAVY_SPEC, library)
+    def test_cli_resume_of_pool_era_checkpoint(self, tmp_path, library):
+        _pool_era_checkpoint(tmp_path, SPEC, library, shards=2)
+        assert main(["resume", str(tmp_path)]) == 0
+        final = CheckpointStore(tmp_path).load_latest()
+        expected = _direct_result(SPEC, library)
+        assert final["spec"]["engine"] == "vectorized"
+        assert final["detections"] == expected["detections"]
+        assert final["undetected"] == expected["undetected"]
 
-    def test_workers_hint_of_one_stays_in_process(self, tmp_path, library):
-        with ServiceThread(
-            tmp_path, library=library,
-            core_budget=4, parallel_granule=8, checkpoint_every=1,
-        ) as handle:
-            client = ServiceClient("127.0.0.1", handle.port)
-            client.submit(dict(HEAVY_SPEC, workers=1, job_id="solo"))
-            verdict = client.wait_verdict("solo", timeout_s=300)
-            metrics = client.metrics_text()
-        assert "repro_parallel_tasks_total" not in metrics
-        assert verdict["result"] == _direct_result(HEAVY_SPEC, library)
-
-    def test_killed_pool_worker_degrades_not_corrupts(
-        self, tmp_path, library
-    ):
-        """SIGKILL a worker *process* mid-shard: the job degrades to
-        the in-process engine with a health event and the verdict stays
-        bit-identical."""
-        big = dict(HEAVY_SPEC, total_processors=20000, shard_size=512)
-        with ServiceThread(
-            tmp_path, library=library,
-            core_budget=2, parallel_granule=8, checkpoint_every=1,
-        ) as handle:
-            client = ServiceClient("127.0.0.1", handle.port)
-            client.submit(dict(big, job_id="wounded"))
-            scheduler = handle.service.scheduler
-            deadline = time.monotonic() + 60
-            pids = []
-            while time.monotonic() < deadline:
-                pids = scheduler.worker_pids()
-                if pids:
-                    break
-                time.sleep(0.002)
-            assert pids, "pool never came up for the promoted job"
-            os.kill(pids[0], signal.SIGKILL)
-            verdict = client.wait_verdict("wounded", timeout_s=300)
-            record = scheduler.jobs["wounded"]
-        assert verdict["result"] == _direct_result(big, library)
-        assert record.pool_degraded is True
-        kinds = [
-            event["kind"] for event in verdict["health"]["events"]
-        ]
-        assert "degradation" in kinds
+    def test_submit_rejects_workers_field(self, tmp_path, library):
+        scheduler = CampaignScheduler(tmp_path, library)
+        with pytest.raises(ConfigurationError, match="workers"):
+            scheduler.parse_submission(dict(SPEC, workers=2))
 
 
 # -- verdict retention -------------------------------------------------------
