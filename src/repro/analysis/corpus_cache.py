@@ -12,9 +12,9 @@ re-derive it, so this module memoizes the store on disk:
   (arch, defects, instructions, affected cores) and every testcase id —
   so any change to the catalog or library changes the file name rather
   than serving stale records;
-* the cache **file** reuses the campaign checkpoint format
-  (:func:`repro.resilience.checkpoint.write_checkpoint`): canonical-JSON
-  payload, CRC-32 self-check, atomic temp-file + ``os.replace`` write.
+* the cache **file** is a campaign checkpoint
+  (:func:`repro.resilience.checkpoint.write_checkpoint`), a sealed
+  document (:mod:`repro.sealed`): CRC-32 self-check, atomic write.
   A torn or bit-rotted cache file fails its self-check and the corpus
   is recomputed — the cache can be slow, never wrong;
 * records round-trip exactly: Python ints carry the 80-bit FLOAT64X
@@ -25,7 +25,6 @@ re-derive it, so this module memoizes the store on disk:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 from typing import Callable, Dict, Optional
@@ -34,6 +33,7 @@ from ..cpu.features import DataType
 from ..cpu.processor import Processor
 from ..errors import CheckpointError
 from ..resilience.checkpoint import read_checkpoint, write_checkpoint
+from ..sealed import canonical
 from ..testing.library import TestcaseLibrary
 from ..testing.records import ConsistencyRecord, RecordStore, SDCRecord
 from .columnar import RecordFrame, load_record_frame, save_record_frame
@@ -103,10 +103,7 @@ def corpus_fingerprint(
         ],
         "testcases": [testcase.testcase_id for testcase in library],
     }
-    canonical = json.dumps(
-        descriptor, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return hashlib.sha256(canonical).hexdigest()[:20]
+    return hashlib.sha256(canonical(descriptor)).hexdigest()[:20]
 
 
 def save_corpus(path: os.PathLike, store: RecordStore) -> None:

@@ -6,22 +6,18 @@ out-of-core path spills struct-of-arrays frames to disk and reads them
 back as memory-mapped columns, so analytics stream pages on demand
 instead of holding every record resident.
 
-The container follows the campaign checkpoint conventions
-(:mod:`repro.resilience.checkpoint`) without importing that package
-(this module sits below the fleet/resilience layers):
+The container is built on :mod:`repro.sealed`:
 
 * **one ``.npy`` file per column** — plain NumPy format, no pickling,
   so a reader maps the column zero-copy (``np.load(mmap_mode="r")``);
-* **atomic writes** — every column and the manifest go through a temp
-  file, ``fsync``, ``os.replace``, and a parent-directory fsync, so a
-  crash mid-spill leaves either the previous store or an incomplete one
-  that fails its check, never a silently torn column (and a crash just
-  after a spill cannot make a finished store vanish);
+* **atomic writes** — every column and the manifest are written
+  atomically, so a crash mid-spill leaves either the previous store or
+  an incomplete one that fails its check, never a silently torn column
+  (and a crash just after a spill cannot make a finished store vanish);
 * **CRC-32 self-check** — the manifest records each column file's
-  CRC-32, dtype, shape, and byte size, and is itself a canonical-JSON
-  document carrying its own CRC.  A default read verifies *metadata
-  only* (O(columns), not O(bytes)); ``verify=True`` re-hashes every
-  column file for the paranoid path.
+  CRC-32, dtype, shape, and byte size, and is itself a sealed document.
+  A default read verifies *metadata only* (O(columns), not O(bytes));
+  ``verify=True`` re-hashes every column file for the paranoid path.
 
 The manifest is written **last**: a store is valid iff its manifest
 parses and self-checks, which is what makes the write atomic at the
@@ -30,20 +26,18 @@ store level despite spanning multiple files.
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from . import sealed
 from .errors import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointVersionError,
 )
-from .fsutil import replace_and_sync_directory
 
 __all__ = [
     "COLSTORE_FORMAT",
@@ -57,39 +51,10 @@ COLSTORE_FORMAT = "repro-column-store"
 COLSTORE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
-_CRC_CHUNK = 1 << 20
-
-
-def _canonical(payload: Dict[str, object]) -> bytes:
-    """Canonical manifest payload bytes — the CRC domain (matches the
-    checkpoint container's encoding rules)."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
-
-
-def _file_crc32(path: Path) -> int:
-    """CRC-32 of a file, streamed in chunks (never loads it whole)."""
-    crc = 0
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(_CRC_CHUNK)
-            if not block:
-                return crc
-            crc = zlib.crc32(block, crc)
-
-
-def _atomic_replace(tmp: Path, path: Path) -> None:
-    try:
-        replace_and_sync_directory(tmp, path)
-    except OSError as error:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-        raise CheckpointError(
-            f"cannot finalize column-store file {path}: {error}"
-        ) from error
+_MANIFEST = sealed.SealedFormat(
+    COLSTORE_FORMAT, COLSTORE_VERSION, "column-store manifest",
+    CheckpointError, CheckpointCorruptError, CheckpointVersionError,
+)
 
 
 def write_columns(
@@ -122,95 +87,35 @@ def write_columns(
             )
         arr = np.ascontiguousarray(array)
         path = directory / f"{name}.npy"
-        tmp = directory / f"{name}.npy.tmp"
         try:
-            with open(tmp, "wb") as handle:
-                np.lib.format.write_array(handle, arr, allow_pickle=False)
-                handle.flush()
-                os.fsync(handle.fileno())
+            sealed.atomic_write(
+                path,
+                lambda handle: np.lib.format.write_array(
+                    handle, arr, allow_pickle=False
+                ),
+            )
         except OSError as error:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
             raise CheckpointError(
                 f"cannot write column {name!r} to {directory}: {error}"
             ) from error
-        _atomic_replace(tmp, path)
         size = path.stat().st_size
         total_bytes += size
         manifest_columns[name] = {
             "file": path.name,
-            "crc32": _file_crc32(path),
+            "crc32": sealed.file_crc32(path),
             "dtype": arr.dtype.str,
             "shape": list(arr.shape),
             "bytes": size,
         }
-    payload = {"columns": manifest_columns, "meta": dict(meta or {})}
-    document = {
-        "format": COLSTORE_FORMAT,
-        "version": COLSTORE_VERSION,
-        "crc32": zlib.crc32(_canonical(payload)),
-        "payload": payload,
-    }
     manifest = directory / MANIFEST_NAME
-    tmp = directory / (MANIFEST_NAME + ".tmp")
-    body = json.dumps(document, allow_nan=False).encode("utf-8")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(body)
-            handle.flush()
-            os.fsync(handle.fileno())
-    except OSError as error:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-        raise CheckpointError(
-            f"cannot write column-store manifest {manifest}: {error}"
-        ) from error
-    _atomic_replace(tmp, manifest)
+    sealed.write_document(
+        _MANIFEST, manifest,
+        {"columns": manifest_columns, "meta": dict(meta or {})},
+    )
     total_bytes += manifest.stat().st_size
     if obs is not None:
         obs.inc("repro_spill_bytes_total", total_bytes)
     return total_bytes
-
-
-def _load_manifest(directory: Path) -> Dict[str, object]:
-    manifest = directory / MANIFEST_NAME
-    try:
-        raw = manifest.read_bytes()
-    except OSError as error:
-        raise CheckpointError(
-            f"cannot read column-store manifest {manifest}: {error}"
-        ) from error
-    try:
-        document = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
-        raise CheckpointCorruptError(
-            f"column-store manifest {manifest} is not valid JSON "
-            f"(torn write?): {error}"
-        ) from error
-    if not isinstance(document, dict) or document.get("format") != COLSTORE_FORMAT:
-        raise CheckpointCorruptError(
-            f"{manifest} lacks the {COLSTORE_FORMAT!r} header"
-        )
-    version = document.get("version")
-    if version != COLSTORE_VERSION:
-        raise CheckpointVersionError(
-            f"{manifest} has format version {version!r}; this build reads "
-            f"version {COLSTORE_VERSION}"
-        )
-    payload = document.get("payload")
-    if not isinstance(payload, dict):
-        raise CheckpointCorruptError(f"{manifest} has no payload object")
-    crc = zlib.crc32(_canonical(payload))
-    if crc != document.get("crc32"):
-        raise CheckpointCorruptError(
-            f"{manifest} failed its CRC self-check "
-            f"(stored {document.get('crc32')!r}, computed {crc})"
-        )
-    return payload
 
 
 def read_columns(
@@ -229,7 +134,7 @@ def read_columns(
     columns fully into memory.
     """
     directory = Path(directory)
-    payload = _load_manifest(directory)
+    payload = sealed.read_document(_MANIFEST, directory / MANIFEST_NAME)
     described = payload.get("columns")
     if not isinstance(described, dict):
         raise CheckpointCorruptError(
@@ -251,7 +156,7 @@ def read_columns(
                 f"recorded {entry['bytes']} (torn write?)"
             )
         if verify:
-            crc = _file_crc32(path)
+            crc = sealed.file_crc32(path)
             if crc != entry["crc32"]:
                 raise CheckpointCorruptError(
                     f"column {name!r} in {directory} failed its CRC "

@@ -1,8 +1,8 @@
 """Crash-durability primitives shared by every on-disk artifact.
 
-The checkpoint, column-store, metrics, and service-journal writers all
-follow the same recipe — write to a temp file, flush, ``fsync``, then
-``os.replace`` into place — which makes the *file contents* atomic.
+Every durable artifact is written by :mod:`repro.sealed` with one
+recipe — write to a temp file, flush, ``fsync``, then ``os.replace``
+into place — which makes the *file contents* atomic.
 What that recipe alone does not guarantee is that the **rename itself**
 survives a power loss: the new directory entry lives in the parent
 directory's data, and POSIX only promises it is on disk after the
@@ -10,11 +10,10 @@ directory's data, and POSIX only promises it is on disk after the
 restarted to find the journal segment or checkpoint vanished would
 violate the service's no-lost-acknowledged-work contract.
 
-:func:`fsync_directory` closes that gap.  Every atomic-replace site in
-the tree calls it on the parent directory after ``os.replace`` (and
-after creating a new append-only segment), so a post-crash restart can
-never observe a missing artifact that a pre-crash acknowledgment
-depended on.
+:func:`fsync_directory` closes that gap.  The sealed-storage module
+calls it on the parent directory after ``os.replace`` (and after
+creating a new append-only segment), so a post-crash restart can never
+observe a missing artifact that a pre-crash acknowledgment depended on.
 
 The helper is deliberately tolerant of platforms where directories
 cannot be opened or fsynced (Windows, some network filesystems): it

@@ -18,9 +18,9 @@ around three properties the campaign engines need:
   identity; merging snapshots with different layouts is an error, never
   a silent re-binning.
 * **Boring, auditable exports.**  Prometheus exposition text for
-  scrape-style consumers and canonical JSON (sorted keys, CRC-32
-  self-check, atomic replace — the checkpoint container conventions)
-  for the ``repro obs-report`` command and for tests.
+  scrape-style consumers and a sealed JSON document
+  (:mod:`repro.sealed`: CRC-32 self-check, atomic replace) for the
+  ``repro obs-report`` command and for tests.
 
 No instrument ever touches an RNG or the wall clock; recording a metric
 cannot perturb a seeded campaign.
@@ -28,16 +28,14 @@ cannot perturb a seeded campaign.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
-import zlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import sealed
 from ..errors import ObservabilityError
-from ..fsutil import replace_and_sync_directory
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -49,6 +47,11 @@ __all__ = [
 
 METRICS_FORMAT = "repro-obs-metrics"
 METRICS_VERSION = 1
+
+_DOCUMENT = sealed.SealedFormat(
+    METRICS_FORMAT, METRICS_VERSION, "metrics document",
+    ObservabilityError, ObservabilityError,
+)
 
 #: Default histogram layout: latency-shaped, seconds, spanning the
 #: ~100 µs shard replays up to minute-scale campaign phases.
@@ -449,74 +452,32 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self) -> str:
-        """Canonical JSON container with a CRC-32 self-check.
-
-        Same conventions as the campaign checkpoint format: sorted keys,
-        tight separators, payload CRC over the canonical encoding.
-        """
-        payload = self.snapshot()
-        body = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-        document = {
-            "format": METRICS_FORMAT,
-            "version": METRICS_VERSION,
-            "crc32": zlib.crc32(body),
-            "payload": payload,
-        }
-        return json.dumps(document, sort_keys=True, allow_nan=False)
+        """The snapshot as a sealed JSON document (CRC-32 self-check)."""
+        return sealed.seal_document(_DOCUMENT, self.snapshot()).decode("utf-8")
 
     @classmethod
-    def from_json(cls, text: str) -> "MetricsRegistry":
-        """Parse :meth:`to_json` output, verifying the CRC self-check."""
-        try:
-            document = json.loads(text)
-        except ValueError as error:
-            raise ObservabilityError(
-                f"metrics document is not valid JSON: {error}"
-            ) from error
-        if (
-            not isinstance(document, dict)
-            or document.get("format") != METRICS_FORMAT
-        ):
-            raise ObservabilityError(
-                f"metrics document lacks the {METRICS_FORMAT!r} header"
-            )
-        payload = document.get("payload")
-        if not isinstance(payload, dict):
-            raise ObservabilityError("metrics document has no payload")
-        body = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-        if zlib.crc32(body) != document.get("crc32"):
-            raise ObservabilityError(
-                "metrics document failed its CRC-32 self-check"
-            )
-        return cls.from_snapshot(payload)
+    def from_json(cls, text) -> "MetricsRegistry":
+        """Parse :meth:`to_json` output (text or bytes), verifying the
+        CRC self-check."""
+        return cls.from_snapshot(
+            sealed.unseal_document(_DOCUMENT, text, "metrics document")
+        )
 
     def save(self, path: os.PathLike) -> None:
         """Atomically write this registry to ``path``.
 
-        ``.json`` suffixes get the canonical JSON container; everything
+        ``.json`` suffixes get the sealed JSON document; everything
         else (``.prom``, ``.txt``) gets Prometheus exposition text.
         """
         path = Path(path)
         if path.suffix == ".json":
-            text = self.to_json() + "\n"
-        else:
-            text = self.to_prometheus_text()
-        tmp = path.with_name(path.name + ".tmp")
+            sealed.write_document(_DOCUMENT, path, self.snapshot())
+            return
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            replace_and_sync_directory(tmp, path)
+            sealed.atomic_write(
+                path, self.to_prometheus_text().encode("utf-8")
+            )
         except OSError as error:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
             raise ObservabilityError(
                 f"cannot write metrics to {path}: {error}"
             ) from error

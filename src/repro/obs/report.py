@@ -25,14 +25,19 @@ def load_metrics(path) -> MetricsRegistry:
     text, and verify whichever self-checks the format carries."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as error:
         raise ObservabilityError(
             f"cannot read metrics file {path}: {error}"
         ) from error
-    if text.lstrip().startswith("{"):
-        return MetricsRegistry.from_json(text)
-    parsed = parse_prometheus_text(text)
+    if raw.lstrip().startswith(b"{"):
+        return MetricsRegistry.from_json(raw)
+    try:
+        parsed = parse_prometheus_text(raw.decode("utf-8"))
+    except UnicodeDecodeError as error:
+        raise ObservabilityError(
+            f"metrics file {path} is not UTF-8 text: {error}"
+        ) from error
     if not parsed:
         raise ObservabilityError(f"metrics file {path} contains no samples")
     registry = MetricsRegistry()

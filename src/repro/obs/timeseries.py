@@ -12,9 +12,8 @@ history in memory with zero dependencies:
   max)``.  Memory is strictly bounded: each tier is a
   ``deque(maxlen=capacity)``, so a week-long daemon holds minutes of
   raw detail and days of minute-level trend.
-* **CRC-sealed persistence.**  ``save()`` writes the same container
-  shape as campaign checkpoints (canonical JSON payload + CRC-32 +
-  atomic replace), and :meth:`TimeSeriesStore.restore` loads it
+* **CRC-sealed persistence.**  ``save()`` writes a sealed document
+  (:mod:`repro.sealed`), and :meth:`TimeSeriesStore.restore` loads it
   tolerantly — a torn or corrupt history file yields a fresh store,
   never a dead daemon — so scrape history survives SIGKILL restarts
   with at most one flush interval of loss.
@@ -35,17 +34,15 @@ drift alert watches.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from .. import sealed
 from ..errors import ObservabilityError, TimeSeriesCorruptError
-from ..fsutil import replace_and_sync_directory
 
 __all__ = [
     "TIMESERIES_FORMAT",
@@ -59,6 +56,11 @@ __all__ = [
 
 TIMESERIES_FORMAT = "repro-obs-timeseries"
 TIMESERIES_VERSION = 1
+
+_HISTORY = sealed.SealedFormat(
+    TIMESERIES_FORMAT, TIMESERIES_VERSION, "time-series history",
+    ObservabilityError, TimeSeriesCorruptError,
+)
 
 #: Derived ratio series the scraper maintains for the SDC-drift alert.
 DETECTION_RATIO_SERIES = "repro_sdc_detection_ratio"
@@ -276,74 +278,14 @@ class TimeSeriesStore:
         }
 
     def save(self, path: os.PathLike) -> None:
-        """Atomically persist the full history (checkpoint container
-        conventions: canonical payload, CRC-32, tmp + replace + dirsync)."""
-        path = Path(path)
-        payload = self._payload()
-        body = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-        document = {
-            "format": TIMESERIES_FORMAT,
-            "version": TIMESERIES_VERSION,
-            "crc32": zlib.crc32(body),
-            "payload": payload,
-        }
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, allow_nan=False)
-                handle.flush()
-                os.fsync(handle.fileno())
-            replace_and_sync_directory(tmp, path)
-        except OSError as error:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            raise ObservabilityError(
-                f"cannot write time-series history {path}: {error}"
-            ) from error
+        """Atomically persist the full history as a sealed document."""
+        sealed.write_document(_HISTORY, path, self._payload())
 
     @classmethod
     def load(cls, path: os.PathLike) -> "TimeSeriesStore":
         """Strict load: raises :class:`TimeSeriesCorruptError` on any
         structural or CRC failure."""
-        path = Path(path)
-        try:
-            raw = path.read_bytes()
-        except OSError as error:
-            raise ObservabilityError(
-                f"cannot read time-series history {path}: {error}"
-            ) from error
-        try:
-            document = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise TimeSeriesCorruptError(
-                f"history {path} is not valid JSON (torn write?): {error}"
-            ) from error
-        if (
-            not isinstance(document, dict)
-            or document.get("format") != TIMESERIES_FORMAT
-        ):
-            raise TimeSeriesCorruptError(
-                f"history {path} lacks the {TIMESERIES_FORMAT!r} header"
-            )
-        if document.get("version") != TIMESERIES_VERSION:
-            raise TimeSeriesCorruptError(
-                f"history {path} has unsupported version "
-                f"{document.get('version')!r}"
-            )
-        payload = document.get("payload")
-        if not isinstance(payload, dict):
-            raise TimeSeriesCorruptError(f"history {path} has no payload")
-        body = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-        if zlib.crc32(body) != document.get("crc32"):
-            raise TimeSeriesCorruptError(
-                f"history {path} failed its CRC-32 self-check"
-            )
+        payload = sealed.read_document(_HISTORY, path)
         tiers = tuple(
             Tier(
                 str(entry["name"]),

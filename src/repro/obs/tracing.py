@@ -9,12 +9,11 @@ rules keep tracing safe to enable on seeded campaigns:
   touches ``random``/NumPy state, so an instrumented run consumes
   exactly the same :class:`~repro.rng.CountedStream` draws as an
   uninstrumented one.  Tests inject a fake clock to pin ordering.
-* **Self-checking JSONL.**  The sink reuses the checkpoint container
-  conventions: a header line identifying the format, then one canonical
-  JSON object per line carrying a CRC-32 over its own canonical
-  encoding.  :func:`read_trace` verifies every line and (by default)
-  tolerates a torn final line — the same crash-consistency posture as
-  :mod:`repro.resilience.checkpoint`.
+* **Self-checking JSONL.**  A trace file is a sealed log
+  (:mod:`repro.sealed`): a header line identifying the format, then one
+  canonical JSON object per line carrying a CRC-32 over its own
+  canonical encoding.  :func:`read_trace` verifies every line and (by
+  default) tolerates a torn final line.
 
 Spans stitch across processes and threads.  Every record carries the
 emitting ``pid`` and a small per-tracer thread index ``tid``; span ids
@@ -33,15 +32,13 @@ an always-valid tracer object, and its span is a shared no-op.
 from __future__ import annotations
 
 import itertools
-import json
 import os
-import re
 import threading
 import time
-import zlib
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from .. import sealed
 from ..errors import ObservabilityError, TraceCorruptError
 
 __all__ = [
@@ -62,14 +59,10 @@ TRACE_FORMAT = "repro-obs-trace"
 TRACE_VERSION = 1
 
 
-def _canonical(record: Dict[str, object]) -> bytes:
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
-
-
-def _segment_path(base: Path, index: int) -> Path:
-    return base.with_name(f"{base.stem}-{index:06d}{base.suffix}")
+_TRACE = sealed.SealedFormat(
+    TRACE_FORMAT, TRACE_VERSION, "trace file",
+    ObservabilityError, TraceCorruptError,
+)
 
 
 def trace_segment_paths(base: os.PathLike) -> List[Path]:
@@ -81,23 +74,14 @@ def trace_segment_paths(base: os.PathLike) -> List[Path]:
     before the numbered segments.
     """
     base = Path(base)
-    paths: List[Path] = []
-    if base.exists():
-        paths.append(base)
-    pattern = re.compile(
-        re.escape(base.stem) + r"-(\d{6})" + re.escape(base.suffix) + r"$"
+    bare = [base] if base.exists() else []
+    return bare + sealed.numbered_paths(
+        base.parent, f"{base.stem}-", base.suffix
     )
-    numbered = [
-        (int(match.group(1)), candidate)
-        for candidate in base.parent.glob(f"{base.stem}-*{base.suffix}")
-        if (match := pattern.match(candidate.name))
-    ]
-    paths.extend(path for _, path in sorted(numbered))
-    return paths
 
 
 class JsonlTraceSink:
-    """Append trace records to a JSONL file with per-line CRC-32.
+    """Append trace records to a sealed log (per-line CRC-32).
 
     The file is opened lazily on the first record and starts with a
     header line ``{"format": "repro-obs-trace", "version": 1}``.  Each
@@ -106,13 +90,13 @@ class JsonlTraceSink:
     field, so any line can be verified in isolation.
 
     With ``max_bytes`` set the sink rotates: records go to numbered
-    segments (``trace-000001.jsonl``, ... — the journal's segment
-    convention), a new segment opens whenever the current one reaches
+    segments (``trace-000001.jsonl``, ..., like the journal's), a new
+    segment opens whenever the current one reaches
     the size bound, and numbering continues from whatever segments
     already exist on disk.  That makes rotation double duty: long
     daemon runs cannot fill the disk, and a restarted incarnation
     extends history instead of truncating it (the non-rotating mode
-    opens ``"w"`` and overwrites).
+    overwrites).
     """
 
     def __init__(self, path: os.PathLike, max_bytes: Optional[int] = None):
@@ -122,59 +106,33 @@ class JsonlTraceSink:
             )
         self.path = Path(path)
         self.max_bytes = max_bytes
-        self._handle = None
-        self._segment_index: Optional[int] = None
+        self._log: Optional[sealed.SealedLog] = None
         self._lock = threading.Lock()
-
-    def _open_next(self) -> None:
-        if self.max_bytes is None:
-            target = self.path
-        else:
-            if self._segment_index is None:
-                existing = trace_segment_paths(self.path)
-                last = 0
-                for path in existing:
-                    if path != self.path:
-                        last = max(last, int(path.stem.rsplit("-", 1)[1]))
-                self._segment_index = last + 1
-            else:
-                self._segment_index += 1
-            target = _segment_path(self.path, self._segment_index)
-        try:
-            self._handle = open(target, "w", encoding="utf-8")
-        except OSError as error:
-            raise ObservabilityError(
-                f"cannot open trace file {target}: {error}"
-            ) from error
-        header = {"format": TRACE_FORMAT, "version": TRACE_VERSION}
-        self._handle.write(_canonical(header).decode("utf-8") + "\n")
 
     def emit(self, record: Dict[str, object]) -> None:
         # Serialized: the daemon's job threads and scrape loop share
         # one sink, and interleaved writes would tear JSONL lines.
         with self._lock:
-            if self._handle is None:
-                self._open_next()
-            body = _canonical(record)
-            sealed = dict(record)
-            sealed["crc32"] = zlib.crc32(body)
-            self._handle.write(_canonical(sealed).decode("utf-8") + "\n")
-            if (
-                self.max_bytes is not None
-                and self._handle.tell() >= self.max_bytes
-            ):
-                self._close_handle()
+            if self._log is None:
+                target = self.path
+                if self.max_bytes is not None:
+                    target = sealed.next_numbered(
+                        self.path.parent, f"{self.path.stem}-",
+                        self.path.suffix,
+                    )
+                self._log = sealed.SealedLog(_TRACE, target)
+            self._log.append(record)
+            if self.max_bytes is not None and self._log.size >= self.max_bytes:
+                self._close_log()
 
-    def _close_handle(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
-            self._handle = None
+    def _close_log(self) -> None:
+        if self._log is not None:
+            log, self._log = self._log, None
+            log.close()
 
     def close(self) -> None:
         with self._lock:
-            self._close_handle()
+            self._close_log()
 
 
 class ListTraceSink:
@@ -345,67 +303,16 @@ def read_trace(
 ) -> List[Dict[str, object]]:
     """Read and verify a :class:`JsonlTraceSink` file.
 
-    Every line's CRC-32 is recomputed; a corrupt line raises
-    :class:`~repro.errors.TraceCorruptError`.  A torn *final* line
-    (interrupted write) is silently dropped unless ``strict`` is true —
-    mirroring checkpoint-read semantics.
+    Every line's CRC-32 is recomputed; a damaged line raises
+    :class:`~repro.errors.TraceCorruptError`.  A torn tail (an
+    unterminated final line, see :mod:`repro.sealed`) is dropped unless
+    ``strict`` is true.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as error:
-        raise ObservabilityError(
-            f"cannot read trace file {path}: {error}"
-        ) from error
-    if not lines:
-        if strict:
-            raise TraceCorruptError(f"trace file {path} is empty")
-        return []
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        raise TraceCorruptError(f"trace file {path} has a malformed header")
-    if (
-        not isinstance(header, dict)
-        or header.get("format") != TRACE_FORMAT
-    ):
+    records, damage = sealed.read_log(_TRACE, path)
+    if damage is not None and (strict or not damage.torn):
         raise TraceCorruptError(
-            f"trace file {path} lacks the {TRACE_FORMAT!r} header"
+            f"trace file {path} line {damage.line} {damage.reason}"
         )
-    if header.get("version") != TRACE_VERSION:
-        raise TraceCorruptError(
-            f"trace file {path} has unsupported version "
-            f"{header.get('version')!r}"
-        )
-    records: List[Dict[str, object]] = []
-    last = len(lines) - 1
-    for index, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        torn_ok = index == last and not strict
-        try:
-            record = json.loads(line)
-        except ValueError:
-            if torn_ok:
-                break
-            raise TraceCorruptError(
-                f"trace file {path} line {index + 1} is not valid JSON"
-            )
-        if not isinstance(record, dict) or "crc32" not in record:
-            if torn_ok:
-                break
-            raise TraceCorruptError(
-                f"trace file {path} line {index + 1} lacks a crc32 field"
-            )
-        claimed = record.pop("crc32")
-        if zlib.crc32(_canonical(record)) != claimed:
-            if torn_ok:
-                break
-            raise TraceCorruptError(
-                f"trace file {path} line {index + 1} failed its "
-                f"CRC-32 self-check"
-            )
-        records.append(record)
     return records
 
 
@@ -418,8 +325,8 @@ def read_trace_segments(
     Under the default lenient mode a torn tail is tolerated on *every*
     segment, not just the newest: any segment may have been the final
     write of a SIGKILLed daemon incarnation whose restart moved on to
-    the next segment number.  Corruption anywhere before a segment's
-    final line still raises — that is damage, not a crash artifact.
+    the next segment number.  Any other damaged line still raises —
+    that is damage, not a crash artifact.
     """
     paths = trace_segment_paths(base)
     records: List[Dict[str, object]] = []

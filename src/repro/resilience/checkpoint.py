@@ -1,38 +1,33 @@
 """Versioned, self-checking campaign checkpoints.
 
-A month-scale campaign must survive the process that runs it.  The
-snapshot format here is deliberately boring and auditable:
+A month-scale campaign must survive the process that runs it.  A
+snapshot is a sealed document (:mod:`repro.sealed`):
 
 * **JSON payload** — every value the campaign needs to continue
   (cursor, draw-stream position, partial detections) round-trips
   exactly: CPython's ``repr`` serialization of floats is shortest
   round-trip, so ``Detection.day`` survives bit-for-bit.
-* **CRC self-check** — the payload's canonical encoding is CRC-32
-  checksummed; a torn write, truncation, or flipped byte surfaces as
-  :class:`~repro.errors.CheckpointCorruptError` instead of silently
-  corrupting the aggregate result.
-* **Atomic write** — snapshots are written to a temp file, fsynced,
-  ``os.replace``-d into place, and the parent directory is fsynced, so
-  a crash mid-write leaves the previous snapshot intact and a crash
-  right after the write cannot un-happen it.
+* **CRC self-check** — a torn write, truncation, or flipped byte
+  surfaces as :class:`~repro.errors.CheckpointCorruptError` instead of
+  silently corrupting the aggregate result.
+* **Atomic write** — a crash mid-write leaves the previous snapshot
+  intact, and a crash right after the write cannot un-happen it.
 * **Rotation** — :class:`CheckpointStore` keeps the last few snapshots;
   the loader falls back to the newest one that passes its self-check.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from .. import sealed
 from ..errors import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointVersionError,
 )
-from ..fsutil import replace_and_sync_directory
 from .health import KIND_CHECKPOINT_FALLBACK, CampaignHealthReport
 
 __all__ = [
@@ -46,45 +41,15 @@ __all__ = [
 CHECKPOINT_FORMAT = "repro-campaign-checkpoint"
 CHECKPOINT_VERSION = 1
 
-
-def _canonical(payload: Dict[str, object]) -> bytes:
-    """Canonical payload bytes: the CRC domain.
-
-    ``sort_keys`` + tight separators make the encoding independent of
-    dict insertion order, and JSON's repr-based float encoding makes it
-    independent of everything else.
-    """
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+_CHECKPOINT = sealed.SealedFormat(
+    CHECKPOINT_FORMAT, CHECKPOINT_VERSION, "checkpoint",
+    CheckpointError, CheckpointCorruptError, CheckpointVersionError,
+)
 
 
 def write_checkpoint(path: os.PathLike, payload: Dict[str, object]) -> None:
     """Atomically write ``payload`` as a self-checking snapshot."""
-    path = Path(path)
-    body = _canonical(payload)
-    document = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "crc32": zlib.crc32(body),
-        "payload": payload,
-    }
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, allow_nan=False)
-            handle.flush()
-            os.fsync(handle.fileno())
-        # The rename is only durable once the parent directory's entry
-        # is on disk too — a crash between replace and directory sync
-        # could otherwise "lose" a snapshot the caller already trusts.
-        replace_and_sync_directory(tmp, path)
-    except OSError as error:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-        raise CheckpointError(f"cannot write checkpoint {path}: {error}") from error
+    sealed.write_document(_CHECKPOINT, path, payload)
 
 
 def read_checkpoint(path: os.PathLike) -> Dict[str, object]:
@@ -94,39 +59,7 @@ def read_checkpoint(path: os.PathLike) -> Dict[str, object]:
     structure or CRC self-check and :class:`CheckpointVersionError` for
     snapshots from an incompatible format version.
     """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as error:
-        raise CheckpointError(f"cannot read checkpoint {path}: {error}") from error
-    try:
-        document = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
-        # Bit rot can break the UTF-8 encoding itself, not just the
-        # JSON structure; both read as corruption, not as a crash.
-        raise CheckpointCorruptError(
-            f"checkpoint {path} is not valid JSON (torn write?): {error}"
-        ) from error
-    if not isinstance(document, dict) or document.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointCorruptError(
-            f"checkpoint {path} lacks the {CHECKPOINT_FORMAT!r} header"
-        )
-    version = document.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"checkpoint {path} has format version {version!r}; this build "
-            f"reads version {CHECKPOINT_VERSION}"
-        )
-    payload = document.get("payload")
-    if not isinstance(payload, dict):
-        raise CheckpointCorruptError(f"checkpoint {path} has no payload object")
-    crc = zlib.crc32(_canonical(payload))
-    if crc != document.get("crc32"):
-        raise CheckpointCorruptError(
-            f"checkpoint {path} failed its CRC self-check "
-            f"(stored {document.get('crc32')!r}, computed {crc})"
-        )
-    return payload
+    return sealed.read_document(_CHECKPOINT, path)
 
 
 class CheckpointStore:
@@ -149,27 +82,14 @@ class CheckpointStore:
 
     def paths(self) -> List[Path]:
         """Existing snapshot paths, oldest first."""
-        entries = [
-            path
-            for path in self.directory.glob(f"{self._PREFIX}*{self._SUFFIX}")
-            if path.is_file()
-        ]
-        return sorted(entries, key=lambda path: path.name)
-
-    def _next_path(self) -> Path:
-        existing = self.paths()
-        if existing:
-            last = existing[-1].name[len(self._PREFIX):-len(self._SUFFIX)]
-            try:
-                index = int(last) + 1
-            except ValueError:
-                index = len(existing) + 1
-        else:
-            index = 1
-        return self.directory / f"{self._PREFIX}{index:06d}{self._SUFFIX}"
+        return sealed.numbered_paths(
+            self.directory, self._PREFIX, self._SUFFIX
+        )
 
     def save(self, payload: Dict[str, object]) -> Path:
-        path = self._next_path()
+        path = sealed.next_numbered(
+            self.directory, self._PREFIX, self._SUFFIX
+        )
         write_checkpoint(path, payload)
         for stale in self.paths()[:-self.keep]:
             try:

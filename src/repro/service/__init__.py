@@ -3,7 +3,7 @@
 Layering, bottom-up:
 
 * :mod:`~repro.service.journal` — fsync-before-ack write-ahead journal
-  (checkpoint-container line format, per-incarnation segments).
+  (a durable :mod:`repro.sealed` log, per-incarnation segments).
 * :mod:`~repro.service.scheduler` — crash-tolerant campaign scheduler:
   journaled admission, bounded queues, rolling
   :class:`~repro.resilience.campaign.ResilientCampaign` shards on

@@ -11,18 +11,15 @@ acknowledged**.  The daemon's crash contract follows directly:
   correspondingly the journal may or may not carry the job — either
   outcome is consistent.
 
-The on-disk format reuses the checkpoint-container conventions the rest
-of the tree already trusts (:mod:`repro.resilience.checkpoint`,
-:mod:`repro.obs.tracing`): append-only JSONL **segments** named
-``journal-000001.wal``, each starting with a header line and carrying
-one canonical-JSON entry per line whose ``crc32`` field seals the
-entry's canonical encoding.  Each daemon incarnation opens a fresh
+Each segment is a durable sealed log (:mod:`repro.sealed`) named
+``journal-000001.wal``: a header line, then one CRC-sealed
+canonical-JSON entry per line.  Each daemon incarnation opens a fresh
 segment, so the segment sequence doubles as a boot history.
 
-Crash tolerance on the read side mirrors the writer's failure modes: a
-torn **final** line of any segment is dropped (that was the in-flight
-append when that incarnation died — by definition unacknowledged), while
-corruption anywhere else raises
+Crash tolerance on the read side follows the sealed-log torn-tail
+rule: an unterminated **final** line of any segment is dropped and
+reported (that was the in-flight append when that incarnation died —
+by definition unacknowledged), while any other damaged line raises
 :class:`~repro.errors.JournalCorruptError` unless the caller opts into
 salvage mode, which truncates replay of that segment at the first bad
 line and reports the damage.
@@ -38,15 +35,13 @@ survives restarts; replay derives the next one.
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+from .. import sealed
 from ..errors import JournalCorruptError, JournalError
-from ..fsutil import fsync_directory
 
 __all__ = [
     "JOURNAL_FORMAT",
@@ -63,11 +58,10 @@ JOURNAL_VERSION = 1
 _PREFIX = "journal-"
 _SUFFIX = ".wal"
 
-
-def _canonical(record: Dict[str, object]) -> bytes:
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+_JOURNAL = sealed.SealedFormat(
+    JOURNAL_FORMAT, JOURNAL_VERSION, "journal segment",
+    JournalError, JournalCorruptError,
+)
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,6 @@ class JournalWriter:
         directory: os.PathLike,
         *,
         start_seq: int = 1,
-        segment_index: Optional[int] = None,
         post_append: Optional[Callable[[Path, int], None]] = None,
     ):
         self.directory = Path(directory)
@@ -128,29 +121,14 @@ class JournalWriter:
             raise JournalError(
                 f"cannot create journal directory {directory}: {error}"
             ) from error
-        if segment_index is None:
-            segment_index = _next_segment_index(self.directory)
-        self.path = self.directory / f"{_PREFIX}{segment_index:06d}{_SUFFIX}"
+        self.path = sealed.next_numbered(self.directory, _PREFIX, _SUFFIX)
         self._seq = int(start_seq)
-        self._handle = None
+        self._log: Optional[sealed.SealedLog] = None
         self.post_append = post_append
 
     @property
     def next_seq(self) -> int:
         return self._seq
-
-    def _open(self) -> None:
-        try:
-            self._handle = open(self.path, "x", encoding="utf-8")
-        except OSError as error:
-            raise JournalError(
-                f"cannot create journal segment {self.path}: {error}"
-            ) from error
-        header = {"format": JOURNAL_FORMAT, "version": JOURNAL_VERSION}
-        self._handle.write(_canonical(header).decode("utf-8") + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        fsync_directory(self.directory)
 
     def append(
         self, kind: str, job: Optional[str] = None, **data: object
@@ -160,20 +138,14 @@ class JournalWriter:
         When this returns, the entry is fsynced — it is safe to
         acknowledge the corresponding request to a client.
         """
-        if self._handle is None:
-            self._open()
+        if self._log is None:
+            self._log = sealed.SealedLog(_JOURNAL, self.path, durable=True)
         seq = self._seq
         record: Dict[str, object] = {"seq": seq, "kind": kind, "data": data}
         if job is not None:
             record["job"] = job
-        body = _canonical(record)
-        sealed = dict(record)
-        sealed["crc32"] = zlib.crc32(body)
-        line = _canonical(sealed).decode("utf-8") + "\n"
         try:
-            self._handle.write(line)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            self._log.append(record)
         except OSError as error:
             raise JournalError(
                 f"cannot append to journal {self.path}: {error}"
@@ -184,13 +156,9 @@ class JournalWriter:
         return seq
 
     def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-            finally:
-                self._handle.close()
-                self._handle = None
+        if self._log is not None:
+            log, self._log = self._log, None
+            log.close()
 
     def __enter__(self) -> "JournalWriter":
         return self
@@ -199,103 +167,26 @@ class JournalWriter:
         self.close()
 
 
-def segment_paths(directory: os.PathLike) -> List[Path]:
-    """Existing journal segments, oldest first."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    return sorted(
-        (
-            path
-            for path in directory.glob(f"{_PREFIX}*{_SUFFIX}")
-            if path.is_file()
-        ),
-        key=lambda path: path.name,
-    )
-
-
-def _next_segment_index(directory: Path) -> int:
-    existing = segment_paths(directory)
-    if not existing:
-        return 1
-    stem = existing[-1].name[len(_PREFIX):-len(_SUFFIX)]
-    try:
-        return int(stem) + 1
-    except ValueError:
-        return len(existing) + 1
-
-
 def _replay_segment(
     path: Path, entries: List[JournalEntry], report: ReplayReport,
     salvage: bool,
 ) -> None:
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as error:
-        raise JournalError(
-            f"cannot read journal segment {path}: {error}"
-        ) from error
-    if not lines:
-        # A daemon that died between segment creation and the header
-        # flush; nothing was acknowledged through this segment.
-        report.problems.append(f"{path.name}: empty segment")
+    records, damage = sealed.read_log(_JOURNAL, path)
+    entries.extend(JournalEntry.from_record(record) for record in records)
+    if damage is None:
         return
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        header = None
-    if (
-        not isinstance(header, dict)
-        or header.get("format") != JOURNAL_FORMAT
-    ):
-        # A torn header means the first append never completed its
-        # fsync — again nothing acknowledged.
-        report.problems.append(f"{path.name}: torn/missing header")
-        return
-    if header.get("version") != JOURNAL_VERSION:
-        raise JournalCorruptError(
-            f"journal segment {path} has unsupported version "
-            f"{header.get('version')!r}"
+    if damage.torn:
+        # The in-flight append of a crashed incarnation — never
+        # acknowledged, safe to drop.
+        report.problems.append(f"{path.name}: torn tail dropped")
+    elif salvage:
+        report.problems.append(
+            f"{path.name}: line {damage.line} {damage.reason}; segment "
+            f"truncated there"
         )
-    last = len(lines) - 1
-    for index, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        tail = index == last
-        damage: Optional[str] = None
-        record = None
-        try:
-            record = json.loads(line)
-        except ValueError:
-            damage = "not valid JSON"
-        if damage is None and (
-            not isinstance(record, dict) or "crc32" not in record
-        ):
-            damage = "lacks a crc32 seal"
-        if damage is None:
-            claimed = record.pop("crc32")
-            if zlib.crc32(_canonical(record)) != claimed:
-                damage = "failed its CRC-32 self-check"
-        if damage is None:
-            try:
-                entries.append(JournalEntry.from_record(record))
-            except (KeyError, TypeError, ValueError):
-                damage = "has a malformed entry body"
-        if damage is None:
-            continue
-        if tail:
-            # The in-flight append of a crashed incarnation — never
-            # acknowledged, safe to drop.
-            report.problems.append(f"{path.name}: torn tail dropped")
-            return
-        if salvage:
-            report.problems.append(
-                f"{path.name}: line {index + 1} {damage}; segment "
-                f"truncated there"
-            )
-            return
+    else:
         raise JournalCorruptError(
-            f"journal segment {path} line {index + 1} {damage}"
+            f"journal segment {path} line {damage.line} {damage.reason}"
         )
 
 
@@ -315,7 +206,7 @@ def replay_journal(
     """
     report = report if report is not None else ReplayReport()
     entries: List[JournalEntry] = []
-    for path in segment_paths(directory):
+    for path in sealed.numbered_paths(directory, _PREFIX, _SUFFIX):
         report.segments += 1
         _replay_segment(path, entries, report, salvage)
     entries.sort(key=lambda entry: entry.seq)

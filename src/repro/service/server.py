@@ -35,10 +35,10 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import ServiceError
-from ..fsutil import replace_and_sync_directory
 from ..obs import Observability, record_memory
 from ..obs.health import HealthEngine, HealthRule, default_service_rules
 from ..obs.timeseries import MetricsScraper, TimeSeriesStore
+from ..sealed import atomic_write
 from ..testing import build_library
 from .api import ServiceApi, RequestError, read_request, render_response
 from .chaos import ServiceChaos
@@ -155,7 +155,10 @@ class ReproService:
         self._write_endpoint()
         # One synchronous tick before readiness: /timeseries and the
         # health engine have data from the first served request on.
+        # Flushing it too means every incarnation that reports ready
+        # has persisted history, however soon it is killed.
         self._scrape_tick()
+        self._flush_history()
         self._scrape_task = asyncio.get_running_loop().create_task(
             self._scrape_loop()
         )
@@ -168,14 +171,9 @@ class ReproService:
 
     def _write_endpoint(self) -> None:
         doc = {"host": self.host, "port": self.port, "pid": os.getpid()}
-        path = self.state_dir / ENDPOINT_FILE
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        replace_and_sync_directory(tmp, path)
+        atomic_write(
+            self.state_dir / ENDPOINT_FILE, (json.dumps(doc) + "\n").encode()
+        )
 
     # -- mission control -----------------------------------------------------
 

@@ -6,7 +6,7 @@ after the *parent directory* is fsynced.  These tests shim
 :mod:`repro.fsutil`'s ``os`` with a recording/fault-injecting double and
 assert two things about every durable artifact writer in the tree
 (checkpoints, column-store manifests and columns, metrics snapshots,
-journal segments, service endpoint files):
+time-series histories, journal segments, service endpoint files):
 
 1. the parent directory fsync happens, and happens **after** the
    rename (the ordering that makes the entry durable);
@@ -15,14 +15,17 @@ journal segments, service endpoint files):
    documented behavior for platforms without directory fsync.
 """
 
+import json
 import os
 
 import pytest
 
 import repro.fsutil as fsutil
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, TimeSeriesStore
 from repro.resilience.checkpoint import read_checkpoint, write_checkpoint
+from repro.service import ServiceThread
 from repro.service.journal import JournalWriter
+from repro.service.server import ENDPOINT_FILE
 
 
 class RecordingOs:
@@ -161,3 +164,20 @@ class TestWriters:
         assert "dir_fsync" in kinds, (
             "new journal segment's directory entry was never made durable"
         )
+
+    def test_timeseries_history(self, tmp_path, shim):
+        store = TimeSeriesStore()
+        store.record("g", 1.0, 100.0)
+        path = tmp_path / "timeseries.json"
+        store.save(path)
+        assert TimeSeriesStore.load(path).keys() == ["g"]
+        _assert_rename_then_dir_sync(shim, path)
+
+    def test_service_endpoint_file(self, tmp_path, shim, library):
+        endpoint = tmp_path / ENDPOINT_FILE
+        with ServiceThread(tmp_path, library=library):
+            assert json.loads(endpoint.read_text())["pid"] == os.getpid()
+        renamed = shim.calls.index(("replace", str(endpoint)))
+        after = shim.calls[renamed + 1:]
+        assert ("dir_open", str(tmp_path)) in after
+        assert "dir_fsync" in [kind for kind, _ in after]

@@ -613,6 +613,16 @@ class TestHistoryPersistence:
         # The restarted incarnation serves pre-restart history.
         assert set(before.keys()) <= set(doc["series"])
 
+    def test_history_flushed_before_first_ready(self, tmp_path, library):
+        # Default scrape interval and flush cadence: without a boot
+        # flush the first history file lands ten ticks after readiness,
+        # so a daemon killed sooner would lose all of its history.
+        state = tmp_path / "state"
+        with ServiceThread(state, library=library) as handle:
+            assert handle.service.history_flush_every == 10
+            store = TimeSeriesStore.load(state / "timeseries.json")
+            assert "repro_uptime_seconds" in store.keys()
+
     def test_torn_history_file_does_not_kill_boot(self, tmp_path, library):
         state = tmp_path / "state"
         state.mkdir()

@@ -187,6 +187,18 @@ class TestMetricsRegistry:
         # observation, including +Inf.
         assert samples['repro_h_seconds_bucket{le="+Inf"}'] == 1.0
 
+    @pytest.mark.parametrize("name", ["m.json", "m.prom"])
+    def test_non_utf8_byte_raises_observability_error(self, tmp_path, name):
+        registry = MetricsRegistry()
+        registry.counter("repro_n_total", "things").labels().inc()
+        path = tmp_path / name
+        registry.save(path)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"things") + 1] ^= 0x80
+        path.write_bytes(bytes(data))
+        with pytest.raises(ObservabilityError):
+            load_metrics(path)
+
     def test_save_sniffs_format_by_suffix(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("repro_n_total").labels().inc()
@@ -302,6 +314,41 @@ class TestTracer:
         path.write_text(body + "\n")
         with pytest.raises(TraceCorruptError):
             read_trace(path)
+
+    def _trace(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(JsonlTraceSink(path))
+        for index in range(3):
+            tracer.event("e", index=index)
+        tracer.close()
+        return path
+
+    def test_cut_inside_header_is_a_torn_tail(self, tmp_path):
+        path = self._trace(tmp_path)
+        path.write_bytes(path.read_bytes()[:10])
+        assert read_trace(path) == []
+        with pytest.raises(TraceCorruptError):
+            read_trace(path, strict=True)
+
+    def test_merged_final_lines_are_corruption_not_a_torn_tail(
+        self, tmp_path
+    ):
+        path = self._trace(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[data.rindex(b"\n", 0, len(data) - 1)] ^= 0x20
+        path.write_bytes(bytes(data))
+        for strict in (False, True):
+            with pytest.raises(TraceCorruptError, match="line 3"):
+                read_trace(path, strict=strict)
+
+    def test_non_utf8_byte_is_line_damage(self, tmp_path):
+        path = self._trace(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[data.index(b'"index":1') + 3] ^= 0x80
+        path.write_bytes(bytes(data))
+        for strict in (False, True):
+            with pytest.raises(TraceCorruptError, match="line 3"):
+                read_trace(path, strict=strict)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.errors import (
 from repro.cli import main
 from repro.obs import ListTraceSink, MetricsRegistry, Observability, Tracer
 from repro.resilience import CampaignSpec, CheckpointStore, ResilientCampaign
+from repro.sealed import canonical
 from repro.service import (
     JournalWriter,
     Rejected,
@@ -34,7 +35,6 @@ from repro.service import (
     parse_chaos_spec,
     replay_journal,
 )
-from repro.service.journal import _canonical
 from repro.service.scheduler import (
     JOB_DONE,
     JOB_EXPIRED,
@@ -126,10 +126,52 @@ class TestJournal:
         assert report.segments == 2
         assert len(report.problems) == 2
 
+    def _three_entry_segment(self, tmp_path):
+        with JournalWriter(tmp_path) as journal:
+            for job in ("a", "b", "c"):
+                journal.append("submit", job=job)
+        return next(tmp_path.glob("journal-*.wal"))
+
+    def test_flipped_header_bit_raises_by_default(self, tmp_path):
+        path = self._three_entry_segment(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"journal")] ^= 0x01  # "journal" -> "kournal"
+        path.write_bytes(bytes(data))
+        with pytest.raises(JournalCorruptError, match="line 1"):
+            replay_journal(tmp_path)
+        report = ReplayReport()
+        assert replay_journal(tmp_path, salvage=True, report=report) == []
+        assert any("truncated" in p for p in report.problems)
+
+    def test_merged_final_lines_are_corruption_not_a_torn_tail(
+        self, tmp_path
+    ):
+        # A flipped newline before the last entry merges two fsynced,
+        # acknowledged entries into one terminated line.
+        path = self._three_entry_segment(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[data.rindex(b"\n", 0, len(data) - 1)] ^= 0x20
+        path.write_bytes(bytes(data))
+        with pytest.raises(JournalCorruptError, match="line 3"):
+            replay_journal(tmp_path)
+        report = ReplayReport()
+        entries = replay_journal(tmp_path, salvage=True, report=report)
+        assert [e.job for e in entries] == ["a"]
+        assert not any("torn" in p for p in report.problems)
+        assert any("truncated" in p for p in report.problems)
+
+    def test_non_utf8_byte_is_line_damage(self, tmp_path):
+        path = self._three_entry_segment(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[data.index(b'"job":"b"') + 7] ^= 0x80
+        path.write_bytes(bytes(data))
+        with pytest.raises(JournalCorruptError, match="line 3"):
+            replay_journal(tmp_path)
+
     def test_unsupported_version_raises(self, tmp_path):
         header = {"format": "repro-service-journal", "version": 99}
         (tmp_path / "journal-000001.wal").write_text(
-            _canonical(header).decode() + "\n"
+            canonical(header).decode() + "\n"
         )
         with pytest.raises(JournalCorruptError):
             replay_journal(tmp_path)
@@ -142,7 +184,7 @@ class TestJournal:
         ).read_text().splitlines()[1]
         record = json.loads(line)
         claimed = record.pop("crc32")
-        assert zlib.crc32(_canonical(record)) == claimed
+        assert zlib.crc32(canonical(record)) == claimed
 
 
 # -- chaos spec grammar ------------------------------------------------------
@@ -201,6 +243,23 @@ class TestRecovery:
         # auto-id numbering continues past the replayed maximum
         assert scheduler._next_job_number == 3
         assert all(r.recovered for r in scheduler.jobs.values())
+
+    def test_boots_over_a_non_utf8_byte_mid_segment(
+        self, tmp_path, library
+    ):
+        spec = CampaignSpec(**SPEC).to_dict()
+        with self._journal(tmp_path) as journal:
+            for job in ("job-000001", "job-000002", "job-000003"):
+                journal.append("submit", job=job, spec=spec)
+        path = next((tmp_path / "journal").glob("journal-*.wal"))
+        data = bytearray(path.read_bytes())
+        data[data.index(b"job-000002") + 2] ^= 0x80  # one bit of rot
+        path.write_bytes(bytes(data))
+        scheduler = CampaignScheduler(tmp_path, library)
+        assert scheduler.pending_jobs() == ["job-000001"]
+        assert any(
+            "truncated" in p for p in scheduler.replay_report.problems
+        )
 
     def test_journaled_verdict_without_file_is_rerun(self, tmp_path, library):
         spec = CampaignSpec(**SPEC).to_dict()
