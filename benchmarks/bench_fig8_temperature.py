@@ -11,7 +11,6 @@ temperature, run the failed testcase repeatedly, count errors/minute.
 """
 
 from repro.analysis import render_table, temperature_sweep
-from repro.perf.parallel import deterministic_map
 from repro.testing import ToolchainRunner
 
 from conftest import run_once
@@ -35,20 +34,8 @@ def _loop_for(library, mnemonic):
     )
 
 
-def _run_sweep(task):
-    """One Figure-8 sweep, self-contained so any worker can run it.
-
-    Rebuilding the catalog and library inside the task makes the result
-    identical whether deterministic_map runs it in a pool worker or
-    falls back to in-process serial execution (single-CPU machines,
-    degraded pools).
-    """
-    cpu, mnemonic = task
-    from repro.cpu import full_catalog
-    from repro.testing import build_library
-
-    catalog = full_catalog()
-    library = build_library()
+def _run_sweep(catalog, library, cpu, mnemonic):
+    """One Figure-8 sweep: a fresh runner on ``cpu``'s strongest core."""
     runner = ToolchainRunner(catalog[cpu])
     defect = catalog[cpu].defects[0]
     pcore = max(defect.core_ids, key=lambda c: defect.core_multiplier(c))
@@ -68,13 +55,11 @@ def _run_sweep(task):
 
 def test_fig8_frequency_vs_temperature(benchmark, catalog, library):
     def measure():
-        results = deterministic_map(
-            _run_sweep, [(cpu, mnemonic) for cpu, mnemonic, _ in SWEEPS]
-        )
-        return {
-            cpu: (sweep, fit, paper_r)
-            for (cpu, _, paper_r), (sweep, fit) in zip(SWEEPS, results)
-        }
+        fits = {}
+        for cpu, mnemonic, paper_r in SWEEPS:
+            sweep, fit = _run_sweep(catalog, library, cpu, mnemonic)
+            fits[cpu] = (sweep, fit, paper_r)
+        return fits
 
     fits = run_once(benchmark, measure)
 

@@ -36,8 +36,7 @@ from repro.fleet import (
     VectorizedTestPipeline,
     generate_fleet,
 )
-from repro.obs import logging_setup
-from repro.perf.parallel import default_workers
+from repro.obs import effective_cores, logging_setup
 from repro.testing import build_library
 
 logger = logging.getLogger("repro.bench.perf_fleet")
@@ -104,7 +103,7 @@ def run(args: argparse.Namespace) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "effective_cores": default_workers(),
+        "effective_cores": effective_cores(),
     }
     return {
         "benchmark": "bench_perf_fleet",

@@ -46,8 +46,12 @@ from repro.fleet import (
     stats,
 )
 from repro.fleet.pipeline import FleetStudyResult
-from repro.obs import Observability, logging_setup, record_memory
-from repro.perf.parallel import default_workers
+from repro.obs import (
+    Observability,
+    effective_cores,
+    logging_setup,
+    record_memory,
+)
 from repro.testing import build_library
 
 logger = logging.getLogger("repro.bench.perf_scale")
@@ -183,7 +187,7 @@ def run(args: argparse.Namespace) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "effective_cores": default_workers(),
+            "effective_cores": effective_cores(),
         },
     }
 

@@ -43,8 +43,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.fleet import FleetSpec, generate_fleet
-from repro.obs import Observability, logging_setup, read_trace
-from repro.perf.parallel import default_workers
+from repro.obs import (
+    Observability,
+    effective_cores,
+    logging_setup,
+    read_trace,
+)
 from repro.testing import BatchScreeningEngine, TestFramework, build_library
 from repro.testing.framework import PlanEntry, TestPlan
 
@@ -232,7 +236,7 @@ def run(args: argparse.Namespace) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "effective_cores": default_workers(),
+            "effective_cores": effective_cores(),
         },
     }
 

@@ -75,7 +75,6 @@ from .core import (
     ApplicationProfile,
     Farron,
     coverage_experiment,
-    overhead_experiment,
     simulate_online,
 )
 
@@ -118,7 +117,6 @@ __all__ = [
     "ApplicationProfile",
     "Farron",
     "coverage_experiment",
-    "overhead_experiment",
     "simulate_online",
     "__version__",
 ]

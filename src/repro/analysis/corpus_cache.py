@@ -1,22 +1,17 @@
 """On-disk cache of materialized SDC-record corpora.
 
-The §2.4 catalog corpus ("more than ten thousand SDC records") is
-deterministic — the same catalog, library, and run parameters always
-produce the same :class:`~repro.testing.records.RecordStore` — yet
-materializing it walks 27 processors × 633 testcases through the
-toolchain.  Figure benchmarks and the columnar speedup harness each
-re-derive it, so this module memoizes the store on disk:
+A record corpus is deterministic — the same inputs always produce the
+same :class:`~repro.testing.records.RecordStore` — but can be slow to
+materialize, so this module memoizes stores on disk:
 
-* the cache **key** is a SHA-256 fingerprint of everything the corpus
-  depends on — run parameters plus descriptors of every processor
-  (arch, defects, instructions, affected cores) and every testcase id —
-  so any change to the catalog or library changes the file name rather
-  than serving stale records;
+* the cache **key** is chosen by the caller, who must make it name
+  everything the store depends on: the cache cannot tell when a key
+  goes stale;
 * the cache **file** is a campaign checkpoint
   (:func:`repro.resilience.checkpoint.write_checkpoint`), a sealed
   document (:mod:`repro.sealed`): CRC-32 self-check, atomic write.
   A torn or bit-rotted cache file fails its self-check and the corpus
-  is recomputed — the cache can be slow, never wrong;
+  is recomputed — damage costs time, never serves wrong records;
 * records round-trip exactly: Python ints carry the 80-bit FLOAT64X
   patterns without truncation, and JSON floats use shortest-repr
   encoding, so the reloaded store compares equal field for field.
@@ -24,23 +19,17 @@ re-derive it, so this module memoizes the store on disk:
 
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from ..cpu.features import DataType
-from ..cpu.processor import Processor
 from ..errors import CheckpointError
 from ..resilience.checkpoint import read_checkpoint, write_checkpoint
-from ..sealed import canonical
-from ..testing.library import TestcaseLibrary
 from ..testing.records import ConsistencyRecord, RecordStore, SDCRecord
 from .columnar import RecordFrame, load_record_frame, save_record_frame
-from .observations import build_catalog_corpus
 
 __all__ = [
-    "corpus_fingerprint",
     "save_corpus",
     "load_corpus",
     "CorpusCache",
@@ -68,42 +57,6 @@ _CONSISTENCY_FIELDS = (
     "temperature_c",
     "time_s",
 )
-
-
-def corpus_fingerprint(
-    catalog: Dict[str, Processor],
-    library: TestcaseLibrary,
-    **parameters: object,
-) -> str:
-    """Content key for a corpus materialization.
-
-    Covers the catalog's observable generator inputs (processor ids,
-    architectures, defect ids, defective instructions, affected cores),
-    the library's testcase ids, and any keyword run parameters (seed,
-    temperature, duration).  Two materializations with the same
-    fingerprint produce the same records.
-    """
-    descriptor = {
-        "parameters": {k: repr(v) for k, v in sorted(parameters.items())},
-        "processors": [
-            {
-                "id": processor.processor_id,
-                "arch": processor.arch.name,
-                "defects": [
-                    {
-                        "id": defect.defect_id,
-                        "instructions": list(defect.instructions),
-                        "cores": list(defect.core_ids),
-                        "datatypes": [d.name for d in defect.datatypes],
-                    }
-                    for defect in processor.defects
-                ],
-            }
-            for processor in catalog.values()
-        ],
-        "testcases": [testcase.testcase_id for testcase in library],
-    }
-    return hashlib.sha256(canonical(descriptor)).hexdigest()[:20]
 
 
 def save_corpus(path: os.PathLike, store: RecordStore) -> None:
@@ -160,7 +113,7 @@ def load_corpus(path: os.PathLike) -> RecordStore:
 
 
 class CorpusCache:
-    """A directory of fingerprint-keyed corpus snapshots."""
+    """A directory of corpus snapshots, one per caller-chosen key."""
 
     _PREFIX = "corpus-"
     _SUFFIX = ".ckpt"
@@ -171,33 +124,6 @@ class CorpusCache:
         #: Whether the last :meth:`get_or_build` call was served from
         #: disk — observable for tests and benchmark reporting.
         self.last_hit: Optional[bool] = None
-        # Fingerprint memo: hashing walks every processor descriptor and
-        # testcase id (O(catalog)); repeat lookups of the same live
-        # objects are the overwhelmingly common case (every figure
-        # benchmark re-keys the same corpus), so memoize on object
-        # identity + parameters.  The pin list keeps the keyed objects
-        # alive so a recycled ``id()`` can never alias a stale entry.
-        self._fingerprints: Dict[tuple, str] = {}
-        self._pins: list = []
-
-    def fingerprint(
-        self,
-        catalog: Dict[str, Processor],
-        library: TestcaseLibrary,
-        **parameters: object,
-    ) -> str:
-        """Memoized :func:`corpus_fingerprint` — O(1) on repeat lookups."""
-        key = (
-            id(catalog),
-            id(library),
-            tuple((k, repr(v)) for k, v in sorted(parameters.items())),
-        )
-        cached = self._fingerprints.get(key)
-        if cached is None:
-            cached = corpus_fingerprint(catalog, library, **parameters)
-            self._fingerprints[key] = cached
-            self._pins.append((catalog, library))
-        return cached
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"{self._PREFIX}{key}{self._SUFFIX}"
@@ -262,30 +188,3 @@ class CorpusCache:
         except CheckpointError:  # pragma: no cover - read-only cache dir
             pass
         return frame
-
-    def catalog_corpus(
-        self,
-        catalog: Dict[str, Processor],
-        library: TestcaseLibrary,
-        temperature_c: float = 78.0,
-        duration_s: float = 900.0,
-        builder: Optional[Callable[[], RecordStore]] = None,
-    ) -> RecordStore:
-        """Cached :func:`repro.analysis.observations.build_catalog_corpus`.
-
-        ``builder`` overrides *how* a miss is materialized (e.g. the
-        benchmark suite's process-parallel builder); the result is
-        identical either way, which is exactly what the fingerprint key
-        asserts.
-        """
-        key = self.fingerprint(
-            catalog,
-            library,
-            temperature_c=temperature_c,
-            duration_s=duration_s,
-        )
-        if builder is None:
-            builder = lambda: build_catalog_corpus(  # noqa: E731
-                catalog, library, temperature_c, duration_s
-            )
-        return self.get_or_build(key, builder)

@@ -16,11 +16,7 @@ from .evaluation import (
     ApplicationProfile,
     CoverageResult,
     OnlineSimulationResult,
-    OverheadResult,
     coverage_experiment,
-    coverage_experiment_group,
-    coverage_sweep,
-    overhead_experiment,
     simulate_online,
 )
 from .batch_online import simulate_online_batch
@@ -47,11 +43,7 @@ __all__ = [
     "ApplicationProfile",
     "CoverageResult",
     "OnlineSimulationResult",
-    "OverheadResult",
     "coverage_experiment",
-    "coverage_experiment_group",
-    "coverage_sweep",
-    "overhead_experiment",
     "simulate_online",
     "simulate_online_batch",
 ]

@@ -14,7 +14,7 @@ temperature control and no per-core salvage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Optional, Set
 
 from ..errors import ConfigurationError
 from ..cpu.processor import Processor
@@ -87,58 +87,6 @@ class AlibabaBaseline:
         return BaselineOutcome(
             processor.processor_id, report, report.detected
         )
-
-    def pre_production_test_many(
-        self, processors: Sequence[Processor]
-    ) -> List[BaselineOutcome]:
-        """:meth:`pre_production_test` for a whole delivery batch.
-
-        The equal-allocation round executes as one group on the
-        framework's engine (the batch engine screens every processor
-        simultaneously); deprecation bookkeeping then applies in input
-        order.  Bit-identical to looping :meth:`pre_production_test`.
-        """
-        plan = self.framework.equal_allocation_plan(
-            self.config.pre_production_per_testcase_s
-        )
-        reports = self.framework.execute_batch(plan, processors)
-        outcomes = []
-        for processor, report in zip(processors, reports):
-            if report.detected:
-                self.deprecated.add(processor.processor_id)
-            outcomes.append(
-                BaselineOutcome(
-                    processor.processor_id, report, report.detected
-                )
-            )
-        return outcomes
-
-    def regular_test_many(
-        self, processors: Sequence[Processor]
-    ) -> List[BaselineOutcome]:
-        """One regular round across processors at once.
-
-        Same grouping as :meth:`pre_production_test_many`; the
-        already-deprecated check runs up front for every processor so a
-        mixed batch fails fast before any simulation time is spent.
-        """
-        for processor in processors:
-            if processor.processor_id in self.deprecated:
-                raise ConfigurationError(
-                    f"{processor.processor_id} was already deprecated"
-                )
-        plan = self.framework.equal_allocation_plan(self.config.per_testcase_s)
-        reports = self.framework.execute_batch(plan, processors)
-        outcomes = []
-        for processor, report in zip(processors, reports):
-            if report.detected:
-                self.deprecated.add(processor.processor_id)
-            outcomes.append(
-                BaselineOutcome(
-                    processor.processor_id, report, report.detected
-                )
-            )
-        return outcomes
 
     def testing_overhead(self) -> float:
         """Table 4's baseline overhead: round duration / three months."""

@@ -16,12 +16,12 @@ thanks to the adaptive boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..obs.context import span
-from ..rng import derive_seed, substream
+from ..rng import substream
 from ..cpu.features import Feature
 from ..cpu.processor import Processor
 from ..faults.trigger import TriggerModel
@@ -32,18 +32,14 @@ from ..thermal.cooling import CoolingDevice
 from ..thermal.model import PackageThermalModel
 from .baseline import AlibabaBaseline
 from .boundary import BoundaryDecision
-from .farron import Farron, FarronConfig
+from .farron import Farron
 
 __all__ = [
     "ApplicationProfile",
     "CoverageResult",
     "OnlineSimulationResult",
-    "OverheadResult",
     "coverage_experiment",
-    "coverage_experiment_group",
-    "coverage_sweep",
     "simulate_online",
-    "overhead_experiment",
 ]
 
 
@@ -163,237 +159,6 @@ def coverage_experiment(
         known_settings=len(known),
         detected_settings=len(detected),
         round_duration_s=report.total_duration_s,
-    )
-
-
-def coverage_experiment_group(
-    processors: List[Processor],
-    library: TestcaseLibrary,
-    strategy: str,
-    app_features: Optional[Set[Feature]] = None,
-    seeds: Optional[List[int]] = None,
-    obs=None,
-) -> List[CoverageResult]:
-    """:func:`coverage_experiment` for a group, phase-batched.
-
-    Bit-identical to calling :func:`coverage_experiment` per processor
-    with the matching seed: every ``framework.execute`` inside the
-    scalar experiment starts a fresh runner — fresh substream position,
-    idle-equilibrium thermal state — so each phase (ground truth,
-    pre-production seeding, the measured regular round) batches across
-    the whole group with no cross-lane coupling.  Heterogeneous phases
-    (per-processor candidate plans, Farron's prioritized plans) run in
-    lockstep on the batch engine.
-    """
-    if strategy not in ("baseline", "farron"):
-        raise ConfigurationError(f"unknown strategy {strategy!r}")
-    from ..testing.batch import screen_plans
-    from ..testing.framework import TestFramework as _TF
-
-    n = len(processors)
-    seeds = [0] * n if seeds is None else list(seeds)
-    if len(seeds) != n:
-        raise ConfigurationError(f"got {len(seeds)} seeds for {n} processors")
-    frameworks = [
-        _TF(library, seed=seed) for seed in seeds
-    ]
-    with span(
-        obs, "coverage.group", lanes=n, strategy=strategy, mode="batch"
-    ):
-        # Ground truth: per-processor generous candidate plans.
-        known_plans = [
-            fw.known_failing_plan(processor)
-            for fw, processor in zip(frameworks, processors)
-        ]
-        known = [
-            report.failed_settings()
-            for report in screen_plans(
-                processors, known_plans, library, seed=seeds, obs=obs
-            )
-        ]
-        if strategy == "baseline":
-            per_testcase_s = AlibabaBaseline(library).config.per_testcase_s
-            plans = [
-                fw.equal_allocation_plan(per_testcase_s) for fw in frameworks
-            ]
-            reports = screen_plans(
-                processors, plans, library, seed=seeds, obs=obs
-            )
-            return [
-                CoverageResult(
-                    processor_id=processor.processor_id,
-                    strategy="baseline",
-                    known_settings=len(known[i]),
-                    detected_settings=len(
-                        reports[i].failed_settings() & known[i]
-                    ),
-                    round_duration_s=reports[i].total_duration_s,
-                )
-                for i, processor in enumerate(processors)
-            ]
-        # Farron: a pre-production round seeds each processor's
-        # priorities, then the measured regular round runs the
-        # scheduler's prioritized plan.
-        farrons = [Farron(library, framework=fw) for fw in frameworks]
-        pre_plans = [
-            fw.equal_allocation_plan(
-                farron.config.pre_production_per_testcase_s
-            )
-            for fw, farron in zip(frameworks, farrons)
-        ]
-        pre_reports = screen_plans(
-            processors, pre_plans, library, seed=seeds, obs=obs
-        )
-        regular_plans = []
-        for i, processor in enumerate(processors):
-            farron = farrons[i]
-            farron.pool.add(processor)
-            farron.priorities.record_processor_detections(
-                processor.processor_id, pre_reports[i].failed_testcase_ids
-            )
-            boundary = farron.boundary_for(processor.processor_id)
-            regular_plans.append(
-                farron.scheduler.regular_plan(
-                    processor.processor_id, boundary.boundary_c, app_features
-                )
-            )
-        reports = screen_plans(
-            processors, regular_plans, library, seed=seeds, obs=obs
-        )
-    return [
-        CoverageResult(
-            processor_id=processor.processor_id,
-            strategy="farron",
-            known_settings=len(known[i]),
-            detected_settings=len(reports[i].failed_settings() & known[i]),
-            round_duration_s=reports[i].total_duration_s,
-        )
-        for i, processor in enumerate(processors)
-    ]
-
-
-# Per-worker context for coverage_sweep: the library and app features
-# are shipped once per worker process (initializer), not once per task.
-_SWEEP_CONTEXT: Dict[str, object] = {}
-
-
-def _coverage_sweep_init(library, app_features) -> None:
-    _SWEEP_CONTEXT["library"] = library
-    _SWEEP_CONTEXT["app_features"] = app_features
-
-
-def _coverage_sweep_task(task) -> CoverageResult:
-    processor, strategy, seed = task
-    return coverage_experiment(
-        processor,
-        _SWEEP_CONTEXT["library"],
-        strategy,
-        app_features=_SWEEP_CONTEXT["app_features"],
-        seed=seed,
-    )
-
-
-def _coverage_sweep_group_task(task) -> List[CoverageResult]:
-    processors, strategy, seeds = task
-    return coverage_experiment_group(
-        list(processors),
-        _SWEEP_CONTEXT["library"],
-        strategy,
-        app_features=_SWEEP_CONTEXT["app_features"],
-        seeds=list(seeds),
-    )
-
-
-def coverage_sweep(
-    processors: List[Processor],
-    library: TestcaseLibrary,
-    strategy: str,
-    app_features: Optional[Set[Feature]] = None,
-    seed: int = 0,
-    workers: Optional[int] = None,
-    retries: int = 0,
-    timeout_s: Optional[float] = None,
-    health=None,
-    obs=None,
-    engine: str = "scalar",
-    group_size: int = 16,
-) -> List[CoverageResult]:
-    """Figure 11 across many processors, process-parallel and supervised.
-
-    Each processor's experiment is seeded from its own id
-    (``derive_seed(seed, "coverage-sweep", processor_id)``) and results
-    come back in processor order, so the output is bit-identical for
-    any ``workers`` value — parallelism only changes wall-clock time.
-    Retries and pool degradation re-run pure tasks, so supervision
-    (``retries``, ``timeout_s``, ``health`` — see
-    :func:`repro.perf.parallel.deterministic_map`) never changes
-    results either; a sweep item that keeps failing surfaces as
-    :class:`~repro.errors.TransientWorkerError` naming the processor.
-
-    ``engine="batch"`` groups ``group_size`` processors per worker
-    task and runs each group's experiment phases on the batched
-    screening engine (:func:`coverage_experiment_group`); per-processor
-    seeds are derived exactly as in the scalar sweep, so results stay
-    bit-identical — grouping and batching only change wall-clock time.
-    The scalar path (one processor per task) is unchanged.
-    """
-    if strategy not in ("baseline", "farron"):
-        # Fail fast in the parent: otherwise every worker task fails
-        # one by one, each burning its whole retry budget.
-        raise ConfigurationError(f"unknown strategy {strategy!r}")
-    if engine not in ("scalar", "batch"):
-        raise ConfigurationError(
-            f"engine must be 'scalar' or 'batch', got {engine!r}"
-        )
-    if group_size <= 0:
-        raise ConfigurationError("group_size must be positive")
-    # Imported here, not at module top: repro.perf.parallel pulls in
-    # repro.core.backoff, so a top-level import would be circular when
-    # the perf layer loads first.
-    from ..perf.parallel import deterministic_map
-
-    if engine == "batch":
-        group_tasks = []
-        for start in range(0, len(processors), group_size):
-            group = processors[start:start + group_size]
-            group_tasks.append((
-                group,
-                strategy,
-                [
-                    derive_seed(seed, "coverage-sweep", p.processor_id)
-                    for p in group
-                ],
-            ))
-        grouped = deterministic_map(
-            _coverage_sweep_group_task,
-            group_tasks,
-            workers=workers,
-            initializer=_coverage_sweep_init,
-            initargs=(library, app_features),
-            retries=retries,
-            timeout_s=timeout_s,
-            health=health,
-            obs=obs,
-        )
-        return [result for group in grouped for result in group]
-    tasks = [
-        (
-            processor,
-            strategy,
-            derive_seed(seed, "coverage-sweep", processor.processor_id),
-        )
-        for processor in processors
-    ]
-    return deterministic_map(
-        _coverage_sweep_task,
-        tasks,
-        workers=workers,
-        initializer=_coverage_sweep_init,
-        initargs=(library, app_features),
-        retries=retries,
-        timeout_s=timeout_s,
-        health=health,
-        obs=obs,
     )
 
 
@@ -573,47 +338,3 @@ def _online_step_loop(
                         defect, setting_key, temp, usage, core, dt_s, rng
                     )
     return sdc_count, max_temp
-
-
-@dataclass
-class OverheadResult:
-    """Table 4's row for one processor."""
-
-    processor_id: str
-    farron_test_overhead: float
-    farron_control_overhead: float
-    baseline_test_overhead: float
-
-    @property
-    def farron_total_overhead(self) -> float:
-        return self.farron_test_overhead + self.farron_control_overhead
-
-
-def overhead_experiment(
-    processor: Processor,
-    library: TestcaseLibrary,
-    app: ApplicationProfile,
-    online_hours: float = 8.0,
-    framework: Optional[TestFramework] = None,
-    seed: int = 0,
-) -> OverheadResult:
-    """Measure one Table-4 row: Farron test + control vs baseline test."""
-    framework = framework or TestFramework(library, seed=seed)
-    farron_coverage = coverage_experiment(
-        processor, library, "farron", framework=framework, seed=seed
-    )
-    farron = Farron(library, framework=framework)
-    online = simulate_online(
-        processor, app, hours=online_hours, protected=True,
-        farron=farron, seed=seed,
-    )
-    baseline = AlibabaBaseline(library, framework=framework)
-    return OverheadResult(
-        processor_id=processor.processor_id,
-        farron_test_overhead=(
-            farron_coverage.round_duration_s
-            / FarronConfig().regular_period_s
-        ),
-        farron_control_overhead=online.control_overhead,
-        baseline_test_overhead=baseline.testing_overhead(),
-    )

@@ -19,7 +19,7 @@ from ..errors import ConfigurationError
 from ..faults.injector import CorruptionEvent, FaultInjector
 from ..faults.trigger import TriggerModel
 from ..rng import substream
-from .isa import DEFAULT_ISA, ISA, Instruction
+from .isa import DEFAULT_ISA, ISA
 from .processor import Processor
 
 __all__ = ["ProgramStep", "ExecutionResult", "Executor"]
@@ -166,8 +166,3 @@ class Executor:
     def golden(self, program: Sequence[ProgramStep]) -> List[object]:
         """Architecturally correct results (no injection) for a program."""
         return [self.isa[m].execute(*ops) for m, ops in program]
-
-
-def instruction_for(isa: ISA, mnemonic: str) -> Instruction:
-    """Lookup helper kept for symmetry with the module's public API."""
-    return isa[mnemonic]

@@ -14,7 +14,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from .defects import Defect
-from .features import Feature
 
 __all__ = ["MicroArchitecture", "LogicalCore", "PhysicalCore", "Processor"]
 
@@ -145,9 +144,6 @@ class Processor:
 
     def defects_for_core(self, pcore_id: int) -> List[Defect]:
         return [d for d in self.defects if d.affects_core(pcore_id)]
-
-    def has_feature_defect(self, feature: Feature) -> bool:
-        return feature in self.defective_features()
 
     # -- decommission -------------------------------------------------------
 

@@ -54,12 +54,6 @@ class BitflipModel(abc.ABC):
     def sample_mask(self, dtype: DataType, rng: np.random.Generator) -> int:
         """Return a non-zero XOR mask that fits in ``dtype.width`` bits."""
 
-    def corrupt_bits(
-        self, bits: int, dtype: DataType, rng: np.random.Generator
-    ) -> int:
-        """Apply a sampled mask to a bit pattern."""
-        return bits ^ self.sample_mask(dtype, rng)
-
 
 def _sample_flip_count(
     probs: Sequence[float], rng: np.random.Generator, max_bits: int

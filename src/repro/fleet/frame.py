@@ -187,8 +187,6 @@ class LazyFaultyList(Sequence):
     lowering path; integer access materializes the window-aligned block
     around the index — the replay path, which walks CPUs in order
     within a shard and therefore hits the cache after the first touch.
-    Pickling drops the cache, so a pickled population costs only the
-    SoA columns.
     """
 
     def __init__(self, frame: FleetFrame, window: int = DEFAULT_CHUNK_SIZE, obs=None):
@@ -258,13 +256,6 @@ class LazyFaultyList(Sequence):
         for start in range(0, len(self), self._window):
             stop = min(start + self._window, len(self))
             yield from self._materialize(start, stop)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_cache_range"] = None
-        state["_cache"] = []
-        state["obs"] = None
-        return state
 
 
 class FrameFleetPopulation(FleetPopulation):

@@ -7,8 +7,8 @@ through the campaign engines, the resilience layer, and the online
 simulators via a keyword-only ``obs=None`` parameter:
 
 * :class:`MetricsRegistry` — counters/gauges/histograms with labeled
-  series, exact snapshot/merge aggregation,
-  Prometheus-text and canonical-JSON (CRC-32 self-checking) exporters.
+  series, Prometheus-text and canonical-JSON (CRC-32 self-checking)
+  exporters.
 * :class:`Tracer` / :class:`JsonlTraceSink` — context-manager spans
   and point events on an injected monotonic clock (telemetry never
   consumes RNG draws), persisted as self-checking JSONL.
@@ -24,7 +24,12 @@ from .export import to_chrome_trace, write_chrome_trace
 from .health import HealthEngine, HealthRule, default_service_rules
 from .logconf import logging_setup
 from .metrics import DEFAULT_BUCKETS, MetricsRegistry, parse_prometheus_text
-from .procmem import current_rss_bytes, peak_rss_bytes, record_memory
+from .procmem import (
+    current_rss_bytes,
+    effective_cores,
+    peak_rss_bytes,
+    record_memory,
+)
 from .report import check_artifacts, load_metrics, render_report
 from .timeseries import DEFAULT_TIERS, MetricsScraper, Tier, TimeSeriesStore
 from .tracing import (
@@ -56,6 +61,7 @@ __all__ = [
     "check_artifacts",
     "current_rss_bytes",
     "default_service_rules",
+    "effective_cores",
     "iter_spans",
     "peak_rss_bytes",
     "record_memory",

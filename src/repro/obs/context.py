@@ -161,8 +161,6 @@ class Observability:
         attrs = {"detail": event.detail}
         if event.shard is not None:
             attrs["shard"] = event.shard
-        if event.item is not None:
-            attrs["item"] = event.item
         self.tracer.event(f"health.{event.kind}", **attrs)
 
 
@@ -190,7 +188,7 @@ _HELP = {
     "repro_sleep_seconds_total":
         "Seconds slept in backoff/chaos delays, by reason.",
     "repro_retry_total":
-        "Retries attempted, by scope (shard/item).",
+        "Retries attempted, by scope (shard).",
     "repro_online_steps_total":
         "Online-simulation control steps, by mode (scalar/batch).",
     "repro_online_sdc_total":

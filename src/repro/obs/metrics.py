@@ -7,16 +7,11 @@ for this reproduction: a small, stdlib-only instrument registry in the
 Prometheus data model (metric families carrying labeled series), built
 around three properties the campaign engines need:
 
-* **Exact snapshot/merge semantics.**  ``snapshot()`` produces a
-  canonical, JSON-able document and ``merge()`` folds one back in —
-  counters and histogram buckets add, gauges last-write-win — so
-  registries filled in separate processes or per shard aggregate into
-  totals that equal one registry's *exactly* (integer-valued float
-  adds of per-shard totals are associative at these magnitudes, and
-  the test suite pins the equality).
+* **Exact snapshots.**  ``snapshot()`` produces a canonical, JSON-able
+  document, and a saved document loads back into an equal registry.
 * **Fixed histogram bucket layouts.**  Buckets are part of a family's
-  identity; merging snapshots with different layouts is an error, never
-  a silent re-binning.
+  identity; a document whose rows disagree with its layout is an
+  error, never a silent re-binning.
 * **Boring, auditable exports.**  Prometheus exposition text for
   scrape-style consumers and a sealed JSON document
   (:mod:`repro.sealed`: CRC-32 self-check, atomic replace) for the
@@ -227,8 +222,7 @@ def _normalize_buckets(buckets: Iterable[float]) -> Tuple[float, ...]:
 class MetricsRegistry:
     """A process-local collection of metric families.
 
-    One registry per observability context; ``snapshot()`` documents
-    from other registries fold in with ``merge()``.
+    One registry per observability context.
     """
 
     def __init__(self) -> None:
@@ -296,7 +290,7 @@ class MetricsRegistry:
             name, _HISTOGRAM, help, labelnames, _normalize_buckets(buckets)
         )
 
-    # -- snapshot / merge ---------------------------------------------------
+    # -- snapshot / load ----------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """Canonical JSON-able document of every family and series."""
@@ -332,11 +326,15 @@ class MetricsRegistry:
             "families": families,
         }
 
-    def merge(self, snapshot: Dict[str, object]) -> None:
-        """Fold a :meth:`snapshot` document into this registry.
+    @classmethod
+    def _from_snapshot(cls, snapshot: Dict[str, object]) -> "MetricsRegistry":
+        """A registry holding the series of a :meth:`snapshot` document.
 
-        Counters and histograms add; gauges take the incoming value
-        (last write wins).  Family metadata must agree exactly.
+        The document comes from disk, so it is checked: format and
+        version must match, a name may not return with another kind,
+        labelnames or bucket layout, and a histogram row must have one
+        count per bucket.  Repeated rows of one series fold together:
+        counters and histograms add, gauges keep the last value.
         """
         if snapshot.get("format") != METRICS_FORMAT:
             raise ObservabilityError(
@@ -348,6 +346,7 @@ class MetricsRegistry:
                 f"metrics snapshot version {snapshot.get('version')!r} is "
                 f"not {METRICS_VERSION}"
             )
+        registry = cls()
         for entry in snapshot.get("families", ()):  # type: ignore[union-attr]
             kind = entry["kind"]
             buckets = (
@@ -355,7 +354,7 @@ class MetricsRegistry:
                 if kind == _HISTOGRAM
                 else None
             )
-            family = self._family(
+            family = registry._family(
                 entry["name"], kind, entry.get("help", ""),
                 tuple(entry.get("labelnames", ())), buckets,
             )
@@ -367,8 +366,7 @@ class MetricsRegistry:
                     incoming = row["bucket_counts"]
                     if len(incoming) != len(series.bucket_counts):
                         raise ObservabilityError(
-                            f"histogram {family.name!r} bucket layout "
-                            f"mismatch in merge"
+                            f"histogram {family.name!r} bucket layout mismatch"
                         )
                     for index, count in enumerate(incoming):
                         series.bucket_counts[index] += count
@@ -376,11 +374,6 @@ class MetricsRegistry:
                     series.value += row["value"]
                 else:
                     series.value = row["value"]
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict[str, object]) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge(snapshot)
         return registry
 
     # -- value access (tests, reports) --------------------------------------
@@ -459,7 +452,7 @@ class MetricsRegistry:
     def from_json(cls, text) -> "MetricsRegistry":
         """Parse :meth:`to_json` output (text or bytes), verifying the
         CRC self-check."""
-        return cls.from_snapshot(
+        return cls._from_snapshot(
             sealed.unseal_document(_DOCUMENT, text, "metrics document")
         )
 

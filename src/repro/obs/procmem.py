@@ -1,4 +1,4 @@
-"""Process-memory sampling for bounded-RSS campaigns.
+"""Process-resource sampling for bounded-RSS campaigns and benchmarks.
 
 The out-of-core substrate's whole promise is a resident-set bound; that
 bound has to be *measured*, not assumed.  This module reads the two
@@ -6,6 +6,10 @@ numbers that matter — current RSS (``/proc/self/statm`` where procfs
 exists) and peak RSS (``getrusage``'s high-water mark, which no later
 free ever lowers) — and mirrors them into the telemetry registry so
 ``obs-report --check`` and the scale benchmark can gate on them.
+
+It also reports the CPU budget a benchmark ran under
+(:func:`effective_cores`), which benchmark reports record beside their
+RSS readings as provenance.
 
 Everything degrades gracefully: platforms without procfs fall back to
 ``getrusage`` for current RSS too, and platforms without ``resource``
@@ -22,7 +26,12 @@ try:  # pragma: no cover - stdlib on POSIX, absent on some platforms
 except ImportError:  # pragma: no cover
     resource = None
 
-__all__ = ["current_rss_bytes", "peak_rss_bytes", "record_memory"]
+__all__ = [
+    "current_rss_bytes",
+    "effective_cores",
+    "peak_rss_bytes",
+    "record_memory",
+]
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -33,6 +42,21 @@ def _ru_maxrss_bytes() -> int:
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is KiB on Linux, bytes on macOS.
     return maxrss * (1 if sys.platform == "darwin" else 1024)
+
+
+def effective_cores() -> int:
+    """The CPUs this process may run on.
+
+    ``os.cpu_count()`` reports the machine, not the process:
+    containerized CI commonly pins a job to a CPU subset (cpuset).  The
+    scheduler affinity mask is the honest budget where the platform
+    exposes it (Linux); elsewhere fall back to the CPU count.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS/Windows: no affinity API
+        cores = os.cpu_count() or 1
+    return max(1, cores)
 
 
 def current_rss_bytes() -> int:

@@ -1,4 +1,4 @@
-"""Performance primitives: exact RNG replay and deterministic parallelism.
+"""Performance primitives: exact RNG replay.
 
 This package holds the machinery that lets the hot paths go fast
 *without changing any observable result*:
@@ -8,21 +8,15 @@ This package holds the machinery that lets the hot paths go fast
   ``SeedSequence`` hash-mix, PCG64, uniform and ziggurat-normal
   variates).  Used by :mod:`repro.fleet.vectorized` to resolve
   thousands of trigger behaviours in a few array ops.
-* :mod:`repro.perf.parallel` — a deterministic ``ProcessPoolExecutor``
-  map with ordered collection and per-task seeding, used for
-  independent per-CPU toolchain campaigns.
 * :mod:`repro.perf.ziggurat_tables` — the bit patterns of NumPy's
   ziggurat tables, embedded so the replay cannot drift with library
   formatting.
 """
 
 from .exact_rng import VectorPCG64, derive_seed_batch, pcg64_state_words
-from .parallel import default_workers, deterministic_map
 
 __all__ = [
     "VectorPCG64",
     "derive_seed_batch",
     "pcg64_state_words",
-    "default_workers",
-    "deterministic_map",
 ]

@@ -129,8 +129,7 @@ class ChaosInjector:
             observed_sleep(self.obs, self.delay_s, "chaos_delay")
         if self._take(shard, "exception"):
             raise TransientWorkerError(
-                f"chaos: injected worker exception on shard {shard}",
-                item_index=shard,
+                f"chaos: injected worker exception on shard {shard}"
             )
 
     def parity_trip(self, shard: int) -> bool:

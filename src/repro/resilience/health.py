@@ -8,9 +8,9 @@ taken, every degradation of the execution strategy — attached to the
 campaign result instead of scattered through logs.
 
 :class:`CampaignHealthReport` is that trail.  The resilient campaign
-layer, the supervised parallel map, and the chaos suite all append
-:class:`HealthEvent` records to one report; it serializes into the
-checkpoint payload so a resumed run keeps the full history.
+layer and the chaos suite append :class:`HealthEvent` records to one
+report; it serializes into the checkpoint payload so a resumed run
+keeps the full history.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ __all__ = ["HealthEvent", "CampaignHealthReport"]
 #: (not an enum) so new layers can record domain-specific kinds without
 #: touching this module; these are the ones the core layer emits.
 KIND_FAULT = "fault"  #: a fault was observed or injected
-KIND_RETRY = "retry"  #: a shard/worker item was retried
+KIND_RETRY = "retry"  #: a shard was retried
 KIND_DEGRADATION = "degradation"  #: execution strategy was lowered
 KIND_CHECKPOINT = "checkpoint"  #: a snapshot was written
 KIND_CHECKPOINT_FALLBACK = "checkpoint_fallback"  #: a corrupt snapshot was skipped
@@ -38,8 +38,10 @@ class HealthEvent:
 
     kind: str
     detail: str
-    #: Shard index for campaign events, item index for worker events.
+    #: Shard index for campaign events.
     shard: Optional[int] = None
+    #: Item index; no current layer sets it, but checkpoints serialize
+    #: the field, so it stays for the checkpoint format.
     item: Optional[int] = None
 
     def to_dict(self) -> Dict[str, object]:
@@ -75,14 +77,9 @@ class CampaignHealthReport:
     observer = None
 
     def record(
-        self,
-        kind: str,
-        detail: str,
-        *,
-        shard: Optional[int] = None,
-        item: Optional[int] = None,
+        self, kind: str, detail: str, *, shard: Optional[int] = None
     ) -> HealthEvent:
-        event = HealthEvent(kind=kind, detail=detail, shard=shard, item=item)
+        event = HealthEvent(kind=kind, detail=detail, shard=shard)
         self.events.append(event)
         if self.observer is not None:
             self.observer.on_health_event(event)

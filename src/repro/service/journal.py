@@ -126,10 +126,6 @@ class JournalWriter:
         self._log: Optional[sealed.SealedLog] = None
         self.post_append = post_append
 
-    @property
-    def next_seq(self) -> int:
-        return self._seq
-
     def append(
         self, kind: str, job: Optional[str] = None, **data: object
     ) -> int:

@@ -256,26 +256,3 @@ class TestFramework:
         )
         report = self.execute(plan, processor)
         return report.failed_settings()
-
-    def known_failing_settings_many(
-        self,
-        processors: Sequence[Processor],
-        generous_duration_s: float = 1800.0,
-        preheat_to_c: float = 88.0,
-    ) -> List[Set[Tuple[str, str]]]:
-        """:meth:`known_failing_settings` for a whole group at once.
-
-        The candidate plans differ per processor (defect mixes differ);
-        the batch engine runs heterogeneous plans in lockstep, so on
-        ``engine="batch"`` the group screens simultaneously.
-        """
-        plans = [
-            self.known_failing_plan(
-                processor, generous_duration_s, preheat_to_c
-            )
-            for processor in processors
-        ]
-        return [
-            report.failed_settings()
-            for report in self.execute_batch(plans, processors)
-        ]

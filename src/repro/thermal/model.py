@@ -178,10 +178,6 @@ class PackageThermalModel:
     def core_temps(self) -> List[float]:
         return [self._t_package + d for d in self._deltas]
 
-    def hottest_core(self) -> int:
-        temps = self.core_temps()
-        return max(range(len(temps)), key=temps.__getitem__)
-
     # -- control ---------------------------------------------------------------
 
     def set_cooling_factor(self, factor: float) -> None:

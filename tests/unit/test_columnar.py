@@ -30,7 +30,6 @@ from repro.analysis.columnar import (
 )
 from repro.analysis.corpus_cache import (
     CorpusCache,
-    corpus_fingerprint,
     load_corpus,
     save_corpus,
 )
@@ -453,12 +452,3 @@ def test_corpus_cache_survives_torn_file(tmp_path, store):
     # The torn file was rewritten; next call is a hit again.
     cache.get_or_build("key-b", lambda: store)
     assert cache.last_hit is True
-
-
-def test_corpus_fingerprint_sensitivity(catalog, library):
-    small = dict(list(catalog.items())[:2])
-    base = corpus_fingerprint(small, library, temperature_c=78.0)
-    assert base == corpus_fingerprint(small, library, temperature_c=78.0)
-    assert base != corpus_fingerprint(small, library, temperature_c=80.0)
-    smaller = dict(list(catalog.items())[:1])
-    assert base != corpus_fingerprint(smaller, library, temperature_c=78.0)

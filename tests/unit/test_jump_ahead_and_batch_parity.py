@@ -1,10 +1,11 @@
-"""O(1) stream jump-ahead, the affinity-aware worker default, and the
+"""O(1) stream jump-ahead, the affinity-aware core count, and the
 batch thermal / batch online engines' bit parity with their scalar
 references.
 
 ``CountedStream.fast_forward``/``reset_to`` carry checkpoint restore and
-shard retries; ``default_workers`` sizes ``deterministic_map``; the
-batch models must match the scalar models bit for bit.
+shard retries; ``effective_cores`` records the CPU budget benchmark
+reports ran under; the batch models must match the scalar models bit
+for bit.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from repro.core import ApplicationProfile, simulate_online, simulate_online_batc
 from repro.core.farron import Farron
 from repro.cpu import Feature
 from repro.errors import ConfigurationError
-from repro.perf import parallel as perf_parallel
+from repro.obs import procmem
 from repro.rng import CountedStream, substream
 from repro.thermal import BatchPackageThermalModel, PackageThermalModel
 
@@ -66,23 +67,22 @@ def test_reset_to_rewinds_and_replays_exactly():
 
 
 # ---------------------------------------------------------------------------
-# affinity-aware worker default
+# affinity-aware core count
 # ---------------------------------------------------------------------------
 
 
 def test_default_workers_respects_scheduler_affinity(monkeypatch):
     monkeypatch.setattr(
-        perf_parallel.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+        procmem.os, "sched_getaffinity", lambda pid: {0, 2, 5},
         raising=False,
     )
-    assert perf_parallel.default_workers() == 3
-    assert perf_parallel.default_workers(2) == 2  # capped by task count
+    assert procmem.effective_cores() == 3
 
 
 def test_default_workers_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.delattr(perf_parallel.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(perf_parallel.os, "cpu_count", lambda: 6)
-    assert perf_parallel.default_workers() == 6
+    monkeypatch.delattr(procmem.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(procmem.os, "cpu_count", lambda: 6)
+    assert procmem.effective_cores() == 6
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.obs import (
     render_report,
 )
 from repro.resilience.health import CampaignHealthReport
+from repro.sealed import canonical
 
 
 @pytest.fixture(scope="module")
@@ -123,38 +124,19 @@ class TestMetricsRegistry:
             registry.histogram("h3_seconds", buckets=())
         assert DEFAULT_BUCKETS[-1] == float("inf")
 
-    def test_snapshot_merge_adds_counters_and_histograms(self):
-        a = MetricsRegistry()
-        a.counter("n_total", "", ("k",)).labels(k="x").inc(2.0)
-        a.histogram("h_seconds").labels().observe(0.5)
-        b = MetricsRegistry()
-        b.counter("n_total", "", ("k",)).labels(k="x").inc(3.0)
-        b.counter("n_total", "", ("k",)).labels(k="y").inc(1.0)
-        b.histogram("h_seconds").labels().observe(2.0)
-        a.merge(b.snapshot())
-        assert a.value("n_total", k="x") == 5.0
-        assert a.value("n_total", k="y") == 1.0
-        row = [
-            f for f in a.snapshot()["families"] if f["name"] == "h_seconds"
-        ][0]["series"][0]
-        assert row["count"] == 2
-        assert row["sum"] == pytest.approx(2.5)
-
-    def test_merge_gauge_last_write_wins(self):
-        a = MetricsRegistry()
-        a.gauge("g").set(1.0)
-        b = MetricsRegistry()
-        b.gauge("g").set(7.0)
-        a.merge(b.snapshot())
-        assert a.value("g") == 7.0
-
     def test_merge_rejects_mismatched_metadata(self):
-        a = MetricsRegistry()
-        a.counter("m_total")
-        b = MetricsRegistry()
-        b.gauge("m_total")
+        # A saved document in which two families share a name but not a
+        # kind must not load.
+        counter = MetricsRegistry()
+        counter.counter("m_total")
+        gauge = MetricsRegistry()
+        gauge.gauge("m_total")
+        document = json.loads(counter.to_json())
+        payload = document["payload"]
+        payload["families"] += gauge.snapshot()["families"]
+        document["crc32"] = zlib.crc32(canonical(payload))
         with pytest.raises(ObservabilityError):
-            a.merge(b.snapshot())
+            MetricsRegistry.from_json(json.dumps(document))
 
     def test_json_round_trip_and_crc_detection(self):
         registry = MetricsRegistry()

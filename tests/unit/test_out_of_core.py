@@ -6,8 +6,6 @@ generation, frame-backed lazy populations, and column-store spill — is
 what it keeps resident.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,7 @@ from repro.analysis.columnar import (
     load_record_frame,
     save_record_frame,
 )
-from repro.analysis.corpus_cache import CorpusCache, corpus_fingerprint
+from repro.analysis.corpus_cache import CorpusCache
 from repro.colstore import read_columns, write_columns
 from repro.errors import (
     CheckpointCorruptError,
@@ -130,15 +128,6 @@ def test_lazy_list_window_locality(framed, eager):
     assert lazy[-3:] == eager.faulty[-3:]
     with pytest.raises(IndexError):
         lazy[len(lazy)]
-
-
-def test_lazy_list_pickle_drops_cache(framed):
-    lazy = framed.faulty
-    _ = lazy[0]
-    clone = pickle.loads(pickle.dumps(lazy))
-    assert clone._cache_range is None
-    assert clone.materializations == lazy.materializations
-    assert clone[0] == lazy[0]
 
 
 def test_frame_save_load_roundtrip(tmp_path, framed, eager):
@@ -358,14 +347,3 @@ def test_corpus_cache_frame_for_hits_disk(tmp_path):
     assert builds == [1], "hit must not rebuild the corpus"
     np.testing.assert_array_equal(again.mask_lo, first.mask_lo)
     assert again.settings == first.settings
-
-
-def test_corpus_cache_fingerprint_is_memoized(tmp_path, catalog, library):
-    cache = CorpusCache(tmp_path)
-    key = cache.fingerprint(catalog, library, temperature_c=78.0)
-    assert key == corpus_fingerprint(catalog, library, temperature_c=78.0)
-    assert cache.fingerprint(catalog, library, temperature_c=78.0) == key
-    assert len(cache._fingerprints) == 1
-    # Different parameters re-key.
-    other = cache.fingerprint(catalog, library, temperature_c=90.0)
-    assert other != key

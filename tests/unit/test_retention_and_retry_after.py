@@ -1,8 +1,4 @@
-"""The scheduler's verdict-retention grammar and Retry-After window.
-
-(The file keeps its name from when these lived beside the core
-governor, so the test ids stay stable.)
-"""
+"""The scheduler's verdict-retention grammar and Retry-After window."""
 
 import pytest
 

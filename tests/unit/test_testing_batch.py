@@ -13,13 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import (
-    AlibabaBaseline,
-    Farron,
-    coverage_experiment,
-    coverage_experiment_group,
-    coverage_sweep,
-)
+from repro.core import Farron
 from repro.cpu import catalog_processor
 from repro.errors import ConfigurationError
 from repro.obs import Observability
@@ -283,18 +277,6 @@ class TestFrameworkIntegration:
         ).execute_batch(plan, processors)
         assert_reports_equal(scalar, batched)
 
-    def test_known_failing_settings_many(self, library):
-        processors = [catalog_processor("MIX1"), catalog_processor("CNSTG1")]
-        framework = TestFramework(library, engine="batch")
-        grouped = framework.known_failing_settings_many(
-            processors, generous_duration_s=300.0
-        )
-        scalar_framework = TestFramework(library)
-        for processor, settings in zip(processors, grouped):
-            assert settings == scalar_framework.known_failing_settings(
-                processor, generous_duration_s=300.0
-            )
-
     def test_record_frame_round_trip(self, library):
         processors = [catalog_processor("MIX1"), catalog_processor("COMP5")]
         plan = TestPlan(
@@ -307,59 +289,7 @@ class TestFrameworkIntegration:
         assert len(frame) == total
 
 
-class TestCoverageGroup:
-    @pytest.mark.parametrize("strategy", ["baseline", "farron"])
-    def test_group_matches_scalar(self, library, strategy):
-        processors = [catalog_processor("MIX1"), catalog_processor("CNSTG2")]
-        seeds = [3, 8]
-        grouped = coverage_experiment_group(
-            processors, library, strategy, seeds=seeds
-        )
-        for processor, seed, result in zip(processors, seeds, grouped):
-            scalar = coverage_experiment(
-                processor, library, strategy, seed=seed
-            )
-            assert dataclasses.asdict(result) == dataclasses.asdict(scalar)
-
-    def test_sweep_engines_agree(self, library):
-        processors = [catalog_processor("MIX1"), catalog_processor("COMP9")]
-        scalar = coverage_sweep(
-            processors, library, "baseline", seed=2, workers=1
-        )
-        batched = coverage_sweep(
-            processors, library, "baseline", seed=2, workers=1,
-            engine="batch", group_size=2,
-        )
-        assert [dataclasses.asdict(r) for r in scalar] == [
-            dataclasses.asdict(r) for r in batched
-        ]
-
-    def test_sweep_rejects_unknown_engine(self, library):
-        with pytest.raises(ConfigurationError):
-            coverage_sweep(
-                [catalog_processor("MIX1")], library, "baseline",
-                engine="warp",
-            )
-
-
 class TestManyWrappers:
-    def test_baseline_regular_many(self, library):
-        processors = [catalog_processor("MIX1"), catalog_processor("SIMD1")]
-        serial = AlibabaBaseline(
-            library, framework=TestFramework(library, seed=6)
-        )
-        serial_outcomes = [serial.regular_test(p) for p in processors]
-        grouped = AlibabaBaseline(
-            library,
-            framework=TestFramework(library, seed=6, engine="batch"),
-        )
-        grouped_outcomes = grouped.regular_test_many(processors)
-        for a, b in zip(serial_outcomes, grouped_outcomes):
-            assert a.processor_id == b.processor_id
-            assert a.deprecated == b.deprecated
-            assert_reports_equal([a.report], [b.report])
-        assert serial.deprecated == grouped.deprecated
-
     def test_farron_pre_production_many(self, library):
         processors = [catalog_processor("MIX1"), catalog_processor("FPU4")]
         serial = Farron(library, framework=TestFramework(library, seed=4))

@@ -21,8 +21,7 @@ from repro.perf.exact_rng import (
     derive_seed_batch,
     pcg64_state_words,
 )
-from repro.perf.parallel import default_workers, deterministic_map
-from repro.rng import derive_seed, substream
+from repro.rng import derive_seed
 from repro.testing import build_library
 
 
@@ -136,29 +135,3 @@ def test_campaign_parity_across_pipeline_seeds():
             _detection_key(d) for d in vectorized.detections
         ]
         assert scalar.undetected_ids == vectorized.undetected_ids
-
-
-# ---------------------------------------------------------------------------
-# deterministic parallel map
-# ---------------------------------------------------------------------------
-
-
-def _draw_task(task):
-    index, seed = task
-    rng = substream(seed, "pmap", str(index))
-    return (index, float(rng.uniform(0.0, 1.0)), float(rng.normal(0.0, 2.0)))
-
-
-def test_parallel_map_deterministic_across_worker_counts():
-    tasks = [(i, 123) for i in range(24)]
-    serial = deterministic_map(_draw_task, tasks, workers=1)
-    for workers in (2, 4):
-        parallel = deterministic_map(_draw_task, tasks, workers=workers)
-        assert parallel == serial
-    # Results come back in task order.
-    assert [r[0] for r in serial] == list(range(24))
-
-
-def test_default_workers_bounds():
-    assert default_workers(0) == 1
-    assert 1 <= default_workers(4) <= 4
