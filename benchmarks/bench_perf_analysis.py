@@ -11,10 +11,8 @@ precision summaries, down to the last double); and records the
 wall-clock comparison in ``BENCH_analysis.json`` at the repository root
 so the perf trajectory is tracked across PRs.
 
-The corpus is memoized on disk through
-:class:`repro.analysis.corpus_cache.CorpusCache` — the second run of
-this benchmark loads it instead of regenerating, and the report records
-whether the cache served it.
+The corpus is built in process on every run (``materialize_s`` in the
+report), so it always reflects the current bitflip models.
 
 Parity is enforced unconditionally; the ``--min-speedup`` gate can be
 relaxed (e.g. in CI containers with noisy neighbours) without touching
@@ -53,7 +51,6 @@ from repro.analysis import (
 )
 from repro.analysis.bitflips import flip_direction_fraction
 from repro.analysis.columnar import flip_direction_fraction_frame
-from repro.analysis.corpus_cache import CorpusCache
 from repro.cpu import DataType, datatypes
 from repro.faults.bitflip import PositionBiasedBitflip, UniformBitflip
 from repro.obs import logging_setup
@@ -62,8 +59,6 @@ from repro.testing import RecordStore
 from repro.testing.records import SDCRecord
 
 logger = logging.getLogger("repro.bench.perf_analysis")
-
-CACHE_DIR = Path(__file__).resolve().parent / ".corpus_cache"
 
 #: Every dtype the figures analyze.  The setting's dtype is fixed (a
 #: defective instruction corrupts one result type), like the catalog's.
@@ -194,17 +189,9 @@ def columnar_suite(frame: RecordFrame) -> dict:
 
 
 def run(args: argparse.Namespace) -> dict:
-    cache = CorpusCache(args.cache_dir)
-    key = (
-        f"synthetic-{args.corpus_seed}-{args.records}"
-        f"-{args.processors}-{args.testcases}"
-    )
     start = time.perf_counter()
-    store = cache.get_or_build(
-        key,
-        lambda: build_synthetic_corpus(
-            args.records, args.processors, args.testcases, args.corpus_seed
-        ),
+    store = build_synthetic_corpus(
+        args.records, args.processors, args.testcases, args.corpus_seed
     )
     materialize_s = time.perf_counter() - start
 
@@ -249,7 +236,6 @@ def run(args: argparse.Namespace) -> dict:
             "records": len(store.records),
             "settings": len({r.setting for r in store.records}),
             "seed": args.corpus_seed,
-            "cache_hit": cache.last_hit,
             "materialize_s": round(materialize_s, 4),
         },
         "repeats": args.repeats,
@@ -281,7 +267,6 @@ def main(argv=None) -> int:
         help="fail unless columnar speedup reaches this (0 disables the "
              "gate; parity is always enforced)",
     )
-    parser.add_argument("--cache-dir", type=Path, default=CACHE_DIR)
     parser.add_argument(
         "--out",
         type=Path,
@@ -295,11 +280,10 @@ def main(argv=None) -> int:
 
     report = run(args)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    cache_note = "cache hit" if report["corpus"]["cache_hit"] else "built"
     print(
         f"corpus {report['corpus']['records']} records "
         f"/ {report['corpus']['settings']} settings "
-        f"({cache_note}, {report['corpus']['materialize_s']:.2f}s)"
+        f"(built in {report['corpus']['materialize_s']:.2f}s)"
     )
     print(
         f"scalar {report['scalar_s']:.3f}s  "

@@ -17,7 +17,7 @@ Implements the paper's measurement machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..cpu.datatypes import flipped_positions, popcount

@@ -7,7 +7,7 @@ measured value wherever the paper publishes a number.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["render_table", "render_series", "render_histogram", "side_by_side"]
 

@@ -526,14 +526,15 @@ def _cmd_salvage(args, obs=None) -> int:
 def _cmd_serve(args, obs=None) -> int:
     import asyncio
 
-    from .service import ReproService, ServiceChaos
+    from .resilience import ChaosInjector
+    from .service import ReproService
 
     service = ReproService(
         args.state_dir,
         host=args.host,
         port=args.port,
         obs=obs,
-        chaos=ServiceChaos.from_spec(args.chaos),
+        chaos=ChaosInjector.from_spec(args.chaos),
         max_queue=args.max_queue,
         max_active=args.max_active,
         checkpoint_every=args.checkpoint_every,

@@ -15,7 +15,7 @@ temperature drops back, accounting every throttled second (Table 4's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..errors import ConfigurationError

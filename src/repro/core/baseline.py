@@ -13,7 +13,7 @@ temperature control and no per-core salvage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Set
 
 from ..errors import ConfigurationError

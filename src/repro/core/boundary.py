@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Tuple
 
 from ..errors import ConfigurationError

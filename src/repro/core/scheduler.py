@@ -17,8 +17,8 @@ regular tests must spend longer in the hot regime; a lower boundary is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import List, Optional, Set
 
 from ..errors import SchedulingError
 from ..cpu.features import Feature

@@ -23,14 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import ConfigurationError
-from ..faults.bitflip import (
-    PatternBitflip,
-    PositionBiasedBitflip,
-    UniformBitflip,
-)
+from ..faults.bitflip import PatternBitflip, PositionBiasedBitflip
 from ..rng import substream
 from .defects import Defect, DefectScope, TriggerProfile
 from .features import DataType, Feature

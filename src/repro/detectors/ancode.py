@@ -19,13 +19,10 @@ the computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from ..errors import ConfigurationError
 from ..rng import substream
-from ..cpu import datatypes
 from ..cpu.features import DataType
 from ..faults.bitflip import BitflipModel, PositionBiasedBitflip
 

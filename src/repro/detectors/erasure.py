@@ -13,7 +13,7 @@ to construct a lost data block, causing the corruption to propagate".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 

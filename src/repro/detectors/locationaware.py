@@ -21,15 +21,13 @@ transit after a correct computation; the AN code
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from ..errors import ConfigurationError
 from ..rng import substream
 from ..cpu import datatypes
 from ..cpu.features import DataType
-from ..faults.bitflip import BitflipModel, IIDBitflip, PositionBiasedBitflip
+from ..faults.bitflip import BitflipModel, PositionBiasedBitflip
 
 __all__ = ["LocationAwareGuard", "GuardReport", "guard_experiment"]
 

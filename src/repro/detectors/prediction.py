@@ -11,7 +11,7 @@ alarms (narrow range).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 from ..errors import ConfigurationError

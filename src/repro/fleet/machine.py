@@ -11,7 +11,7 @@ group schedule and to give per-datacenter accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Iterator, List
 
 from ..errors import ConfigurationError
 from ..rng import substream

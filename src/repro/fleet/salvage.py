@@ -17,7 +17,7 @@ decommission policies over the fleet:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
 from ..core.pool import DEPRECATION_CORE_THRESHOLD
 from ..cpu.processor import Processor

@@ -8,8 +8,7 @@ harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from ..cpu.features import DataType, Feature, VULNERABLE_FEATURES
 from ..cpu.processor import Processor

@@ -183,8 +183,6 @@ _HELP = {
         "Checkpoint container operations, by op (save/load/fallback).",
     "repro_health_events_total":
         "Campaign health events mirrored from CampaignHealthReport.",
-    "repro_chaos_faults_total":
-        "Chaos faults injected, by kind.",
     "repro_sleep_seconds_total":
         "Seconds slept in backoff/chaos delays, by reason.",
     "repro_retry_total":

@@ -39,7 +39,7 @@ historical sample before silence becomes suspicious.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ObservabilityError

@@ -7,7 +7,12 @@ backoff, vectorized→scalar degradation, and a seeded chaos injector
 that proves all of it preserves bit-identical results.
 """
 
-from .campaign import CampaignSpec, ResilientCampaign, run_resilient_campaign
+from .campaign import (
+    CampaignSpec,
+    CampaignSupervisor,
+    ResilientCampaign,
+    run_resilient_campaign,
+)
 from .chaos import FAULT_KINDS, ChaosInjector, InjectedKillError
 from .checkpoint import (
     CHECKPOINT_FORMAT,
@@ -20,6 +25,7 @@ from .health import CampaignHealthReport, HealthEvent
 
 __all__ = [
     "CampaignSpec",
+    "CampaignSupervisor",
     "ResilientCampaign",
     "run_resilient_campaign",
     "FAULT_KINDS",

@@ -48,12 +48,18 @@ from .checkpoint import CheckpointStore
 from .health import (
     KIND_CHECKPOINT,
     KIND_DEGRADATION,
+    KIND_FAULT,
     KIND_RESUME,
     KIND_RETRY,
     CampaignHealthReport,
 )
 
-__all__ = ["CampaignSpec", "ResilientCampaign", "run_resilient_campaign"]
+__all__ = [
+    "CampaignSpec",
+    "CampaignSupervisor",
+    "ResilientCampaign",
+    "run_resilient_campaign",
+]
 
 ENGINES = ("scalar", "vectorized")
 
@@ -193,15 +199,11 @@ class ResilientCampaign:
         self.checkpoint_every = checkpoint_every
         self.chaos = chaos
         self.health = health if health is not None else CampaignHealthReport()
-        if chaos is not None and chaos.health is None:
-            chaos.health = self.health
         self.obs = obs
         if obs is not None:
-            # Bridge health and chaos into the telemetry stream: every
-            # event they record is also counted and traced.
+            # Bridge health into the telemetry stream: every event it
+            # records, injected faults included, is counted and traced.
             self.health.observer = obs
-            if chaos is not None:
-                chaos.obs = obs
         self.max_shard_retries = max_shard_retries
         self.retry_backoff = retry_backoff or ExponentialBackoff(
             base_s=0.05, cap_s=1.0, seed=seed
@@ -225,84 +227,88 @@ class ResilientCampaign:
 
     @classmethod
     def from_spec(cls, spec: CampaignSpec, library: TestcaseLibrary, **kwargs):
-        kwargs.setdefault("engine", spec.engine)
-        kwargs.setdefault("shard_size", spec.shard_size)
-        return cls(
-            spec.build_population(),
-            library,
-            spec=spec,
-            seed=spec.pipeline_seed,
-            **kwargs,
-        )
+        """A fresh campaign for ``spec`` (see :meth:`_open`)."""
+        return cls._open(library, None, None, spec=spec, **kwargs)
 
     @classmethod
     def resume(
-        cls,
-        store: CheckpointStore,
-        library: TestcaseLibrary,
-        *,
-        population: Optional[FleetPopulation] = None,
-        spec: Optional[CampaignSpec] = None,
-        health: Optional[CampaignHealthReport] = None,
-        **kwargs,
+        cls, store: CheckpointStore, library: TestcaseLibrary, **kwargs
     ) -> "ResilientCampaign":
         """Rebuild a campaign from the newest usable snapshot.
 
-        ``population`` short-circuits fleet regeneration when the
-        caller still holds it (in-process supervisor restarts); the CLI
-        path rebuilds everything from the embedded spec.  Raises
+        The CLI path rebuilds everything from the embedded spec; see
+        :meth:`_open` for the keyword arguments.  Raises
         :class:`ConfigurationError` when no usable snapshot exists.
         """
-        probe_health = health if health is not None else CampaignHealthReport()
-        payload = store.load_latest(probe_health)
+        fallbacks = CampaignHealthReport()
+        payload = store.load_latest(fallbacks)
         if payload is None:
             raise ConfigurationError(
                 f"no usable checkpoint in {store.directory}"
             )
-        saved_spec = payload.get("spec")
-        if spec is None and saved_spec is not None:
-            spec = CampaignSpec.from_dict(saved_spec)  # type: ignore[arg-type]
-        if spec is not None and saved_spec is not None:
-            # Normalize through from_dict().to_dict() so a checkpoint
-            # written before a (defaulted) spec field existed still
-            # compares equal to the equivalent modern spec.
-            normalized = CampaignSpec.from_dict(
-                saved_spec  # type: ignore[arg-type]
-            ).to_dict()
-            if spec.to_dict() != normalized:
+        return cls._open(
+            library, payload, fallbacks, checkpoint_store=store, **kwargs
+        )
+
+    @classmethod
+    def _open(
+        cls,
+        library: TestcaseLibrary,
+        payload: Optional[Dict[str, object]],
+        fallbacks: Optional[CampaignHealthReport],
+        *,
+        spec: Optional[CampaignSpec] = None,
+        population: Optional[FleetPopulation] = None,
+        health: Optional[CampaignHealthReport] = None,
+        **kwargs,
+    ) -> "ResilientCampaign":
+        """The one path from a spec or snapshot to a campaign: fresh when
+        ``payload`` is None, else restored from that snapshot payload
+        (``fallbacks`` holds the corrupt snapshots skipped to reach it).
+
+        The spec (given, or embedded in the snapshot) supplies engine,
+        shard size and pipeline seed unless ``kwargs`` name them, and
+        the population unless the caller still holds it.  Without
+        ``health``, a restored campaign continues the history the
+        snapshot carries.
+        """
+        saved = payload.get("spec") if payload is not None else None
+        if saved is not None:
+            # Normalize through from_dict so a checkpoint written before
+            # a (defaulted) spec field existed still compares equal to
+            # the equivalent modern spec.
+            saved_spec = CampaignSpec.from_dict(
+                saved  # type: ignore[arg-type]
+            )
+            if spec is None:
+                spec = saved_spec
+            elif spec.to_dict() != saved_spec.to_dict():
                 raise ConfigurationError(
                     "checkpoint was written by a campaign with a different "
-                    f"spec: {normalized!r} != {spec.to_dict()!r}"
+                    f"spec: {saved_spec.to_dict()!r} != {spec.to_dict()!r}"
                 )
-        if population is None:
-            if spec is None:
-                raise ConfigurationError(
-                    "checkpoint embeds no spec; pass population= explicitly"
-                )
-            population = spec.build_population()
-        if health is None:
-            # Cross-process resume: the snapshot carries the history.
-            probe_fallbacks = probe_health.events
-            probe_health = CampaignHealthReport.from_dict(
+        if payload is not None and health is None:
+            health = CampaignHealthReport.from_dict(
                 payload.get("health", {"events": []})  # type: ignore[arg-type]
             )
-            probe_health.events.extend(probe_fallbacks)
         if spec is not None:
             kwargs.setdefault("engine", spec.engine)
             kwargs.setdefault("shard_size", spec.shard_size)
             kwargs.setdefault("seed", spec.pipeline_seed)
-        campaign = cls(
-            population,
-            library,
-            spec=spec,
-            checkpoint_store=store,
-            health=probe_health,
-            **kwargs,
-        )
-        campaign._restore(payload)
+            if population is None:
+                population = spec.build_population(kwargs.get("obs"))
+        elif population is None:
+            raise ConfigurationError(
+                "checkpoint embeds no spec; pass population= explicitly"
+            )
+        campaign = cls(population, library, spec=spec, health=health, **kwargs)
+        if payload is not None:
+            campaign._restore(payload, fallbacks)
         return campaign
 
-    def _restore(self, payload: Dict[str, object]) -> None:
+    def _restore(
+        self, payload: Dict[str, object], fallbacks: CampaignHealthReport
+    ) -> None:
         faulty_count = len(self.population.faulty)
         cursor = payload.get("cursor")
         draws = payload.get("draws")
@@ -330,6 +336,8 @@ class ResilientCampaign:
             Detection.from_row(row) for row in payload.get("detections", [])
         ]
         self.result.undetected_ids = list(payload.get("undetected", []))
+        for event in fallbacks.events:
+            self.health.record(event.kind, event.detail, shard=event.shard)
         self.health.record(
             KIND_RESUME,
             f"resumed at cursor {cursor} ({draws} draws consumed)",
@@ -366,7 +374,18 @@ class ResilientCampaign:
         if self.obs is not None:
             self.obs.inc("repro_checkpoint_total", op="save")
         if self.chaos is not None:
-            self.chaos.damage_checkpoint(path, shard)
+            self.chaos.visit("checkpoint_done")
+            for kind in ("torn_checkpoint", "corrupt_byte"):
+                if self._injects(shard, kind):
+                    self.chaos.damage(path, kind)
+
+    def _injects(self, shard: int, kind: str) -> bool:
+        """Whether the chaos schedule fires ``kind`` on ``shard`` now;
+        the one place a fired fault is recorded."""
+        if self.chaos is None or not self.chaos.fires(shard, kind):
+            return False
+        self.health.record(KIND_FAULT, f"injected {kind}", shard=shard)
+        return True
 
     # -- execution ----------------------------------------------------------
 
@@ -412,8 +431,15 @@ class ResilientCampaign:
                     shard=shard, start=start, stop=stop,
                     engine=engine, attempt=attempt,
                 ):
-                    if self.chaos is not None:
-                        self.chaos.on_shard_start(shard)
+                    if self._injects(shard, "delay"):
+                        observed_sleep(
+                            self.obs, self.chaos.delay_s, "chaos_delay"
+                        )
+                    if self._injects(shard, "exception"):
+                        raise TransientWorkerError(
+                            f"chaos: injected worker exception on shard "
+                            f"{shard}"
+                        )
                     shard_result = self._run_shard_once(start, stop, engine)
                     if engine != "scalar":
                         self._self_check_parity(
@@ -455,7 +481,7 @@ class ResilientCampaign:
     ) -> None:
         """Raise :class:`ParityDegradedError` when the shard's vectorized
         output cannot be trusted (real divergence, or chaos says so)."""
-        tripped = self.chaos is not None and self.chaos.parity_trip(shard)
+        tripped = self._injects(shard, "parity_trip")
         if not tripped and not self.verify_parity:
             return
         if not tripped:
@@ -507,7 +533,11 @@ class ResilientCampaign:
             self._checkpoint(shard)
             self._shards_since_checkpoint = 0
         if self.chaos is not None:
-            self.chaos.kill_after_shard(shard)
+            self.chaos.visit("shard_done")
+        if self._injects(shard, "kill"):
+            raise InjectedKillError(
+                f"chaos: campaign killed after shard {shard}"
+            )
         return self._cursor < faulty_count
 
     def checkpoint_now(self) -> None:
@@ -527,9 +557,9 @@ class ResilientCampaign:
     def run(self) -> FleetStudyResult:
         """Run to completion, checkpointing; returns the study result.
 
-        Injected kills propagate as :class:`InjectedKillError` — the
-        :func:`run_resilient_campaign` driver (or an operator running
-        ``repro resume``) restarts from the last good snapshot.
+        Injected kills propagate as :class:`InjectedKillError` — a
+        :class:`CampaignSupervisor` (or an operator running ``repro
+        resume``) restarts from the last good snapshot.
         """
         with span(
             self.obs, "campaign.run",
@@ -547,67 +577,90 @@ class ResilientCampaign:
         return self.result
 
 
-def run_resilient_campaign(
-    library: TestcaseLibrary,
-    *,
-    spec: Optional[CampaignSpec] = None,
-    population: Optional[FleetPopulation] = None,
-    checkpoint_store: Optional[CheckpointStore] = None,
-    chaos: Optional[ChaosInjector] = None,
-    health: Optional[CampaignHealthReport] = None,
-    max_restarts: int = 8,
-    **campaign_kwargs,
-) -> Tuple[FleetStudyResult, CampaignHealthReport]:
-    """Supervisor driver: run a campaign, restarting across kills.
+class CampaignSupervisor:
+    """Runs one campaign, restarting it from its newest snapshot after
+    every injected kill.
 
-    Mirrors the production deployment shape — a daemon that respawns a
-    crashed scanner and points it at the newest snapshot.  Needs either
-    ``spec`` (population regenerated deterministically) or an explicit
-    ``population``.
+    The production deployment shape: a daemon that respawns a crashed
+    scanner and points it at the newest snapshot.  The population is
+    built once, one health report spans every restart, and the resume-
+    or-fresh decision is made here alone.  :meth:`step` is the granule a
+    host interleaves with its own checks (the ``repro serve`` scheduler's
+    drain, deadline and shard latency); :meth:`run` goes to the end.
+    Needs either ``spec`` (population regenerated deterministically) or
+    an explicit ``population``; other keyword arguments go to
+    :class:`ResilientCampaign`.
     """
-    if spec is None and population is None:
-        raise ConfigurationError(
-            "run_resilient_campaign needs spec= or population="
+
+    def __init__(
+        self,
+        library: TestcaseLibrary,
+        *,
+        spec: Optional[CampaignSpec] = None,
+        population: Optional[FleetPopulation] = None,
+        checkpoint_store: Optional[CheckpointStore] = None,
+        health: Optional[CampaignHealthReport] = None,
+        max_restarts: int = 8,
+        **campaign_kwargs,
+    ):
+        if spec is None and population is None:
+            raise ConfigurationError(
+                "a supervised campaign needs spec= or population="
+            )
+        if population is None:
+            population = spec.build_population(campaign_kwargs.get("obs"))
+        self.library = library
+        self.store = checkpoint_store
+        self.max_restarts = max_restarts
+        self.restarts = 0
+        self._kwargs = dict(
+            campaign_kwargs,
+            spec=spec,
+            population=population,
+            checkpoint_store=checkpoint_store,
         )
-    health = health if health is not None else CampaignHealthReport()
-    if population is None:
-        population = spec.build_population()
-    restarts = 0
-    while True:
-        if checkpoint_store is not None and checkpoint_store.load_latest() is not None:
-            campaign = ResilientCampaign.resume(
-                checkpoint_store,
-                library,
-                population=population,
-                spec=spec,
-                health=health,
-                chaos=chaos,
-                **campaign_kwargs,
-            )
-        else:
-            kwargs = dict(campaign_kwargs)
-            if spec is not None:
-                kwargs.setdefault("engine", spec.engine)
-                kwargs.setdefault("shard_size", spec.shard_size)
-                kwargs.setdefault("seed", spec.pipeline_seed)
-            campaign = ResilientCampaign(
-                population,
-                library,
-                spec=spec,
-                checkpoint_store=checkpoint_store,
-                health=health,
-                chaos=chaos,
-                **kwargs,
-            )
+        self.campaign = self._open(health)
+
+    def _open(
+        self, health: Optional[CampaignHealthReport]
+    ) -> ResilientCampaign:
+        fallbacks = CampaignHealthReport()
+        payload = (
+            self.store.load_latest(fallbacks)
+            if self.store is not None
+            else None
+        )
+        return ResilientCampaign._open(
+            self.library, payload, fallbacks, health=health, **self._kwargs
+        )
+
+    def step(self) -> bool:
+        """One shard of the current campaign; an injected kill restarts
+        it from the newest snapshot instead.  True while work remains."""
         try:
-            return campaign.run(), health
+            return self.campaign.step()
         except InjectedKillError as error:
-            restarts += 1
-            if restarts > max_restarts:
+            self.restarts += 1
+            if self.restarts > self.max_restarts:
                 raise CampaignAbortedError(
-                    f"campaign killed {restarts} times; giving up"
+                    f"campaign killed {self.restarts} times; giving up"
                 ) from error
-            if checkpoint_store is None:
+            if self.store is None:
                 raise CampaignAbortedError(
                     "campaign killed with no checkpoint store to resume from"
                 ) from error
+            self.campaign = self._open(self.campaign.health)
+            return True
+
+    def run(self) -> Tuple[FleetStudyResult, CampaignHealthReport]:
+        while self.step():
+            pass
+        return self.campaign.result, self.campaign.health
+
+
+def run_resilient_campaign(
+    library: TestcaseLibrary, **kwargs
+) -> Tuple[FleetStudyResult, CampaignHealthReport]:
+    """Run a :class:`CampaignSupervisor` (same arguments) to the end;
+    returns the study result and the health report."""
+    return CampaignSupervisor(library, **kwargs).run()

@@ -16,11 +16,12 @@ Layering, bottom-up:
 * :mod:`~repro.service.server` — :class:`ReproService` lifecycle
   (recover → announce → serve → drain) and the in-thread test harness.
 * :mod:`~repro.service.client` — stdlib blocking client.
-* :mod:`~repro.service.chaos` — deterministic SIGKILL/torn-journal
-  injection at named hook points (``repro serve --chaos``).
+
+``repro serve --chaos`` process deaths come from the one
+:class:`~repro.resilience.chaos.ChaosInjector`, which also fires each
+job's scheduled campaign faults.
 """
 
-from .chaos import HOOK_POINTS, ServiceChaos, parse_chaos_spec
 from .client import Rejected, ServiceClient, read_endpoint
 from .journal import (
     JournalEntry,
@@ -40,7 +41,6 @@ from .server import ENDPOINT_FILE, ReproService, ServiceThread
 __all__ = [
     "CampaignScheduler",
     "ENDPOINT_FILE",
-    "HOOK_POINTS",
     "JobRecord",
     "JournalEntry",
     "JournalWriter",
@@ -48,11 +48,9 @@ __all__ = [
     "ReplayReport",
     "ReproService",
     "RetentionPolicy",
-    "ServiceChaos",
     "ServiceClient",
     "ServiceThread",
     "ShardLatencyWindow",
-    "parse_chaos_spec",
     "parse_retention",
     "read_endpoint",
     "replay_journal",

@@ -7,7 +7,9 @@ invariants no matter how the process dies:
   its submission is acknowledged; recovery replays the journal and
   re-queues everything not yet finished.
 * **Bit-identical verdicts.**  Jobs execute as
-  :class:`~repro.resilience.campaign.ResilientCampaign` shards with a
+  :class:`~repro.resilience.campaign.ResilientCampaign` shards under
+  the same :class:`~repro.resilience.campaign.CampaignSupervisor`
+  restart loop as ``run_resilient_campaign``, with a
   per-job :class:`~repro.resilience.checkpoint.CheckpointStore`; a
   daemon SIGKILLed mid-campaign and restarted on the same state
   directory resumes each in-flight campaign at its exact cursor and
@@ -45,7 +47,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import (
     AdmissionError,
@@ -55,15 +57,14 @@ from ..errors import (
     ReproError,
 )
 from ..obs.context import span
-from ..resilience.campaign import CampaignSpec, ResilientCampaign
-from ..resilience.chaos import ChaosInjector, InjectedKillError
+from ..resilience.campaign import CampaignSpec, CampaignSupervisor
+from ..resilience.chaos import ChaosInjector, parse_job_chaos
 from ..resilience.checkpoint import (
     CheckpointStore,
     read_checkpoint,
     write_checkpoint,
 )
 from ..testing.library import TestcaseLibrary
-from .chaos import ServiceChaos
 from .journal import JournalWriter, ReplayReport, replay_journal
 
 __all__ = [
@@ -201,7 +202,7 @@ class JobRecord:
     state: str = JOB_QUEUED
     submitted_seq: int = 0
     #: Campaign-level chaos schedule ({shard: [kinds]}), test-only.
-    chaos_schedule: Optional[Dict[int, List[str]]] = None
+    chaos_schedule: Optional[Dict[int, Tuple[str, ...]]] = None
     chaos_seed: int = 0
     error: Optional[str] = None
     restarts: int = 0
@@ -227,20 +228,6 @@ class JobRecord:
         return doc
 
 
-class _HookedCheckpointStore(CheckpointStore):
-    """Checkpoint store that visits the daemon chaos hook after every
-    durable save — the ``checkpoint_done`` kill point."""
-
-    def __init__(self, directory, chaos: ServiceChaos, keep: int = 2):
-        super().__init__(directory, keep=keep)
-        self._service_chaos = chaos
-
-    def save(self, payload):
-        path = super().save(payload)
-        self._service_chaos.fire("checkpoint_done")
-        return path
-
-
 class CampaignScheduler:
     """Journal-backed job queue + executor over resilient campaigns."""
 
@@ -257,7 +244,7 @@ class CampaignScheduler:
         retry_after_s: float = 1.0,
         retain_verdicts=None,
         obs=None,
-        chaos: Optional[ServiceChaos] = None,
+        chaos: Optional[ChaosInjector] = None,
     ):
         if max_queue < 1:
             raise ConfigurationError("max_queue must be >= 1")
@@ -326,15 +313,17 @@ class CampaignScheduler:
                     submitted_seq=entry.seq,
                     recovered=True,
                 )
-                chaos = entry.data.get("chaos")
-                if isinstance(chaos, dict):
-                    record.chaos_schedule = {
-                        int(shard): list(kinds)
-                        for shard, kinds in chaos.get(
-                            "schedule", {}
-                        ).items()
-                    }
-                    record.chaos_seed = int(chaos.get("seed", 0))
+                if "chaos" in entry.data:
+                    try:
+                        record.chaos_schedule, record.chaos_seed = (
+                            parse_job_chaos(entry.data["chaos"])
+                        )
+                    except ConfigurationError as error:
+                        self.replay_report.problems.append(
+                            f"job {job_id}: unusable journaled chaos "
+                            f"schedule ({error})"
+                        )
+                        continue
                 # Entries from older releases may also carry ``exec``
                 # hints (pool worker count, engine pin); replay ignores
                 # them.
@@ -389,7 +378,8 @@ class CampaignScheduler:
             journal_dir,
             start_seq=max_seq + 1,
             post_append=(
-                self.chaos.on_journal_append if self.chaos is not None
+                (lambda path, _seq: self.chaos.visit("journal_append", path))
+                if self.chaos is not None
                 else None
             ),
         )
@@ -445,7 +435,7 @@ class CampaignScheduler:
         started = time.monotonic()
         self._stop_event.set()
         if self.chaos is not None:
-            self.chaos.fire("drain")
+            self.chaos.visit("drain")
         if self._queue is not None:
             for _ in self._workers:
                 self._queue.put_nowait(None)
@@ -534,12 +524,7 @@ class CampaignScheduler:
                 )
         chaos = body.get("chaos")
         if chaos is not None:
-            if not isinstance(chaos, dict) or not isinstance(
-                chaos.get("schedule", {}), dict
-            ):
-                raise ConfigurationError(
-                    "chaos must be {'schedule': {shard: [kinds]}, 'seed': n}"
-                )
+            chaos = parse_job_chaos(chaos)
         return {"spec": spec, "job_id": job_id, "chaos": chaos}
 
     async def submit(self, body: Dict[str, object]) -> JobRecord:
@@ -576,19 +561,14 @@ class CampaignScheduler:
                     f"job id {job_id!r} already exists", status=409
                 )
             record = JobRecord(job_id=job_id, spec=normalized["spec"])
-            chaos = normalized["chaos"]
-            if chaos is not None:
-                record.chaos_schedule = {
-                    int(shard): list(kinds)
-                    for shard, kinds in chaos.get("schedule", {}).items()
-                }
-                record.chaos_seed = int(chaos.get("seed", 0))
+            if normalized["chaos"] is not None:
+                record.chaos_schedule, record.chaos_seed = normalized["chaos"]
             # Reserve the id before the (await-ing) journal write so a
             # concurrent duplicate submission cannot race past the check.
             self.jobs[job_id] = record
             self._order.append(job_id)
         if self.chaos is not None:
-            self.chaos.fire("submit_pre_ack")
+            self.chaos.visit("submit_pre_ack")
         journal_data: Dict[str, object] = {
             "spec": record.spec.to_dict(),
         }
@@ -615,7 +595,7 @@ class CampaignScheduler:
                     self._order.remove(job_id)
             raise
         if self.chaos is not None:
-            self.chaos.fire("submit_post_ack")
+            self.chaos.visit("submit_post_ack")
         self._queue.put_nowait(job_id)
         if self.obs is not None:
             self.obs.inc("repro_service_jobs_total", event="submitted")
@@ -713,51 +693,23 @@ class CampaignScheduler:
                 self._active -= 1
                 self._update_gauges()
 
-    def _campaign_for(
-        self, record: JobRecord, store: CheckpointStore,
-        chaos: Optional[ChaosInjector],
-    ) -> ResilientCampaign:
-        population = record.spec.build_population(self.obs)
-        if store.load_latest() is not None:
-            return ResilientCampaign.resume(
-                store,
-                self.library,
-                population=population,
-                spec=record.spec,
-                chaos=chaos,
-                checkpoint_every=self.checkpoint_every,
-                obs=self.obs,
+    def _job_chaos(self, record: JobRecord) -> Optional[ChaosInjector]:
+        """The job's schedule plus the daemon's ``--chaos`` deaths."""
+        if self.chaos is not None:
+            return self.chaos.for_job(
+                record.chaos_schedule or {}, record.chaos_seed
             )
-        return ResilientCampaign(
-            population,
-            self.library,
-            spec=record.spec,
-            seed=record.spec.pipeline_seed,
-            engine=record.spec.engine,
-            shard_size=record.spec.shard_size,
-            checkpoint_store=store,
-            chaos=chaos,
-            checkpoint_every=self.checkpoint_every,
-            obs=self.obs,
-        )
+        if record.chaos_schedule:
+            return ChaosInjector(record.chaos_schedule, seed=record.chaos_seed)
+        return None
 
     def _run_job(self, record: JobRecord) -> None:
         """Drive one job to verdict/failure/suspension (worker thread)."""
-        job_dir = self._job_dir(record.job_id)
-        if self.chaos is not None:
-            store: CheckpointStore = _HookedCheckpointStore(
-                job_dir / "ckpt", self.chaos
-            )
-        else:
-            store = CheckpointStore(job_dir / "ckpt")
-        chaos_inj = (
-            ChaosInjector(record.chaos_schedule, seed=record.chaos_seed)
-            if record.chaos_schedule
-            else None
-        )
-        resuming = store.load_latest() is not None
+        store = CheckpointStore(self._job_dir(record.job_id) / "ckpt")
         record.state = JOB_RUNNING
-        self._journal_append("start", record.job_id, resume=resuming)
+        self._journal_append(
+            "start", record.job_id, resume=store.load_latest() is not None
+        )
         if self.obs is not None:
             self.obs.inc("repro_service_jobs_total", event="started")
         deadline = (
@@ -766,49 +718,47 @@ class CampaignScheduler:
             else None
         )
         with span(self.obs, "service.job", job=record.job_id):
-            while True:  # in-daemon supervisor loop (injected kills)
-                campaign = self._campaign_for(record, store, chaos_inj)
-                try:
-                    suspended = self._pump(campaign, deadline)
-                    if suspended:
-                        # Drain: state stays journaled as running;
-                        # the next incarnation re-queues and resumes.
-                        return
-                    self._finish(record, campaign)
+            try:
+                supervisor = CampaignSupervisor(
+                    self.library,
+                    spec=record.spec,
+                    checkpoint_store=store,
+                    chaos=self._job_chaos(record),
+                    max_restarts=self.max_job_restarts,
+                    checkpoint_every=self.checkpoint_every,
+                    obs=self.obs,
+                )
+                if self._pump(supervisor, record, deadline):
+                    # Drain: state stays journaled as running; the
+                    # next incarnation re-queues and resumes.
                     return
-                except InjectedKillError as error:
-                    record.restarts += 1
-                    if record.restarts > self.max_job_restarts:
-                        self._fail(
-                            record,
-                            f"killed {record.restarts} times: {error}",
-                        )
-                        return
-                except (CampaignAbortedError, ReproError) as error:
-                    self._fail(record, str(error))
-                    return
+                self._finish(record, supervisor.campaign)
+            except ReproError as error:
+                self._fail(record, str(error))
 
     def _pump(
-        self, campaign: ResilientCampaign, deadline: Optional[float]
+        self,
+        supervisor: CampaignSupervisor,
+        record: JobRecord,
+        deadline: Optional[float],
     ) -> bool:
-        """Step the campaign until done; True means drain-suspended."""
+        """Step the job until done; True means drain-suspended."""
         while True:
             if self._stop_event.is_set():
-                campaign.checkpoint_now()
+                supervisor.campaign.checkpoint_now()
                 return True
             if deadline is not None and time.monotonic() > deadline:
                 raise CampaignAbortedError(
                     f"job exceeded its {self.job_timeout_s:.0f}s budget "
-                    f"at cursor {campaign.cursor}"
+                    f"at cursor {supervisor.campaign.cursor}"
                 )
             started = time.monotonic()
-            more = campaign.step()
+            more = supervisor.step()
             elapsed = time.monotonic() - started
+            record.restarts = supervisor.restarts
             self._latency.record(elapsed)
             if self.obs is not None:
                 self.obs.observe("repro_service_shard_seconds", elapsed)
-            if self.chaos is not None:
-                self.chaos.fire("shard_done")
             if not more:
                 return False
 

@@ -38,10 +38,10 @@ from ..errors import ServiceError
 from ..obs import Observability, record_memory
 from ..obs.health import HealthEngine, HealthRule, default_service_rules
 from ..obs.timeseries import MetricsScraper, TimeSeriesStore
+from ..resilience.chaos import ChaosInjector
 from ..sealed import atomic_write
 from ..testing import build_library
 from .api import ServiceApi, RequestError, read_request, render_response
-from .chaos import ServiceChaos
 from .scheduler import CampaignScheduler
 
 __all__ = ["ENDPOINT_FILE", "ReproService", "ServiceThread"]
@@ -64,7 +64,7 @@ class ReproService:
         port: int = 0,
         library=None,
         obs: Optional[Observability] = None,
-        chaos: Optional[ServiceChaos] = None,
+        chaos: Optional[ChaosInjector] = None,
         max_queue: int = 64,
         max_active: int = 1,
         checkpoint_every: int = 2,

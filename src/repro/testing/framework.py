@@ -15,7 +15,7 @@ builds its own prioritized plans in :mod:`repro.core.scheduler`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..cpu.processor import Processor

@@ -22,7 +22,7 @@ Composition principles, all grounded in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from ..errors import ConfigurationError
 from ..rng import substream

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..rng import substream
 from ..cpu.coherence import CoherentSystem, StaleRead, drop_hook_from_defect

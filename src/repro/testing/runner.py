@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..rng import substream
 from ..cpu import datatypes

@@ -10,7 +10,7 @@ Both options exist here so the trade-off can be studied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..errors import ConfigurationError
 from .model import PackageThermalModel

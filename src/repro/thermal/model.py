@@ -27,7 +27,7 @@ hot cores pushing beyond 80 °C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..cpu.processor import MicroArchitecture

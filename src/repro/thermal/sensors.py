@@ -11,8 +11,8 @@ boundary votes over (§7.1).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, List, Optional
 
 from ..errors import ConfigurationError
 from .model import PackageThermalModel

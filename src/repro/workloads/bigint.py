@@ -10,7 +10,7 @@ contrast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from ..errors import ConfigurationError
 from ..cpu.executor import Executor

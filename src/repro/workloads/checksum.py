@@ -12,7 +12,7 @@ the data itself is fine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..cpu.executor import Executor
 from ..faults.injector import CorruptionEvent

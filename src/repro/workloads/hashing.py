@@ -13,8 +13,8 @@ trips the fingerprint assertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError
 from ..cpu.executor import Executor

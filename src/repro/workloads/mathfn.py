@@ -11,7 +11,7 @@ golden pass for verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 from ..errors import ConfigurationError
 from ..cpu.executor import Executor

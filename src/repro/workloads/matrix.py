@@ -11,9 +11,7 @@ golden computation, so corrupted elements are observable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..cpu.executor import Executor

@@ -17,10 +17,8 @@ Two production incidents are reproduced:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional
 
 from ..rng import substream
 from ..cpu.coherence import CoherentSystem, drop_hook_from_defect

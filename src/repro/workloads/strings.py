@@ -10,7 +10,7 @@ workloads with ``byte``/``bin16``/``bin32`` datatypes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List
 
 from ..cpu.executor import Executor
 from ..faults.injector import CorruptionEvent

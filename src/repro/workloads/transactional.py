@@ -10,8 +10,8 @@ files" class of silent corruption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..rng import substream
 from ..cpu.features import Feature

@@ -26,7 +26,7 @@ import pytest
 
 from repro.resilience import CampaignSpec, ResilientCampaign
 from repro.service import ServiceClient, ServiceThread
-from repro.service.chaos import KILL_EXIT_CODE
+from repro.resilience.chaos import KILL_EXIT_CODE
 from repro.testing import build_library
 
 #: ~35 faulty CPUs across several shards; small enough that one

@@ -28,11 +28,6 @@ from repro.analysis.columnar import (
     setting_patterns_frame,
     summarize_precision_frame,
 )
-from repro.analysis.corpus_cache import (
-    CorpusCache,
-    load_corpus,
-    save_corpus,
-)
 from repro.analysis.precision import (
     empirical_cdf,
     precision_losses,
@@ -411,44 +406,3 @@ def test_ecc_batch_outcomes_only_nonzero():
     report = ecc_multibit_experiment_batch(trials=200, seed=1)
     assert all(count > 0 for count in report.outcomes.values())
     assert sum(report.outcomes.values()) == report.trials
-
-
-# -- corpus cache --------------------------------------------------------------
-
-
-def test_corpus_save_load_roundtrip(tmp_path, store):
-    path = tmp_path / "corpus.ckpt"
-    save_corpus(path, store)
-    loaded = load_corpus(path)
-    assert loaded.records == store.records
-    assert loaded.consistency_records == store.consistency_records
-
-
-def test_corpus_cache_hit_miss_and_equality(tmp_path, store):
-    cache = CorpusCache(tmp_path)
-    builds = []
-
-    def builder():
-        builds.append(1)
-        return store
-
-    first = cache.get_or_build("key-a", builder)
-    assert cache.last_hit is False and len(builds) == 1
-    second = cache.get_or_build("key-a", builder)
-    assert cache.last_hit is True and len(builds) == 1
-    assert second.records == first.records
-
-
-def test_corpus_cache_survives_torn_file(tmp_path, store):
-    cache = CorpusCache(tmp_path)
-    cache.get_or_build("key-b", lambda: store)
-    path = cache.path_for("key-b")
-    content = path.read_bytes()
-    path.write_bytes(content[: len(content) // 3])
-
-    rebuilt = cache.get_or_build("key-b", lambda: store)
-    assert cache.last_hit is False
-    assert rebuilt.records == store.records
-    # The torn file was rewritten; next call is a hit again.
-    cache.get_or_build("key-b", lambda: store)
-    assert cache.last_hit is True

@@ -15,7 +15,6 @@ from repro.analysis.columnar import (
     load_record_frame,
     save_record_frame,
 )
-from repro.analysis.corpus_cache import CorpusCache
 from repro.colstore import read_columns, write_columns
 from repro.errors import (
     CheckpointCorruptError,
@@ -329,21 +328,3 @@ def test_record_frame_spill_roundtrip(tmp_path):
         np.testing.assert_array_equal(
             getattr(loaded, name), getattr(frame, name)
         )
-
-
-def test_corpus_cache_frame_for_hits_disk(tmp_path):
-    cache = CorpusCache(tmp_path)
-    builds = []
-
-    def builder():
-        builds.append(1)
-        return _synthetic_record_store()
-
-    first = cache.frame_for("k1", builder)
-    assert cache.last_hit is False
-    assert builds == [1]
-    again = cache.frame_for("k1", builder)
-    assert cache.last_hit is True
-    assert builds == [1], "hit must not rebuild the corpus"
-    np.testing.assert_array_equal(again.mask_lo, first.mask_lo)
-    assert again.settings == first.settings

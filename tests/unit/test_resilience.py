@@ -19,9 +19,11 @@ from repro.errors import (
 from repro.fleet.pipeline import PipelineConfig, StageConfig
 from repro.resilience import (
     CampaignHealthReport,
+    CampaignSpec,
     ChaosInjector,
     CheckpointStore,
     HealthEvent,
+    ResilientCampaign,
     read_checkpoint,
     write_checkpoint,
 )
@@ -219,17 +221,47 @@ def test_store_rotation_and_fallback(tmp_path):
 
 
 def test_chaos_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown chaos fault"):
+    with pytest.raises(ConfigurationError, match="unknown chaos fault"):
         ChaosInjector({0: ["meteor_strike"]})
 
 
 def test_chaos_fires_each_fault_once():
     chaos = ChaosInjector({2: ["parity_trip"]})
-    assert chaos.parity_trip(1) is False
-    assert chaos.parity_trip(2) is True
-    assert chaos.parity_trip(2) is False  # a crash does not reproduce
+    assert chaos.fires(1, "parity_trip") is False
+    assert chaos.fires(2, "parity_trip") is True
+    assert chaos.fires(2, "parity_trip") is False  # a crash does not reproduce
     assert chaos.fired == {(2, "parity_trip")}
     assert chaos.pending() == {}
+
+
+def test_job_injectors_share_exact_visit_counts():
+    """Job threads count hook visits in the daemon's counters without
+    losing an update, so ``--chaos`` kills land on the exact visit."""
+    import sys
+    import threading
+
+    daemon = ChaosInjector.from_spec("kill:drain:1")
+    jobs = [daemon.for_job({0: ["kill"]}) for _ in range(8)]
+
+    def visit_many(job):
+        for _ in range(2000):
+            job.visit("shard_done")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=visit_many, args=(job,)) for job in jobs
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert daemon._visits == {"shard_done": 8 * 2000}
+    assert all(job.exits == [("kill", "drain", 1)] for job in jobs)
 
 
 def test_chaos_seeded_schedule_is_deterministic():
@@ -240,11 +272,22 @@ def test_chaos_seeded_schedule_is_deterministic():
     assert ChaosInjector.seeded(43, shard_count=20, rate=0.4).schedule != a.schedule
 
 
-def test_chaos_records_into_health():
+def test_chaos_records_into_health(library):
+    """The campaign records each fired fault once; the injector holds
+    no report of its own."""
     chaos = ChaosInjector({0: ["parity_trip"]})
-    chaos.health = CampaignHealthReport()
-    chaos.parity_trip(0)
-    assert chaos.health.faults == 1
+    campaign = ResilientCampaign.from_spec(
+        CampaignSpec(
+            total_processors=1500, fleet_seed=3, failure_rate_scale=80.0,
+            shard_size=8,
+        ),
+        library,
+        chaos=chaos,
+    )
+    campaign.step()  # shard 0: the parity trip degrades it to scalar
+    assert campaign.health.faults == 1
+    assert campaign.health.degradations == 1
+    assert not hasattr(chaos, "health") and not hasattr(chaos, "obs")
 
 
 # -- health report ---------------------------------------------------------

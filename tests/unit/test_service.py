@@ -24,15 +24,14 @@ from repro.errors import (
 from repro.cli import main
 from repro.obs import ListTraceSink, MetricsRegistry, Observability, Tracer
 from repro.resilience import CampaignSpec, CheckpointStore, ResilientCampaign
+from repro.resilience.chaos import ChaosInjector, parse_chaos_spec
 from repro.sealed import canonical
 from repro.service import (
     JournalWriter,
     Rejected,
     ReplayReport,
-    ServiceChaos,
     ServiceClient,
     ServiceThread,
-    parse_chaos_spec,
     replay_journal,
 )
 from repro.service.scheduler import (
@@ -212,8 +211,8 @@ class TestChaosSpec:
             parse_chaos_spec(bad)
 
     def test_from_spec_empty_is_none(self):
-        assert ServiceChaos.from_spec(None) is None
-        assert ServiceChaos.from_spec("  ") is None
+        assert ChaosInjector.from_spec(None) is None
+        assert ChaosInjector.from_spec("  ") is None
 
 
 # -- scheduler recovery state machine ---------------------------------------
@@ -289,6 +288,23 @@ class TestRecovery:
             for p in scheduler.replay_report.problems
         )
 
+    def test_unusable_journaled_chaos_is_reported_not_fatal(
+        self, tmp_path, library
+    ):
+        spec = CampaignSpec(**SPEC).to_dict()
+        with self._journal(tmp_path) as journal:
+            journal.append(
+                "submit", job="job-000001", spec=spec,
+                chaos={"schedule": {"0": ["meteor"]}, "seed": 0},
+            )
+            journal.append("submit", job="job-000002", spec=spec)
+        scheduler = CampaignScheduler(tmp_path, library)
+        assert scheduler.pending_jobs() == ["job-000002"]
+        assert any(
+            "unusable journaled chaos schedule" in p
+            for p in scheduler.replay_report.problems
+        )
+
 
 # -- submission validation ---------------------------------------------------
 
@@ -315,6 +331,17 @@ class TestSubmission:
     def test_spec_validation_propagates(self, scheduler):
         with pytest.raises(ConfigurationError):
             scheduler.parse_submission(dict(SPEC, engine="quantum"))
+
+    @pytest.mark.parametrize("chaos", [
+        {"schedule": {"0": ["meteor"]}},     # unknown fault kind
+        {"schedule": {"x": ["kill"]}},       # non-integer shard
+        {"schedule": {"-1": ["kill"]}},      # negative shard
+        {"schedule": {"0": "kill"}},         # kinds not a list
+        {"schedule": {"0": ["kill"]}, "seed": "7"},  # non-integer seed
+    ])
+    def test_bad_chaos_schedule_rejected(self, scheduler, chaos):
+        with pytest.raises(ConfigurationError, match="chaos"):
+            scheduler.parse_submission(dict(SPEC, chaos=chaos))
 
 
 # -- in-process HTTP API -----------------------------------------------------
@@ -394,6 +421,44 @@ class TestApi:
             "queued", "running", "done", "failed", "expired",
         }
         assert overview["draining"] is False
+
+
+class TestChaosAdmission:
+    """``/submit`` parses a job's chaos schedule with the injector's
+    parser: a schedule it would refuse is a 400, and nothing reaches
+    the journal or the job thread."""
+
+    def test_unknown_fault_kind_is_400_and_never_journaled(
+        self, tmp_path, library
+    ):
+        with ServiceThread(
+            tmp_path, library=library, checkpoint_every=1
+        ) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            reply = client._request("POST", "/submit", body=dict(
+                SPEC, job_id="meteor",
+                chaos={"schedule": {"0": ["meteor"]}},
+            ))
+            assert reply.status == 400
+            assert "unknown chaos fault" in reply.json()["error"]
+            # The job thread is still alive for the next job.
+            client.submit(dict(SPEC, job_id="after"))
+            assert client.wait_verdict("after", timeout_s=120)
+        jobs = {entry.job for entry in replay_journal(tmp_path / "journal")}
+        assert "meteor" not in jobs and "after" in jobs
+
+    def test_non_integer_shard_is_400(self, tmp_path, library):
+        with ServiceThread(
+            tmp_path, library=library, checkpoint_every=1
+        ) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            reply = client._request("POST", "/submit", body=dict(
+                SPEC, job_id="shardless",
+                chaos={"schedule": {"x": ["kill"]}},
+            ))
+            assert reply.status == 400
+            assert "chaos shard" in reply.json()["error"]
+            assert client.job("shardless") is None
 
 
 class TestAdmissionControl:
