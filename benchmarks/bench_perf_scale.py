@@ -3,10 +3,11 @@
 Proves the paper-scale claim of the out-of-core substrate end-to-end:
 
 1. **Parity** — a reference fleet (default 100k CPUs) is campaigned
-   twice through ``VectorizedTestPipeline``, once fully in memory over
-   ``generate_fleet`` and once streamed over a windowed
-   ``FrameFleetPopulation``; detections, undetected ids, and the
-   finishing stream position must be bit-identical.
+   twice through ``VectorizedTestPipeline``, once over a plain list of
+   every faulty Processor materialized from the same rows and once
+   window by window over ``generate_fleet``'s frame-backed population;
+   detections, undetected ids, and the finishing stream position must
+   be bit-identical.
 2. **Scale** — a 1,000,000-CPU fleet is generated chunk-by-chunk
    (never materializing Processor objects for the whole population),
    campaigned window by window through the vectorized engine, and
@@ -39,10 +40,12 @@ import numpy as np
 from repro.analysis import DetectionFrame
 from repro.faults.trigger import TriggerModel
 from repro.fleet import (
+    FleetPopulation,
     FleetSpec,
     VectorizedTestPipeline,
+    fleet_arch_counts,
     generate_fleet,
-    generate_fleet_frame,
+    iter_fleet_chunks,
     stats,
 )
 from repro.fleet.pipeline import FleetStudyResult
@@ -67,24 +70,23 @@ def _detection_key(detection):
     )
 
 
-def _run_streamed(spec, library, *, window, seed, obs=None):
+def _run_streamed(spec, library, *, seed, obs=None):
     """Streamed campaign: chunked generation -> the vectorized engine
-    over a lazily materializing frame population, one window-sized
+    over the lazily materializing frame population, one window-sized
     range at a time so no range outgrows the resident window."""
-    frame_population = generate_fleet_frame(
-        spec, chunk_size=window, window=window, obs=obs
-    )
+    population = generate_fleet(spec, obs=obs)
     engine = VectorizedTestPipeline(
-        frame_population, library, trigger_model=TriggerModel(), seed=seed,
+        population, library, trigger_model=TriggerModel(), seed=seed,
     )
     result = FleetStudyResult(
-        population_total=frame_population.total,
-        arch_counts=dict(frame_population.arch_counts),
+        population_total=population.total,
+        arch_counts=dict(population.arch_counts),
     )
-    faulty = len(frame_population.faulty)
+    faulty = len(population.faulty)
+    window = population.faulty.window
     for start in range(0, faulty, window):
         engine.run_range(start, min(start + window, faulty), result)
-    return frame_population, result, engine._scalar._stream.consumed
+    return population, result, engine._scalar._stream.consumed
 
 
 def _check_reference_parity(args, library) -> dict:
@@ -93,7 +95,11 @@ def _check_reference_parity(args, library) -> dict:
         failure_rate_scale=args.scale,
         seed=args.fleet_seed,
     )
-    fleet = generate_fleet(spec)
+    # Every faulty Processor resident at once, in a plain list.
+    faulty = []
+    for chunk in iter_fleet_chunks(spec):
+        faulty.extend(chunk.materialize())
+    fleet = FleetPopulation(spec, fleet_arch_counts(spec), faulty)
     engine = VectorizedTestPipeline(
         fleet, library, trigger_model=TriggerModel(), seed=args.seed
     )
@@ -101,7 +107,7 @@ def _check_reference_parity(args, library) -> dict:
     reference_position = engine._scalar._stream.consumed
 
     _, streamed, streamed_position = _run_streamed(
-        spec, library, window=args.max_resident_cpus, seed=args.seed,
+        spec, library, seed=args.seed,
     )
     ref_keys = [_detection_key(d) for d in reference.detections]
     streamed_keys = [_detection_key(d) for d in streamed.detections]
@@ -129,8 +135,7 @@ def _run_scale(args, library, obs) -> dict:
     )
     start = time.perf_counter()
     population, result, _ = _run_streamed(
-        spec, library, window=args.max_resident_cpus, seed=args.seed,
-        obs=obs,
+        spec, library, seed=args.seed, obs=obs,
     )
     campaign_s = time.perf_counter() - start
 
@@ -159,7 +164,7 @@ def _run_scale(args, library, obs) -> dict:
         "failure_rate_scale": spec.failure_rate_scale,
         "faulty": len(population.faulty),
         "detections": len(result.detections),
-        "window": args.max_resident_cpus,
+        "window": population.faulty.window,
         "campaign_s": round(campaign_s, 4),
         "analytics_s": round(analytics_s, 4),
         "spill_bytes": spill_bytes,
@@ -205,10 +210,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--fleet-seed", type=int, default=7)
     parser.add_argument("--seed", type=int, default=11, help="pipeline seed")
-    parser.add_argument(
-        "--max-resident-cpus", type=int, default=8192,
-        help="streamed chunk size and lazy-materialization window",
-    )
     parser.add_argument(
         "--max-peak-rss-mb", type=float, default=512.0,
         help="fail if peak RSS over the whole benchmark exceeds this",

@@ -88,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument("--seed", type=int, default=1)
     fleet.add_argument(
-        "--engine", choices=("scalar", "vectorized"),
-        default="vectorized",
-        help="campaign engine; both are bit-identical (vectorized is "
-             "~100x scalar)",
-    )
-    fleet.add_argument(
         "--checkpoint-dir", default=None,
         help="write resumable snapshots here; continue with 'repro resume'",
     )
@@ -106,16 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="faulty CPUs per shard, the checkpoint/retry granule",
     )
     fleet.add_argument(
-        "--max-resident-cpus", type=int, default=0, metavar="N",
-        help="out-of-core mode: stream population generation and bound "
-             "resident materialized Processors to N (0 = classic "
-             "fully-in-memory path); shards are clamped to N so the "
-             "engines never request a larger window",
-    )
-    fleet.add_argument(
         "--spill-dir", default=None, metavar="DIR",
-        help="spill the campaign's detections (and, in out-of-core "
-             "mode, the fleet frame) to CRC-checked column stores here",
+        help="spill the campaign's detections and the fleet frame to "
+             "CRC-checked column stores here",
     )
 
     sub.add_parser(
@@ -319,21 +306,11 @@ def _cmd_fleet_study(args, obs=None) -> int:
     from .resilience import CampaignSpec, CheckpointStore, ResilientCampaign
     from .testing import build_library
 
-    if args.max_resident_cpus < 0:
-        logger.error("error: --max-resident-cpus must be >= 0")
-        return 2
-    shard_size = args.shard_size
-    if args.max_resident_cpus:
-        # The resident bound only holds if no engine ever asks for a
-        # Processor range wider than the frame window.
-        shard_size = min(shard_size, args.max_resident_cpus)
     spec = CampaignSpec(
         total_processors=args.size,
         fleet_seed=args.seed,
         pipeline_seed=args.seed,
-        engine=args.engine,
-        shard_size=shard_size,
-        max_resident_cpus=args.max_resident_cpus,
+        shard_size=args.shard_size,
     )
     store = (
         CheckpointStore(args.checkpoint_dir)
@@ -372,25 +349,18 @@ def _spill_study(spill_dir, campaign, result, obs=None) -> None:
         "spilled %d detections to %s (%d bytes)",
         len(frame), base / "detections", written,
     )
-    fleet_frame = getattr(campaign.population, "frame", None)
-    if fleet_frame is not None:
-        written = fleet_frame.save(base / "fleet", obs=obs)
-        logger.info(
-            "spilled fleet frame to %s (%d bytes)", base / "fleet", written
-        )
+    written = campaign.population.faulty.frame.save(base / "fleet", obs=obs)
+    logger.info(
+        "spilled fleet frame to %s (%d bytes)", base / "fleet", written
+    )
 
 
 def _cmd_resume(args, obs=None) -> int:
-    from .errors import ReproError
     from .resilience import CheckpointStore, ResilientCampaign
     from .testing import build_library
 
     store = CheckpointStore(args.checkpoint_dir)
-    try:
-        campaign = ResilientCampaign.resume(store, build_library(), obs=obs)
-    except ReproError as error:
-        logger.error("error: %s", error)
-        return 2
+    campaign = ResilientCampaign.resume(store, build_library(), obs=obs)
     logger.info(
         "resuming at cursor %d of %d faulty CPUs",
         campaign.cursor, len(campaign.population.faulty),
@@ -426,16 +396,11 @@ def _cmd_catalog(args, obs=None) -> int:
 
 def _cmd_test(args, obs=None) -> int:
     from .cpu import catalog_processor
-    from .errors import ReproError
     from .testing import TestFramework, build_library
 
     library = build_library()
     framework = TestFramework(library, engine=args.engine)
-    try:
-        processors = [catalog_processor(name) for name in args.cpu]
-    except ReproError as error:
-        logger.error("error: %s", error)
-        return 2
+    processors = [catalog_processor(name) for name in args.cpu]
     plan = framework.equal_allocation_plan(args.duration)
     plan.preheat_to_c = args.preheat
     reports = framework.execute_batch(plan, processors, obs=obs)
@@ -552,7 +517,6 @@ def _cmd_serve(args, obs=None) -> int:
 
 
 def _cmd_obs_report(args, obs=None) -> int:
-    from .errors import ObservabilityError
     from .obs import check_artifacts, render_report
 
     if args.metrics is None and args.trace is None:
@@ -566,18 +530,13 @@ def _cmd_obs_report(args, obs=None) -> int:
             return 1
         print("ok: telemetry artifacts validate")
         return 0
-    try:
-        print(render_report(args.metrics, args.trace))
-    except ObservabilityError as error:
-        logger.error("error: %s", error)
-        return 2
+    print(render_report(args.metrics, args.trace))
     return 0
 
 
 def _cmd_trace_export(args, obs=None) -> int:
     from pathlib import Path
 
-    from .errors import ObservabilityError
     from .obs import read_trace_segments, write_chrome_trace
 
     base = Path(args.trace)
@@ -586,11 +545,7 @@ def _cmd_trace_export(args, obs=None) -> int:
         if args.out is not None
         else base.with_suffix(".chrome.json")
     )
-    try:
-        records = read_trace_segments(base, strict=args.strict)
-    except ObservabilityError as error:
-        logger.error("error: %s", error)
-        return 2
+    records = read_trace_segments(base, strict=args.strict)
     if not records:
         logger.error("error: no trace records under %s", base)
         return 2
@@ -668,11 +623,7 @@ def _cmd_top(args, obs=None) -> int:
     from .service import ServiceClient
 
     if args.state_dir is not None:
-        try:
-            client = ServiceClient.from_state_dir(args.state_dir)
-        except ServiceError as error:
-            logger.error("error: %s", error)
-            return 2
+        client = ServiceClient.from_state_dir(args.state_dir)
     elif args.host is not None and args.port is not None:
         client = ServiceClient(args.host, args.port)
     else:
@@ -717,6 +668,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .errors import ReproError
     from .obs import logging_setup
 
     args = build_parser().parse_args(argv)
@@ -735,6 +687,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     try:
         return _COMMANDS[args.command](args, observability)
+    except ReproError as error:
+        logger.error("error: %s", error)
+        return 2
     except BrokenPipeError:
         # stdout consumer (e.g. `... | head`) went away mid-report;
         # detach stdout so interpreter shutdown doesn't re-raise.

@@ -1,20 +1,15 @@
 """Fleet simulation: population, topology, staged test pipeline, stats."""
 
 from .population import (
+    ROW_SCHEMA,
     FleetChunk,
     FleetPopulation,
     FleetSpec,
     OnsetMixture,
     fleet_arch_counts,
-    generate_fleet,
     iter_fleet_chunks,
 )
-from .frame import (
-    FleetFrame,
-    FrameFleetPopulation,
-    LazyFaultyList,
-    generate_fleet_frame,
-)
+from .frame import FleetFrame, LazyFaultyList, generate_fleet
 from .machine import (
     Cluster,
     Datacenter,
@@ -34,6 +29,7 @@ from .vectorized import VectorizedTestPipeline
 from . import stats
 
 __all__ = [
+    "ROW_SCHEMA",
     "FleetChunk",
     "FleetPopulation",
     "FleetSpec",
@@ -42,9 +38,7 @@ __all__ = [
     "generate_fleet",
     "iter_fleet_chunks",
     "FleetFrame",
-    "FrameFleetPopulation",
     "LazyFaultyList",
-    "generate_fleet_frame",
     "Cluster",
     "Datacenter",
     "FleetTopology",

@@ -1,21 +1,19 @@
-"""Out-of-core fleet frames: SoA faulty populations with lazy windows.
+"""Fleet frames: the population as column rows, Processors on demand.
 
-Eager generation holds every faulty :class:`~repro.cpu.processor
-.Processor` resident — kilobytes apiece once bitflip patterns and core
-multipliers are attached.  At paper scale (>1M CPUs, dense
-``failure_rate_scale``) that dominates campaign RSS.  A
-:class:`FleetFrame` instead keeps the ~45-byte struct-of-arrays row
-that *determines* each processor (the :func:`~.population
-._sample_defect_params` tuple plus onset/escape) and rebuilds real
-Processor objects on demand, one window at a time, bit-identical to
-what :func:`~.population.generate_fleet` would have produced.
+A materialized :class:`~repro.cpu.processor.Processor` costs kilobytes
+once bitflip patterns and core multipliers are attached.  At paper
+scale (>1M CPUs, dense ``failure_rate_scale``) holding every faulty one
+would dominate campaign RSS.  :func:`generate_fleet` therefore keeps a
+:class:`FleetFrame`: the ~45-byte :data:`~.population.ROW_SCHEMA` row
+that *determines* each processor, and rebuilds real Processor objects
+on demand, one window at a time.
 
 The pipeline engines only ever touch ``population.faulty[start:stop]``
 (range lowering) or ``population.faulty[i]`` (replay), so
 :class:`LazyFaultyList` services exactly those two access patterns with
 a single cached window: peak resident Processors = max(window size,
-largest range requested by the driver), which the campaign layer
-bounds via its shard size.
+largest range requested by the driver), and a campaign requests one
+shard at a time.
 
 Frames also round-trip through the :mod:`repro.colstore` container
 (one ``.npy`` per column, CRC-checked manifest), which is what lets a
@@ -34,6 +32,7 @@ from ..cpu.processor import Processor
 from ..errors import ConfigurationError
 from .population import (
     DEFAULT_CHUNK_SIZE,
+    ROW_SCHEMA,
     FleetChunk,
     FleetPopulation,
     FleetSpec,
@@ -45,45 +44,10 @@ from .population import (
 __all__ = [
     "FleetFrame",
     "LazyFaultyList",
-    "FrameFleetPopulation",
-    "generate_fleet_frame",
+    "generate_fleet",
     "spec_to_dict",
     "spec_from_dict",
 ]
-
-#: Column names of a fleet frame, in canonical order (mirrors
-#: :class:`~.population.FleetChunk`'s row layout).
-FRAME_COLUMNS: Tuple[str, ...] = (
-    "arch_code",
-    "arch_index",
-    "onset_days",
-    "escapes",
-    "consistency",
-    "combo",
-    "pool_index",
-    "core_id",
-    "tmin",
-    "log10_f0",
-    "slope",
-    "pattern_prob",
-)
-
-#: Column dtypes (fixed by :class:`~.population.FleetChunk`'s layout);
-#: used to shape empty frames when a spec yields zero faulty CPUs.
-FRAME_DTYPES: Dict[str, np.dtype] = {
-    "arch_code": np.dtype(np.int16),
-    "arch_index": np.dtype(np.int32),
-    "onset_days": np.dtype(np.float64),
-    "escapes": np.dtype(np.bool_),
-    "consistency": np.dtype(np.bool_),
-    "combo": np.dtype(np.int8),
-    "pool_index": np.dtype(np.int32),
-    "core_id": np.dtype(np.int32),
-    "tmin": np.dtype(np.float64),
-    "log10_f0": np.dtype(np.float64),
-    "slope": np.dtype(np.float64),
-    "pattern_prob": np.dtype(np.float64),
-}
 
 
 def spec_to_dict(spec: FleetSpec) -> Dict[str, object]:
@@ -123,10 +87,10 @@ class FleetFrame:
         arch_counts: Dict[str, int],
         columns: Dict[str, np.ndarray],
     ):
-        missing = [name for name in FRAME_COLUMNS if name not in columns]
+        missing = [name for name in ROW_SCHEMA if name not in columns]
         if missing:
             raise ConfigurationError(f"fleet frame missing columns: {missing}")
-        lengths = {name: len(columns[name]) for name in FRAME_COLUMNS}
+        lengths = {name: len(columns[name]) for name in ROW_SCHEMA}
         if len(set(lengths.values())) > 1:
             raise ConfigurationError(
                 f"fleet frame columns disagree on length: {lengths}"
@@ -134,26 +98,22 @@ class FleetFrame:
         self.spec = spec
         self.arch_names = tuple(arch_names)
         self.arch_counts = dict(arch_counts)
-        self.columns = {name: columns[name] for name in FRAME_COLUMNS}
+        self.columns = {name: columns[name] for name in ROW_SCHEMA}
 
     def __len__(self) -> int:
         return len(self.columns["arch_code"])
 
-    @property
-    def nbytes(self) -> int:
-        return sum(array.nbytes for array in self.columns.values())
-
-    def chunk(self, start: int, stop: int) -> FleetChunk:
-        """A zero-copy :class:`FleetChunk` view of rows [start, stop)."""
+    def materialize(self, start: int, stop: int) -> List[Processor]:
+        """Rebuild rows [start, stop) as Processors, through a zero-copy
+        :class:`FleetChunk` view."""
         return FleetChunk(
             start=start,
             arch_names=self.arch_names,
-            **{name: self.columns[name][start:stop] for name in FRAME_COLUMNS},
-        )
-
-    def materialize(self, start: int, stop: int) -> List[Processor]:
-        """Rebuild rows [start, stop) as Processors (eager-parity)."""
-        return self.chunk(start, stop).materialize()
+            columns={
+                name: column[start:stop]
+                for name, column in self.columns.items()
+            },
+        ).materialize()
 
     # -- persistence --------------------------------------------------------
 
@@ -187,6 +147,7 @@ class LazyFaultyList(Sequence):
     lowering path; integer access materializes the window-aligned block
     around the index — the replay path, which walks CPUs in order
     within a shard and therefore hits the cache after the first touch.
+    Processors rebuilt by different windows are equal, not identical.
     """
 
     def __init__(self, frame: FleetFrame, window: int = DEFAULT_CHUNK_SIZE, obs=None):
@@ -258,80 +219,36 @@ class LazyFaultyList(Sequence):
             yield from self._materialize(start, stop)
 
 
-class FrameFleetPopulation(FleetPopulation):
-    """A :class:`FleetPopulation` whose faulty list is frame-backed.
+def generate_fleet(spec: Optional[FleetSpec] = None, obs=None) -> FleetPopulation:
+    """Generate the fleet: arch counts plus the faulty CPUs.
 
-    Drop-in for every engine (they only slice/index ``faulty``), but
-    peak resident Processors stay bounded by the window.  The frame is
-    exposed so a campaign can spill it to a column store.
-    """
-
-    def __init__(self, frame: FleetFrame, window: int = DEFAULT_CHUNK_SIZE, obs=None):
-        super().__init__(
-            spec=frame.spec,
-            arch_counts=dict(frame.arch_counts),
-            faulty=LazyFaultyList(frame, window=window, obs=obs),
-        )
-        self.frame = frame
-
-    def faulty_by_arch(self) -> Dict[str, List[Processor]]:
-        grouped: Dict[str, List[Processor]] = {
-            name: [] for name in self.arch_counts
-        }
-        codes = self.frame.columns["arch_code"]
-        names = self.frame.arch_names
-        for row in range(len(codes)):
-            # Group by the SoA arch column; only rows of interest get
-            # materialized (still all of them here, but window-bounded).
-            grouped[names[int(codes[row])]].append(self.faulty[row])
-        return grouped
-
-    def detectable_faulty(self) -> List[Processor]:
-        escapes = self.frame.columns["escapes"]
-        return [self.faulty[row] for row in np.flatnonzero(~np.asarray(escapes))]
-
-
-def generate_fleet_frame(
-    spec: Optional[FleetSpec] = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    window: Optional[int] = None,
-    obs=None,
-) -> FrameFleetPopulation:
-    """Stream-generate a frame-backed population (bounded memory).
-
-    Consumes :func:`~.population.iter_fleet_chunks`, so the resulting
-    population's faulty sequence is bit-identical to
-    :func:`~.population.generate_fleet` — the unit suite asserts it —
-    while never holding more than one chunk of Processor state plus the
-    compact SoA columns.
+    Streams :func:`~.population.iter_fleet_chunks` into one
+    :class:`FleetFrame`; ``population.faulty`` is a
+    :class:`LazyFaultyList` over it (the frame is
+    ``population.faulty.frame``), so no more than one window of
+    Processor objects is ever resident.
     """
     spec = spec or FleetSpec()
-    parts: Dict[str, List[np.ndarray]] = {name: [] for name in FRAME_COLUMNS}
-    arch_names: Tuple[str, ...] = ()
-    chunks = 0
-    for chunk in iter_fleet_chunks(spec, chunk_size=chunk_size):
-        arch_names = chunk.arch_names
-        for name in FRAME_COLUMNS:
-            parts[name].append(getattr(chunk, name))
-        chunks += 1
+    chunks = []
+    for chunk in iter_fleet_chunks(spec):
+        chunks.append(chunk)
         if obs is not None:
             obs.inc("repro_fleet_chunks_total")
-    if not arch_names:
-        arch_names = tuple(sorted(fleet_arch_counts(spec)))
-    columns = {
-        name: (
-            np.concatenate(parts[name])
-            if parts[name]
-            else np.empty(0, dtype=FRAME_DTYPES[name])
-        )
-        for name in FRAME_COLUMNS
-    }
+    arch_counts = fleet_arch_counts(spec)
     frame = FleetFrame(
         spec=spec,
-        arch_names=arch_names,
-        arch_counts=fleet_arch_counts(spec),
-        columns=columns,
+        arch_names=tuple(sorted(arch_counts)),
+        arch_counts=arch_counts,
+        columns={
+            # The empty head keeps the dtype when no CPU is faulty.
+            name: np.concatenate(
+                [np.empty(0, dtype)] + [chunk.columns[name] for chunk in chunks]
+            )
+            for name, dtype in ROW_SCHEMA.items()
+        },
     )
-    return FrameFleetPopulation(
-        frame, window=window or chunk_size, obs=obs
+    return FleetPopulation(
+        spec=spec,
+        arch_counts=arch_counts,
+        faulty=LazyFaultyList(frame, obs=obs),
     )

@@ -3,8 +3,9 @@
 The study covers "over one million CPUs from hundreds of clusters in 28
 data centers across 14 countries" (§1).  Healthy processors are only
 *counted* (there are ~999,640 of them and they never do anything
-interesting); faulty processors are fully instantiated with defects so
-the test pipeline can exercise them.
+interesting); each faulty processor is one sampled row
+(:data:`ROW_SCHEMA`) that rebuilds into a Processor with its defect
+whenever the test pipeline asks for it.
 
 Calibration:
 
@@ -24,7 +25,7 @@ Calibration:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,15 +51,37 @@ __all__ = [
     "FleetSpec",
     "FleetPopulation",
     "FleetChunk",
+    "ROW_SCHEMA",
     "fleet_arch_counts",
     "iter_fleet_chunks",
-    "generate_fleet",
 ]
 
 #: Streamed generation emits faulty CPUs in struct-of-arrays chunks of
 #: this many rows by default — large enough to amortize per-chunk
 #: overhead, small enough that a chunk is always cache-friendly.
 DEFAULT_CHUNK_SIZE = 8192
+
+#: The one row schema of a faulty CPU: column name -> dtype, in the
+#: order :func:`iter_fleet_chunks` draws the values.  The last eight
+#: columns are :func:`_sample_defect_params`' tuple.  Generation,
+#: :class:`~.frame.FleetFrame`, the column-store manifest and row
+#: materialization all read this table.
+ROW_SCHEMA: Dict[str, np.dtype] = {
+    "arch_code": np.dtype(np.int16),
+    # Per-architecture faulty index (the ``F%04d`` in the CPU name).
+    "arch_index": np.dtype(np.int32),
+    "onset_days": np.dtype(np.float64),
+    "escapes": np.dtype(np.bool_),
+    "consistency": np.dtype(np.bool_),
+    "combo": np.dtype(np.int8),
+    "pool_index": np.dtype(np.int32),
+    # Defective physical core, or -1 for all-core defects.
+    "core_id": np.dtype(np.int32),
+    "tmin": np.dtype(np.float64),
+    "log10_f0": np.dtype(np.float64),
+    "slope": np.dtype(np.float64),
+    "pattern_prob": np.dtype(np.float64),
+}
 
 
 @dataclass(frozen=True)
@@ -154,11 +177,16 @@ class FleetSpec:
 
 @dataclass
 class FleetPopulation:
-    """The generated fleet: healthy counts plus instantiated faulty CPUs."""
+    """The generated fleet: healthy counts plus the faulty CPUs.
+
+    :func:`~.frame.generate_fleet` backs ``faulty`` with a
+    :class:`~.frame.LazyFaultyList`, which builds Processors one window
+    at a time; any other sequence of Processors works too.
+    """
 
     spec: FleetSpec
     arch_counts: Dict[str, int]
-    faulty: List[Processor]
+    faulty: Sequence[Processor]
 
     @property
     def total(self) -> int:
@@ -199,12 +227,11 @@ def _sample_defect_params(
     """Draw one defect's compact parameter tuple.
 
     Consumes *exactly* the draws the original inline sampler consumed,
-    in the same order — this is the contract that keeps chunked
-    streamed generation bit-identical to the materialized path.
-    Everything else about a fleet defect (core multipliers, bitflip
-    patterns, datatypes) is derived deterministically from these
-    parameters plus the CPU name, so the tuple is the *complete*
-    stochastic state of a faulty CPU.
+    in the same order — this is the contract that keeps every fleet
+    seed's population unchanged.  Everything else about a fleet defect
+    (core multipliers, bitflip patterns, datatypes) is derived
+    deterministically from these parameters plus the CPU name, so the
+    tuple is the *complete* stochastic state of a faulty CPU.
 
     §4.1: of the 27 studied CPUs, 19 are computation-type and 8
     consistency-type — we keep that ~70/30 split fleet-wide.
@@ -253,9 +280,9 @@ def _build_fleet_defect(
 
     Consumes no randomness: core multipliers and bitflip patterns come
     from name-keyed substreams inside the catalog builder, so the same
-    ``(name, params)`` always yields the identical frozen
-    :class:`~repro.cpu.defects.Defect`, whether built during streamed
-    chunk materialization or eager generation.
+    ``(name, params)`` always yields an equal frozen
+    :class:`~repro.cpu.defects.Defect`, whichever window or chunk
+    rebuilds it.
     """
     (
         consistency, combo, pool_index, core_id,
@@ -308,65 +335,42 @@ def _build_fleet_defect(
 class FleetChunk:
     """A contiguous run of faulty CPUs in struct-of-arrays form.
 
-    Each row is one faulty CPU's complete stochastic state (the output
-    of :func:`_sample_defect_params` plus onset/escape draws) — about
-    45 bytes instead of the kilobytes a materialized
+    Each row is one faulty CPU's complete stochastic state, laid out by
+    :data:`ROW_SCHEMA` — about 45 bytes instead of the kilobytes a
     :class:`~repro.cpu.processor.Processor` costs — so a million-CPU
     fleet streams through memory a chunk at a time.
-    :meth:`materialize` deterministically rebuilds the exact Processor
-    objects eager generation would have produced for the same rows.
+    :meth:`materialize` deterministically rebuilds the rows'
+    Processor objects.
     """
 
     #: Global faulty-CPU index of this chunk's first row.
     start: int
     #: Architecture name table ``arch_code`` indexes into.
     arch_names: Tuple[str, ...]
-    arch_code: np.ndarray
-    #: Per-architecture faulty index (the ``F%04d`` in the CPU name).
-    arch_index: np.ndarray
-    onset_days: np.ndarray
-    escapes: np.ndarray
-    consistency: np.ndarray
-    combo: np.ndarray
-    pool_index: np.ndarray
-    #: Defective physical core, or -1 for all-core defects.
-    core_id: np.ndarray
-    tmin: np.ndarray
-    log10_f0: np.ndarray
-    slope: np.ndarray
-    pattern_prob: np.ndarray
+    #: One array per :data:`ROW_SCHEMA` column.
+    columns: Dict[str, np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.arch_code)
-
-    def materialize_row(self, row: int) -> Processor:
-        """Rebuild one row's Processor, bit-identical to eager output."""
-        name = self.arch_names[int(self.arch_code[row])]
-        arch = ARCHITECTURES[name]
-        cpu_name = f"{name}-F{int(self.arch_index[row]):04d}"
-        params = (
-            bool(self.consistency[row]),
-            int(self.combo[row]),
-            int(self.pool_index[row]),
-            int(self.core_id[row]),
-            float(self.tmin[row]),
-            float(self.log10_f0[row]),
-            float(self.slope[row]),
-            float(self.pattern_prob[row]),
-        )
-        defect = _build_fleet_defect(
-            cpu_name, arch, params,
-            float(self.onset_days[row]), bool(self.escapes[row]),
-        )
-        return Processor(
-            processor_id=cpu_name,
-            arch=arch,
-            defects=(defect,),
-            age_years=0.0,
-        )
+        return len(self.columns["arch_code"])
 
     def materialize(self) -> List[Processor]:
-        return [self.materialize_row(row) for row in range(len(self))]
+        """Rebuild every row's Processor, in row order."""
+        rows = zip(*(self.columns[name].tolist() for name in ROW_SCHEMA))
+        processors = []
+        for arch_code, arch_index, onset, escapes, *params in rows:
+            name = self.arch_names[arch_code]
+            arch = ARCHITECTURES[name]
+            cpu_name = f"{name}-F{arch_index:04d}"
+            defect = _build_fleet_defect(
+                cpu_name, arch, tuple(params), onset, escapes
+            )
+            processors.append(Processor(
+                processor_id=cpu_name,
+                arch=arch,
+                defects=(defect,),
+                age_years=0.0,
+            ))
+        return processors
 
 
 def fleet_arch_counts(spec: FleetSpec) -> Dict[str, int]:
@@ -393,13 +397,12 @@ def iter_fleet_chunks(
 ) -> Iterator[FleetChunk]:
     """Stream the fleet's faulty CPUs as struct-of-arrays chunks.
 
-    Consumes the single ``substream(seed, "fleet")`` generator in
-    exactly the order eager generation does — per sorted architecture,
-    one binomial count, then per CPU: onset, escape, defect parameters
-    — so concatenating every chunk's :meth:`~FleetChunk.materialize`
-    output reproduces :func:`generate_fleet`'s faulty list bit for bit
-    (:func:`generate_fleet` is literally implemented that way).  Peak
-    memory is one chunk (~45 bytes/row), never the whole fleet.
+    Consumes the single ``substream(seed, "fleet")`` generator in one
+    fixed order — per sorted architecture, one binomial count, then per
+    CPU: onset, escape, defect parameters — so every chunking yields
+    the same rows, and concatenating the chunks gives
+    :func:`~.frame.generate_fleet`'s frame.  Peak memory is one chunk
+    (~45 bytes/row), never the whole fleet.
 
     Chunks may span architecture boundaries; rows carry their arch code
     and per-arch index so any chunking yields the same global sequence.
@@ -418,22 +421,15 @@ def iter_fleet_chunks(
 
     def flush() -> FleetChunk:
         nonlocal rows, start
-        columns = list(zip(*rows)) if rows else [[] for _ in range(12)]
         chunk = FleetChunk(
             start=start,
             arch_names=arch_names,
-            arch_code=np.asarray(columns[0], dtype=np.int16),
-            arch_index=np.asarray(columns[1], dtype=np.int32),
-            onset_days=np.asarray(columns[2], dtype=np.float64),
-            escapes=np.asarray(columns[3], dtype=np.bool_),
-            consistency=np.asarray(columns[4], dtype=np.bool_),
-            combo=np.asarray(columns[5], dtype=np.int8),
-            pool_index=np.asarray(columns[6], dtype=np.int32),
-            core_id=np.asarray(columns[7], dtype=np.int32),
-            tmin=np.asarray(columns[8], dtype=np.float64),
-            log10_f0=np.asarray(columns[9], dtype=np.float64),
-            slope=np.asarray(columns[10], dtype=np.float64),
-            pattern_prob=np.asarray(columns[11], dtype=np.float64),
+            columns={
+                name: np.asarray(values, dtype=dtype)
+                for (name, dtype), values in zip(
+                    ROW_SCHEMA.items(), zip(*rows)
+                )
+            },
         )
         start += len(rows)
         rows = []
@@ -467,19 +463,3 @@ def iter_fleet_chunks(
                 yield flush()
     if rows:
         yield flush()
-
-
-def generate_fleet(spec: Optional[FleetSpec] = None) -> FleetPopulation:
-    """Generate the fleet: arch counts plus instantiated faulty CPUs.
-
-    Implemented over :func:`iter_fleet_chunks`, so the eager and
-    streamed paths share one sampler and parity between them holds by
-    construction.
-    """
-    spec = spec or FleetSpec()
-    faulty: List[Processor] = []
-    for chunk in iter_fleet_chunks(spec):
-        faulty.extend(chunk.materialize())
-    return FleetPopulation(
-        spec=spec, arch_counts=fleet_arch_counts(spec), faulty=faulty
-    )

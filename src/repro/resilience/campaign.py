@@ -12,9 +12,10 @@ months:
   stage cursor, partial detections, and the **exact draw position** of
   the pipeline's Bernoulli substream — is snapshotted through
   :mod:`repro.resilience.checkpoint`;
-* a shard that fails transiently is retried with exponential backoff;
-  a shard whose vectorized parity self-check trips is **degraded** to
-  the scalar engine (whose output is the ground truth by construction);
+* every shard starts on the vectorized engine; a shard that fails
+  transiently is retried with exponential backoff, and a shard whose
+  vectorized parity self-check trips is **degraded** to the scalar
+  engine (whose output is the ground truth by construction);
 * every fault, retry, degradation, and snapshot lands in a
   :class:`~repro.resilience.health.CampaignHealthReport`.
 
@@ -39,8 +40,9 @@ from ..errors import (
     ParityDegradedError,
     TransientWorkerError,
 )
+from ..fleet.frame import generate_fleet
 from ..fleet.pipeline import Detection, FleetStudyResult, PipelineConfig
-from ..fleet.population import FleetPopulation, FleetSpec, generate_fleet
+from ..fleet.population import FleetPopulation, FleetSpec
 from ..fleet.vectorized import VectorizedTestPipeline
 from ..testing.library import TestcaseLibrary
 from .chaos import ChaosInjector, InjectedKillError
@@ -61,8 +63,6 @@ __all__ = [
     "run_resilient_campaign",
 ]
 
-ENGINES = ("scalar", "vectorized")
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -70,7 +70,8 @@ class CampaignSpec:
 
     Checkpoints embed this spec, so ``repro resume <dir>`` can
     regenerate the identical population and library without the caller
-    re-supplying them.
+    re-supplying them.  The shard size also bounds the campaign's
+    resident Processors (see :class:`~repro.fleet.frame.LazyFaultyList`).
     """
 
     total_processors: int
@@ -78,24 +79,13 @@ class CampaignSpec:
     pipeline_seed: int = 11
     failure_rate_scale: float = 1.0
     escape_fraction: float = 0.05
-    engine: str = "vectorized"
     shard_size: int = 256
-    #: Out-of-core bound: 0 materializes the whole faulty population
-    #: eagerly (the classic path); > 0 builds a frame-backed population
-    #: whose resident Processor window never exceeds this many CPUs.
-    max_resident_cpus: int = 0
 
     def __post_init__(self) -> None:
         if self.total_processors <= 0:
             raise ConfigurationError("total_processors must be positive")
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
         if self.shard_size <= 0:
             raise ConfigurationError("shard_size must be positive")
-        if self.max_resident_cpus < 0:
-            raise ConfigurationError("max_resident_cpus must be >= 0")
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -104,9 +94,7 @@ class CampaignSpec:
             "pipeline_seed": self.pipeline_seed,
             "failure_rate_scale": self.failure_rate_scale,
             "escape_fraction": self.escape_fraction,
-            "engine": self.engine,
             "shard_size": self.shard_size,
-            "max_resident_cpus": self.max_resident_cpus,
         }
 
     @classmethod
@@ -116,8 +104,18 @@ class CampaignSpec:
         Fields absent from ``data`` fall back to their dataclass
         defaults, so checkpoints written before a field existed still
         resume (the default is, by construction, the behaviour those
-        campaigns had).  Required fields stay required.
+        campaigns had).  Required fields stay required.  Retired keys
+        are ignored: every campaign now starts on the vectorized engine
+        over a frame-backed population, and the engines are
+        bit-identical.  Any other unknown key is an error.
         """
+        retired = {"engine", "max_resident_cpus"}
+        names = {spec_field.name for spec_field in dataclass_fields(cls)}
+        unknown = set(data) - names - retired
+        if unknown:
+            raise ConfigurationError(
+                f"campaign spec has unknown fields: {sorted(unknown)}"
+            )
         kwargs: Dict[str, object] = {}
         for spec_field in dataclass_fields(cls):
             if spec_field.name in data:
@@ -129,33 +127,18 @@ class CampaignSpec:
                 raise ConfigurationError(
                     f"campaign spec is missing field {spec_field.name!r}"
                 )
-        if kwargs.get("engine") == "parallel":
-            # The retired process-pool engine gave the vectorized
-            # engine's result bits, so specs journaled or checkpointed
-            # with it still load.
-            kwargs["engine"] = "vectorized"
         return cls(**kwargs)
 
     def build_population(self, obs=None) -> FleetPopulation:
-        fleet_spec = FleetSpec(
-            total_processors=self.total_processors,
-            seed=self.fleet_seed,
-            failure_rate_scale=self.failure_rate_scale,
-            escape_fraction=self.escape_fraction,
+        return generate_fleet(
+            FleetSpec(
+                total_processors=self.total_processors,
+                seed=self.fleet_seed,
+                failure_rate_scale=self.failure_rate_scale,
+                escape_fraction=self.escape_fraction,
+            ),
+            obs=obs,
         )
-        if self.max_resident_cpus > 0:
-            # Imported lazily: repro.resilience initializes before the
-            # fleet frame module in some import orders, and only
-            # out-of-core campaigns need it.
-            from ..fleet.frame import generate_fleet_frame
-
-            return generate_fleet_frame(
-                fleet_spec,
-                chunk_size=self.max_resident_cpus,
-                window=self.max_resident_cpus,
-                obs=obs,
-            )
-        return generate_fleet(fleet_spec)
 
 
 class ResilientCampaign:
@@ -169,7 +152,6 @@ class ResilientCampaign:
         spec: Optional[CampaignSpec] = None,
         config: Optional[PipelineConfig] = None,
         seed: int = 11,
-        engine: str = "vectorized",
         shard_size: int = 256,
         checkpoint_store: Optional[CheckpointStore] = None,
         checkpoint_every: int = 1,
@@ -180,10 +162,6 @@ class ResilientCampaign:
         verify_parity: bool = False,
         obs=None,
     ):
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {engine!r}"
-            )
         if shard_size <= 0:
             raise ConfigurationError("shard_size must be positive")
         if checkpoint_every <= 0:
@@ -193,7 +171,6 @@ class ResilientCampaign:
         self.population = population
         self.library = library
         self.spec = spec
-        self.engine = engine
         self.shard_size = shard_size
         self.store = checkpoint_store
         self.checkpoint_every = checkpoint_every
@@ -266,8 +243,8 @@ class ResilientCampaign:
         ``payload`` is None, else restored from that snapshot payload
         (``fallbacks`` holds the corrupt snapshots skipped to reach it).
 
-        The spec (given, or embedded in the snapshot) supplies engine,
-        shard size and pipeline seed unless ``kwargs`` name them, and
+        The spec (given, or embedded in the snapshot) supplies shard
+        size and pipeline seed unless ``kwargs`` name them, and
         the population unless the caller still holds it.  Without
         ``health``, a restored campaign continues the history the
         snapshot carries.
@@ -292,7 +269,6 @@ class ResilientCampaign:
                 payload.get("health", {"events": []})  # type: ignore[arg-type]
             )
         if spec is not None:
-            kwargs.setdefault("engine", spec.engine)
             kwargs.setdefault("shard_size", spec.shard_size)
             kwargs.setdefault("seed", spec.pipeline_seed)
             if population is None:
@@ -421,7 +397,7 @@ class ResilientCampaign:
         draw sequence an uninterrupted run would have consumed.
         """
         draws_at_start = self._stream.consumed
-        engine = self.engine
+        engine = "vectorized"
         attempt = 0
         while True:
             self._stream.reset_to(draws_at_start)
@@ -563,8 +539,7 @@ class ResilientCampaign:
         """
         with span(
             self.obs, "campaign.run",
-            engine=self.engine, cursor=self._cursor,
-            faulty=len(self.population.faulty),
+            cursor=self._cursor, faulty=len(self.population.faulty),
         ):
             while self.step():
                 pass

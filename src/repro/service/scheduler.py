@@ -26,10 +26,10 @@ State directory layout::
     <state-dir>/endpoint.json                host/port/pid discovery
 
 Up to ``max_active`` job threads each drive one campaign in process,
-one shard per step, on the engine its spec names.  The asyncio side
-never blocks on campaign work, and the drain path stops every job
-**between** shards, checkpoints, and leaves the rest to the next
-incarnation.
+one shard per step.  The asyncio side never blocks on campaign work,
+and the drain path stops every job **between** shards, checkpoints,
+and leaves the rest to the next incarnation.  A job that raises fails
+on its own; its worker goes on to the next job.
 
 :func:`parse_retention` parses the ``--retain-verdicts`` grammar shared
 by the CLI and :class:`~repro.service.server.ReproService`, and
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import logging
 import re
 import shutil
 import threading
@@ -57,7 +58,11 @@ from ..errors import (
     ReproError,
 )
 from ..obs.context import span
-from ..resilience.campaign import CampaignSpec, CampaignSupervisor
+from ..resilience.campaign import (
+    CampaignSpec,
+    CampaignSupervisor,
+    ResilientCampaign,
+)
 from ..resilience.chaos import ChaosInjector, parse_job_chaos
 from ..resilience.checkpoint import (
     CheckpointStore,
@@ -76,6 +81,8 @@ __all__ = [
     "VERDICT_FILE",
     "parse_retention",
 ]
+
+logger = logging.getLogger(__name__)
 
 JOB_QUEUED = "queued"
 JOB_RUNNING = "running"
@@ -325,8 +332,8 @@ class CampaignScheduler:
                         )
                         continue
                 # Entries from older releases may also carry ``exec``
-                # hints (pool worker count, engine pin); replay ignores
-                # them.
+                # hints (pool worker count, engine pin) and specs with
+                # retired keys; replay ignores both.
                 self.jobs[job_id] = record
                 self._order.append(job_id)
                 match = _AUTO_ID_RE.match(job_id)
@@ -704,7 +711,21 @@ class CampaignScheduler:
         return None
 
     def _run_job(self, record: JobRecord) -> None:
-        """Drive one job to verdict/failure/suspension (worker thread)."""
+        """Drive one job to verdict/failure/suspension (worker thread).
+
+        Any exception fails the job, not the worker: a job whose state
+        directory cannot be written must not leave the jobs queued
+        behind it waiting for a restart.
+        """
+        try:
+            self._drive_job(record)
+        except ReproError as error:
+            self._fail(record, str(error))
+        except Exception as error:
+            logger.exception("job %s failed", record.job_id)
+            self._fail(record, f"{type(error).__name__}: {error}")
+
+    def _drive_job(self, record: JobRecord) -> None:
         store = CheckpointStore(self._job_dir(record.job_id) / "ckpt")
         record.state = JOB_RUNNING
         self._journal_append(
@@ -718,23 +739,20 @@ class CampaignScheduler:
             else None
         )
         with span(self.obs, "service.job", job=record.job_id):
-            try:
-                supervisor = CampaignSupervisor(
-                    self.library,
-                    spec=record.spec,
-                    checkpoint_store=store,
-                    chaos=self._job_chaos(record),
-                    max_restarts=self.max_job_restarts,
-                    checkpoint_every=self.checkpoint_every,
-                    obs=self.obs,
-                )
-                if self._pump(supervisor, record, deadline):
-                    # Drain: state stays journaled as running; the
-                    # next incarnation re-queues and resumes.
-                    return
-                self._finish(record, supervisor.campaign)
-            except ReproError as error:
-                self._fail(record, str(error))
+            supervisor = CampaignSupervisor(
+                self.library,
+                spec=record.spec,
+                checkpoint_store=store,
+                chaos=self._job_chaos(record),
+                max_restarts=self.max_job_restarts,
+                checkpoint_every=self.checkpoint_every,
+                obs=self.obs,
+            )
+            if self._pump(supervisor, record, deadline):
+                # Drain: state stays journaled as running; the next
+                # incarnation re-queues and resumes.
+                return
+            self._finish(record, supervisor.campaign)
 
     def _pump(
         self,

@@ -128,14 +128,6 @@ def test_seeded_chaos_matrix(library, baseline, tmp_path, chaos_seed):
     assert health.faults == sum(len(k) for k in chaos.schedule.values())
 
 
-def test_scalar_engine_campaign_matches(fleet, library, baseline):
-    campaign = ResilientCampaign(
-        fleet, library, seed=SPEC.pipeline_seed,
-        engine="scalar", shard_size=SPEC.shard_size,
-    )
-    assert_bit_identical(campaign.run(), baseline)
-
-
 def test_resume_requires_checkpoint(library, tmp_path):
     from repro.errors import ConfigurationError
 

@@ -15,6 +15,15 @@ class TestParser:
         assert args.size == 300_000
         assert args.seed == 1
 
+    @pytest.mark.parametrize("option", [
+        ["--engine", "vectorized"],
+        ["--max-resident-cpus", "128"],
+    ])
+    def test_fleet_study_has_no_campaign_selectors(self, option):
+        """Every campaign runs vectorized over a frame-backed fleet."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fleet-study", *option])
+
     def test_test_command(self):
         args = build_parser().parse_args(
             ["test", "MIX1", "--duration", "30", "--preheat", "70"]
@@ -48,6 +57,17 @@ class TestCommands:
     def test_test_unknown_cpu_fails_cleanly(self, capsys):
         assert main(["test", "NOPE"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        ["--shard-size", "0"],
+        ["--checkpoint-every", "0"],
+        ["--size", "0"],
+    ])
+    def test_fleet_study_bad_value_fails_cleanly(self, capsys, bad):
+        assert main(["fleet-study", "--size", "2000", *bad]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert "Traceback" not in err
 
     def test_test_runs_catalog_cpu(self, capsys):
         assert main(["test", "SIMD1", "--duration", "2"]) == 0

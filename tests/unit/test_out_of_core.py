@@ -1,9 +1,9 @@
 """Out-of-core substrate: streamed generation, frames, spill.
 
-The contract under test: every out-of-core path — chunked population
-generation, frame-backed lazy populations, and column-store spill — is
-*bit-identical* to the eager in-memory path it replaces, and bounded in
-what it keeps resident.
+The contract under test: every fleet population is frame-backed, and
+each path — chunked generation, the lazy faulty list, and column-store
+spill — is *bit-identical* to Processors materialized straight from
+the chunk stream, and bounded in what it keeps resident.
 """
 
 import numpy as np
@@ -22,33 +22,43 @@ from repro.errors import (
     ConfigurationError,
 )
 from repro.fleet import (
+    FleetPopulation,
     FleetSpec,
-    FrameFleetPopulation,
     VectorizedTestPipeline,
     fleet_arch_counts,
     generate_fleet,
-    generate_fleet_frame,
     iter_fleet_chunks,
     stats,
 )
 from repro.fleet.frame import FleetFrame, LazyFaultyList
 from repro.fleet.pipeline import FleetStudyResult
 from repro.obs import Observability
-from repro.resilience import CampaignSpec
+from repro.resilience import CampaignSpec, ResilientCampaign
 
 #: Dense enough that every arch contributes faulty CPUs and chunk
 #: boundaries land mid-arch.
 SPEC = FleetSpec(total_processors=50_000, failure_rate_scale=50.0, seed=3)
+#: Shard width of the campaign-level checks, far below the window.
+SHARD = 64
+
+
+def materialized_population(spec: FleetSpec) -> FleetPopulation:
+    """The reference: every faulty Processor built straight from
+    :func:`iter_fleet_chunks` into a plain list."""
+    faulty = []
+    for chunk in iter_fleet_chunks(spec):
+        faulty.extend(chunk.materialize())
+    return FleetPopulation(spec, fleet_arch_counts(spec), faulty)
 
 
 @pytest.fixture(scope="module")
 def eager():
-    return generate_fleet(SPEC)
+    return materialized_population(SPEC)
 
 
 @pytest.fixture(scope="module")
 def framed():
-    return generate_fleet_frame(SPEC, chunk_size=64, window=64)
+    return generate_fleet(SPEC)
 
 
 # -- streamed generation parity ------------------------------------------------
@@ -60,13 +70,14 @@ def test_streamed_chunks_match_eager_generation(seed, chunk_size):
     spec = FleetSpec(
         total_processors=20_000, failure_rate_scale=20.0, seed=seed
     )
-    eager_population = generate_fleet(spec)
+    reference = materialized_population(spec)
     streamed = []
     for chunk in iter_fleet_chunks(spec, chunk_size=chunk_size):
         assert len(chunk) <= chunk_size
         streamed.extend(chunk.materialize())
-    assert streamed == eager_population.faulty
-    assert fleet_arch_counts(spec) == eager_population.arch_counts
+    assert streamed == reference.faulty
+    assert generate_fleet(spec).faulty[:] == reference.faulty
+    assert fleet_arch_counts(spec) == reference.arch_counts
 
 
 def test_chunk_size_must_be_positive():
@@ -89,14 +100,17 @@ def _counter_total(obs, name):
 
 def test_chunk_counter_reaches_obs():
     obs = Observability.in_memory()
-    generate_fleet_frame(SPEC, chunk_size=64, obs=obs)
-    assert _counter_total(obs, "repro_fleet_chunks_total") >= 2
+    generate_fleet(SPEC, obs=obs)
+    assert _counter_total(obs, "repro_fleet_chunks_total") == len(
+        list(iter_fleet_chunks(SPEC))
+    )
 
 
 # -- frame-backed populations --------------------------------------------------
 
 
 def test_frame_population_matches_eager(eager, framed):
+    assert isinstance(framed.faulty, LazyFaultyList)
     assert len(framed.faulty) == len(eager.faulty)
     assert framed.faulty[:] == eager.faulty
     assert framed.arch_counts == eager.arch_counts
@@ -113,7 +127,7 @@ def test_frame_population_grouping_matches(eager, framed):
 
 
 def test_lazy_list_window_locality(framed, eager):
-    lazy = LazyFaultyList(framed.frame, window=64)
+    lazy = LazyFaultyList(framed.faulty.frame, window=64)
     # Sequential integer access within one window costs one rebuild.
     first = [lazy[i] for i in range(min(64, len(lazy)))]
     assert lazy.materializations == 1
@@ -130,7 +144,7 @@ def test_lazy_list_window_locality(framed, eager):
 
 
 def test_frame_save_load_roundtrip(tmp_path, framed, eager):
-    frame = framed.frame
+    frame = framed.faulty.frame
     written = frame.save(tmp_path / "fleet")
     assert written > 0
     loaded = FleetFrame.load(tmp_path / "fleet", verify=True)
@@ -139,13 +153,12 @@ def test_frame_save_load_roundtrip(tmp_path, framed, eager):
     assert loaded.arch_counts == frame.arch_counts
     for name, column in frame.columns.items():
         np.testing.assert_array_equal(loaded.columns[name], column)
-    population = FrameFleetPopulation(loaded, window=128)
-    assert population.faulty[:25] == eager.faulty[:25]
+    assert LazyFaultyList(loaded, window=128)[:25] == eager.faulty[:25]
 
 
 def test_empty_fleet_frame():
     spec = FleetSpec(total_processors=10, failure_rate_scale=1e-9, seed=1)
-    population = generate_fleet_frame(spec, chunk_size=8)
+    population = generate_fleet(spec)
     assert len(population.faulty) == 0
     assert population.faulty[:] == []
     assert sum(population.arch_counts.values()) == 10
@@ -191,17 +204,14 @@ def test_colstore_spill_bytes_metered(tmp_path):
 def test_streamed_campaign_bit_identical(eager, framed, library):
     reference_engine = VectorizedTestPipeline(eager, library, seed=11)
     reference = reference_engine.run()
-    # Window-sized ranges, so no range asks the frame for more resident
-    # Processors than its window holds.
+    # Shard-sized ranges, as a campaign requests them.
     engine = VectorizedTestPipeline(framed, library, seed=11)
     streamed = FleetStudyResult(
         population_total=framed.total, arch_counts=dict(framed.arch_counts)
     )
     faulty = len(framed.faulty)
-    for start in range(0, faulty, framed.faulty.window):
-        engine.run_range(
-            start, min(start + framed.faulty.window, faulty), streamed
-        )
+    for start in range(0, faulty, SHARD):
+        engine.run_range(start, min(start + SHARD, faulty), streamed)
     assert streamed.detections == reference.detections
     assert streamed.undetected_ids == reference.undetected_ids
     assert streamed.arch_counts == reference.arch_counts
@@ -210,20 +220,23 @@ def test_streamed_campaign_bit_identical(eager, framed, library):
     )
 
 
-def test_campaign_spec_out_of_core_population():
-    spec = CampaignSpec(
-        total_processors=20_000,
-        fleet_seed=3,
-        failure_rate_scale=20.0,
-        max_resident_cpus=128,
-    )
-    population = spec.build_population()
-    assert isinstance(population, FrameFleetPopulation)
-    assert population.faulty.window == 128
-    eager_population = CampaignSpec(
-        total_processors=20_000, fleet_seed=3, failure_rate_scale=20.0
-    ).build_population()
-    assert population.faulty[:] == eager_population.faulty
+def test_campaign_residency_bounded_by_window_and_shard(library, monkeypatch):
+    """A campaign over ``generate_fleet`` caches no Processor range
+    wider than max(window, shard): here every range it builds is one
+    shard, never the whole population."""
+    population = generate_fleet(SPEC)
+    frame = population.faulty.frame
+    materialize = frame.materialize
+    widths = []
+
+    def recording(start, stop):
+        widths.append(stop - start)
+        return materialize(start, stop)
+
+    monkeypatch.setattr(frame, "materialize", recording)
+    ResilientCampaign(population, library, seed=11, shard_size=SHARD).run()
+    assert max(widths) <= max(population.faulty.window, SHARD)
+    assert max(widths) == SHARD < len(population.faulty)
 
 
 def test_campaign_spec_from_dict_tolerates_old_payloads():
@@ -233,15 +246,26 @@ def test_campaign_spec_from_dict_tolerates_old_payloads():
         "pipeline_seed": 7,
         "failure_rate_scale": 2.0,
         "escape_fraction": 0.05,
-        "engine": "scalar",
         "shard_size": 64,
-        # no max_resident_cpus: written before the field existed
     }
     spec = CampaignSpec.from_dict(old)
-    assert spec.max_resident_cpus == 0
-    assert spec.to_dict()["max_resident_cpus"] == 0
+    assert spec == CampaignSpec(
+        total_processors=1000, fleet_seed=5, pipeline_seed=7,
+        failure_rate_scale=2.0, shard_size=64,
+    )
+    assert list(spec.to_dict()) == list(old)
+    # Retired selectors, in any combination and with any value, read
+    # as the one campaign path.
+    for legacy in (
+        {"engine": "scalar"},
+        {"engine": "parallel", "max_resident_cpus": 0},
+        {"engine": "vectorized", "max_resident_cpus": 128},
+    ):
+        assert CampaignSpec.from_dict(dict(old, **legacy)) == spec
     with pytest.raises(ConfigurationError):
         CampaignSpec.from_dict({"fleet_seed": 5})
+    with pytest.raises(ConfigurationError, match="unknown"):
+        CampaignSpec.from_dict(dict(old, workers=2))
 
 
 # -- columnar detections spill -------------------------------------------------

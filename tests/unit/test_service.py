@@ -6,12 +6,15 @@ in-process HTTP API end to end — including the acceptance-criteria
 behaviors: verdict parity with a direct campaign run, a saturated
 admission queue answering 429 with Retry-After while losing nothing,
 concurrent jobs, state directories written before the process-pool
-engine was retired, and verdict retention that survives restarts.
+engine or the spec's engine/residency selectors were retired, a job
+whose failure must not stall the queue, and verdict retention that
+survives restarts.
 """
 
 import json
 import threading
 import time
+import typing
 import zlib
 
 import pytest
@@ -329,8 +332,8 @@ class TestSubmission:
             scheduler.parse_submission(dict(SPEC, chaos=[1, 2]))
 
     def test_spec_validation_propagates(self, scheduler):
-        with pytest.raises(ConfigurationError):
-            scheduler.parse_submission(dict(SPEC, engine="quantum"))
+        with pytest.raises(ConfigurationError, match="shard_size"):
+            scheduler.parse_submission(dict(SPEC, shard_size=0))
 
     @pytest.mark.parametrize("chaos", [
         {"schedule": {"0": ["meteor"]}},     # unknown fault kind
@@ -379,6 +382,18 @@ class TestApi:
     def test_bad_submission_is_400(self, service):
         reply = service._request(
             "POST", "/submit", body=dict(SPEC, frobnicate=1)
+        )
+        assert reply.status == 400
+        assert "unknown submission" in reply.json()["error"]
+
+    @pytest.mark.parametrize("retired", [
+        {"engine": "vectorized"},
+        {"max_resident_cpus": 128},
+    ])
+    def test_retired_spec_field_is_400(self, service, retired):
+        """Old journals may carry these keys; new submissions may not."""
+        reply = service._request(
+            "POST", "/submit", body=dict(SPEC, **retired)
         )
         assert reply.status == 400
         assert "unknown submission" in reply.json()["error"]
@@ -602,9 +617,9 @@ class TestConcurrentJobs:
 # -- state written before the process-pool engine was retired -----------------
 
 
-def _pool_era_checkpoint(ckpt_dir, spec_fields, library, shards):
-    """A mid-campaign snapshot whose embedded spec names the retired
-    ``parallel`` engine, as a pool-era daemon or CLI run wrote it."""
+def _legacy_checkpoint(ckpt_dir, spec_fields, library, shards, **retired):
+    """A mid-campaign snapshot whose embedded spec also carries the
+    ``retired`` keys, as an older daemon or CLI run wrote it."""
     spec = CampaignSpec(**spec_fields)
     campaign = ResilientCampaign.from_spec(
         spec, library, checkpoint_every=10**6
@@ -612,15 +627,16 @@ def _pool_era_checkpoint(ckpt_dir, spec_fields, library, shards):
     for _ in range(shards):
         assert campaign.step(), "the snapshot must be mid-campaign"
     payload = campaign._payload()
-    payload["spec"]["engine"] = "parallel"
+    payload["spec"].update(retired)
     CheckpointStore(ckpt_dir).save(payload)
 
 
 class TestPoolEraState:
     def test_legacy_parallel_engine_reads_as_vectorized(self):
         spec = CampaignSpec.from_dict(dict(SPEC, engine="parallel"))
-        assert spec.engine == "vectorized"
-        with pytest.raises(ConfigurationError, match="engine"):
+        assert spec == CampaignSpec(**SPEC)
+        assert "engine" not in spec.to_dict()
+        with pytest.raises(TypeError, match="engine"):
             CampaignSpec(**dict(SPEC, engine="parallel"))
 
     def test_restart_on_pool_era_state_dir(self, tmp_path, library):
@@ -634,8 +650,9 @@ class TestPoolEraState:
                 exec={"workers": 2, "engine_pinned": False},
             )
             journal.append("start", job="legacy", resume=False)
-        _pool_era_checkpoint(
-            tmp_path / "jobs" / "legacy" / "ckpt", SPEC, library, shards=2
+        _legacy_checkpoint(
+            tmp_path / "jobs" / "legacy" / "ckpt", SPEC, library, shards=2,
+            engine="parallel",
         )
         with ServiceThread(tmp_path, library=library) as handle:
             client = ServiceClient("127.0.0.1", handle.port)
@@ -646,11 +663,13 @@ class TestPoolEraState:
         assert "resume" in kinds
 
     def test_cli_resume_of_pool_era_checkpoint(self, tmp_path, library):
-        _pool_era_checkpoint(tmp_path, SPEC, library, shards=2)
+        _legacy_checkpoint(
+            tmp_path, SPEC, library, shards=2, engine="parallel"
+        )
         assert main(["resume", str(tmp_path)]) == 0
         final = CheckpointStore(tmp_path).load_latest()
         expected = _direct_result(SPEC, library)
-        assert final["spec"]["engine"] == "vectorized"
+        assert "engine" not in final["spec"]
         assert final["detections"] == expected["detections"]
         assert final["undetected"] == expected["undetected"]
 
@@ -658,6 +677,82 @@ class TestPoolEraState:
         scheduler = CampaignScheduler(tmp_path, library)
         with pytest.raises(ConfigurationError, match="workers"):
             scheduler.parse_submission(dict(SPEC, workers=2))
+
+
+#: The engine and residency selectors specs carried before every
+#: campaign ran vectorized over a frame-backed population.
+RETIRED_SELECTORS = {"engine": "scalar", "max_resident_cpus": 128}
+
+
+class TestRetiredSelectorState:
+    def test_restart_on_state_dir_with_retired_selectors(
+        self, tmp_path, library
+    ):
+        """A journaled submit and a mid-campaign checkpoint whose specs
+        name the scalar engine and a residency bound: the new daemon
+        resumes the job and lands the fresh campaign's verdict."""
+        legacy_spec = dict(CampaignSpec(**SPEC).to_dict(), **RETIRED_SELECTORS)
+        with JournalWriter(tmp_path / "journal") as journal:
+            journal.append("submit", job="legacy", spec=legacy_spec)
+            journal.append("start", job="legacy", resume=False)
+        _legacy_checkpoint(
+            tmp_path / "jobs" / "legacy" / "ckpt", SPEC, library, shards=2,
+            **RETIRED_SELECTORS,
+        )
+        with ServiceThread(tmp_path, library=library) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            assert client.job("legacy")["recovered"] is True
+            verdict = client.wait_verdict("legacy", timeout_s=120)
+        assert verdict["result"] == _direct_result(SPEC, library)
+        assert verdict["spec"] == CampaignSpec(**SPEC).to_dict()
+        kinds = [event["kind"] for event in verdict["health"]["events"]]
+        assert "resume" in kinds
+
+    def test_cli_resume_of_checkpoint_with_retired_selectors(
+        self, tmp_path, library
+    ):
+        _legacy_checkpoint(
+            tmp_path, SPEC, library, shards=2, **RETIRED_SELECTORS
+        )
+        assert main(["resume", str(tmp_path)]) == 0
+        final = CheckpointStore(tmp_path).load_latest()
+        expected = _direct_result(SPEC, library)
+        assert final["spec"] == CampaignSpec(**SPEC).to_dict()
+        assert final["detections"] == expected["detections"]
+        assert final["undetected"] == expected["undetected"]
+
+
+# -- a job that raises ----------------------------------------------------------
+
+
+class TestJobFailure:
+    def test_job_that_raises_fails_without_stalling_the_worker(
+        self, tmp_path, library
+    ):
+        """Job ``a``'s checkpoint directory cannot be created (its job
+        directory is a regular file): ``a`` fails with the error, and
+        the same worker goes on to land ``b``'s verdict."""
+        (tmp_path / "jobs").mkdir()
+        (tmp_path / "jobs" / "a").write_text("not a directory")
+        with ServiceThread(tmp_path, library=library) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            client.submit(dict(SPEC, job_id="a"))
+            client.submit(dict(SPEC, job_id="b"))
+            verdict = client.wait_verdict("b", timeout_s=60)
+            failed = client.job("a")
+            metrics = client.metrics_text()
+        assert failed["state"] == JOB_FAILED
+        assert failed["error"].startswith("NotADirectoryError: ")
+        assert verdict["result"] == _direct_result(SPEC, library)
+        assert 'repro_service_jobs_total{event="failed"} 1' in metrics
+        # The failure is journaled: a restart keeps it failed.
+        assert CampaignScheduler(tmp_path, library).jobs["a"].state == (
+            JOB_FAILED
+        )
+
+    def test_finish_type_hints_resolve(self):
+        hints = typing.get_type_hints(CampaignScheduler._finish)
+        assert hints["campaign"] is ResilientCampaign
 
 
 # -- verdict retention -------------------------------------------------------
