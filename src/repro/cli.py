@@ -11,12 +11,12 @@ Exposes the study's headline experiments without writing any code:
 * ``resume``         — continue a checkpointed fleet study
 * ``serve``          — always-on fleet service daemon (journaled HTTP API)
 * ``obs-report``     — summarize/validate telemetry artifacts
-* ``trace-export``   — convert JSONL traces to Chrome trace-event JSON
-* ``top``            — live terminal view of a running daemon
 
 Every command accepts the shared observability flags (``--metrics-out``,
-``--trace-out``, ``-v``, ``--log-level``); stdout stays reserved for
-machine-readable results, diagnostics go to stderr via ``logging``.
+``--trace-out``, ``--trace-rotate-bytes``, ``-v``, ``--log-level``);
+``obs-report --trace`` reads a trace back, rotated segments included.
+stdout stays reserved for machine-readable results, diagnostics go to
+stderr via ``logging``.
 """
 
 from __future__ import annotations
@@ -204,16 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
              "everything)",
     )
     serve.add_argument(
-        "--scrape-interval", type=float, default=1.0, metavar="SECONDS",
-        help="metrics scrape/health-evaluation cadence for the "
-             "time-series store (default 1.0)",
-    )
-    serve.add_argument(
-        "--rss-limit-mb", type=float, default=None, metavar="MB",
-        help="fire the rss_ceiling health alert when coordinator RSS "
-             "crosses this many megabytes (default: no RSS rule)",
-    )
-    serve.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="chaos-testing hook: comma-separated action:point:nth, e.g. "
              "'kill:shard_done:3,tear_journal:journal_append:2' "
@@ -230,53 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="JSONL trace artifact to load",
+        help="JSONL trace artifact to load, as passed to --trace-out; "
+             "rotated trace-NNNNNN.jsonl siblings are read too",
     )
     report.add_argument(
         "--check", action="store_true",
         help="validate artifact schemas/self-checks instead of rendering "
              "(CI mode: exit 1 and list violations on any problem)",
-    )
-
-    export = sub.add_parser(
-        "trace-export", parents=[obs],
-        help="convert a JSONL trace (rotated segments welcome) to "
-             "Chrome trace-event JSON for Perfetto / chrome://tracing",
-    )
-    export.add_argument(
-        "trace", metavar="TRACE",
-        help="trace base path as passed to --trace-out; rotated "
-             "trace-NNNNNN.jsonl siblings are stitched in automatically",
-    )
-    export.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="output path (default: TRACE base with a .chrome.json suffix)",
-    )
-    export.add_argument(
-        "--strict", action="store_true",
-        help="refuse torn trailing records instead of tolerating the "
-             "SIGKILL-truncated tail",
-    )
-
-    top = sub.add_parser(
-        "top", parents=[obs],
-        help="live terminal view of a running daemon: jobs, firing "
-             "alerts, and headline gauges from /timeseries",
-    )
-    top.add_argument(
-        "--state-dir", default=None, metavar="DIR",
-        help="locate the daemon via DIR/endpoint.json "
-             "(alternative to --host/--port)",
-    )
-    top.add_argument("--host", default=None, help="daemon host")
-    top.add_argument("--port", type=int, default=None, help="daemon port")
-    top.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="refresh cadence (default 2.0)",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="render one frame and exit (no screen clearing; script use)",
     )
     return parser
 
@@ -505,12 +455,6 @@ def _cmd_serve(args, obs=None) -> int:
         checkpoint_every=args.checkpoint_every,
         job_timeout_s=args.job_timeout,
         retain_verdicts=args.retain_verdicts,
-        scrape_interval_s=args.scrape_interval,
-        rss_limit_bytes=(
-            int(args.rss_limit_mb * 1024 * 1024)
-            if args.rss_limit_mb is not None
-            else None
-        ),
     )
     asyncio.run(service.run())
     return 0
@@ -534,124 +478,6 @@ def _cmd_obs_report(args, obs=None) -> int:
     return 0
 
 
-def _cmd_trace_export(args, obs=None) -> int:
-    from pathlib import Path
-
-    from .obs import read_trace_segments, write_chrome_trace
-
-    base = Path(args.trace)
-    out = (
-        Path(args.out)
-        if args.out is not None
-        else base.with_suffix(".chrome.json")
-    )
-    records = read_trace_segments(base, strict=args.strict)
-    if not records:
-        logger.error("error: no trace records under %s", base)
-        return 2
-    count = write_chrome_trace(records, out)
-    print(f"{out}: {count} trace events from {len(records)} records "
-          f"(open in Perfetto or chrome://tracing)")
-    return 0
-
-
-def _fmt_bytes(value: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024.0 or unit == "GiB":
-            return f"{value:.1f} {unit}"
-        value /= 1024.0
-    return f"{value:.1f} GiB"
-
-
-#: Gauges worth a line on the `repro top` dashboard, in display order.
-_TOP_GAUGES = (
-    ("repro_service_active_jobs", "active jobs", None),
-    ("repro_service_queue_depth", "queue depth", None),
-    ("repro_sdc_detection_ratio", "SDC detection ratio", None),
-    ("repro_rss_bytes", "coordinator RSS", _fmt_bytes),
-    ("repro_peak_rss_bytes", "peak RSS", _fmt_bytes),
-    ("repro_uptime_seconds", "uptime (s)", None),
-)
-
-
-def _render_top(jobs_doc, alerts_doc, series_doc, endpoint: str) -> str:
-    """One `repro top` frame as a string; pure so tests can assert on it."""
-    lines = [f"repro top — {endpoint}"]
-    counts = jobs_doc.get("counts", {})
-    lines.append(
-        "jobs: " + "  ".join(
-            f"{state}={counts[state]}" for state in sorted(counts)
-        )
-        if counts else "jobs: (none)"
-    )
-    firing = [
-        alert for alert in alerts_doc.get("alerts", []) if alert["firing"]
-    ]
-    lines.append(f"alerts firing: {len(firing)}")
-    for alert in firing:
-        for_s = alert.get("for_s")
-        age = f" for {for_s:.0f}s" if for_s is not None else ""
-        value = alert.get("last_value")
-        shown = f" value={value:g}" if value is not None else ""
-        lines.append(
-            f"  [{alert['severity']}] {alert['name']}{age}{shown} — "
-            f"{alert['description']}"
-        )
-    series = series_doc.get("series", {})
-    lines.append("gauges:")
-    for key, label, fmt in _TOP_GAUGES:
-        points = series.get(key)
-        if not points:
-            continue
-        last = points[-1][1]
-        shown = fmt(last) if fmt is not None else f"{last:g}"
-        lines.append(f"  {label:<22} {shown}")
-    rows = jobs_doc.get("jobs", [])
-    if rows:
-        lines.append("recent jobs:")
-        for row in rows[-8:]:
-            restarts = row.get("restarts", 0)
-            suffix = f"  restarts={restarts}" if restarts else ""
-            lines.append(f"  {row['job_id']:<24} {row['state']}{suffix}")
-    return "\n".join(lines)
-
-
-def _cmd_top(args, obs=None) -> int:
-    import time as _time
-
-    from .errors import ServiceError
-    from .service import ServiceClient
-
-    if args.state_dir is not None:
-        client = ServiceClient.from_state_dir(args.state_dir)
-    elif args.host is not None and args.port is not None:
-        client = ServiceClient(args.host, args.port)
-    else:
-        logger.error("error: top needs --state-dir or --host and --port")
-        return 2
-    endpoint = f"{client.host}:{client.port}"
-    while True:
-        try:
-            frame = _render_top(
-                client.jobs(), client.alerts(),
-                client.timeseries(tier="raw"), endpoint,
-            )
-        except (ServiceError, OSError) as error:
-            logger.error("error: daemon at %s unreachable: %s",
-                         endpoint, error)
-            return 2
-        if args.once:
-            print(frame)
-            return 0
-        # Home the cursor and clear below rather than wiping the whole
-        # terminal — no flicker at 2 s cadence.
-        print(f"\x1b[H\x1b[J{frame}", flush=True)
-        try:
-            _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
-
-
 _COMMANDS = {
     "fleet-study": _cmd_fleet_study,
     "catalog": _cmd_catalog,
@@ -662,8 +488,6 @@ _COMMANDS = {
     "resume": _cmd_resume,
     "serve": _cmd_serve,
     "obs-report": _cmd_obs_report,
-    "trace-export": _cmd_trace_export,
-    "top": _cmd_top,
 }
 
 

@@ -76,11 +76,6 @@ class TraceCorruptError(ObservabilityError):
     the file header is missing/incompatible."""
 
 
-class TimeSeriesCorruptError(ObservabilityError):
-    """A persisted time-series history failed its CRC/structure
-    self-check (torn write, bit rot, incompatible version)."""
-
-
 class ServiceError(ReproError):
     """Base class for ``repro serve`` daemon failures (journal,
     admission, scheduling, protocol)."""

@@ -99,13 +99,10 @@ class VectorizedTestPipeline:
         # Settings skeletons per match signature: defects sampled from
         # the same instruction pool share their testcase rows.
         self._skeletons: Dict[object, Tuple] = {}
-        # The lowering is deterministic and consumes no pipeline-stream
-        # draws, so blocks are computed once per CPU range and reused
-        # across run_range calls (sharded campaigns, checkpoint resume,
-        # shard retries).  The stage schedule is
-        # population-independent and cached separately.
+        # The stage schedule is population-independent and computed
+        # once.  Lowered blocks are not kept: every caller walks ranges
+        # forward and none lowers the same range twice on one engine.
         self._schedule_cache: Optional[Tuple] = None
-        self._blocks: Dict[Tuple[int, int], Tuple] = {}
         # Named scratch buffers for the per-kind expectation loop.
         # Lowering is called once per (shard, kind); without reuse each
         # call allocates five O(pairs)+O(rows) temporaries.  Buffers
@@ -219,9 +216,8 @@ class VectorizedTestPipeline:
         """Faulty CPUs ``[range_start, range_stop)`` → struct-of-arrays.
 
         Pure function of the population/config/trigger (no pipeline
-        stream draws), cached per block so sharded and resumed campaigns
-        pay for each range once.  Every per-pair quantity — the
-        behaviour replay (independent :class:`VectorPCG64` lane per
+        stream draws), recomputed on each call.  Every per-pair
+        quantity — the behaviour replay (independent :class:`VectorPCG64` lane per
         setting seed), the scalar-`pow` frequency law, and the
         index-ordered ``bincount`` accumulations (whose addends never
         cross a CPU boundary) — is computed identically whether the CPU
@@ -231,9 +227,6 @@ class VectorizedTestPipeline:
 
         All returned arrays are indexed by ``cpu - range_start``.
         """
-        cached = self._blocks.get((range_start, range_stop))
-        if cached is not None:
-            return cached
         schedule, kind_temp, kind_time = self._schedule()
         n_kinds = len(kind_temp)
 
@@ -429,7 +422,7 @@ class VectorizedTestPipeline:
                 ).tolist()
             )
 
-        cached = (
+        return (
             cpu_skip,
             cpu_onset,
             cpu_pair_start,
@@ -438,8 +431,6 @@ class VectorizedTestPipeline:
             list(zip(*kind_probs)),
             kind_nnz,
         )
-        self._blocks[(range_start, range_stop)] = cached
-        return cached
 
     def run_range(
         self, start: int, stop: int, result: FleetStudyResult

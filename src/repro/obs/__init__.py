@@ -20,8 +20,6 @@ simulators via a keyword-only ``obs=None`` parameter:
 """
 
 from .context import Observability, observed_sleep, span
-from .export import to_chrome_trace, write_chrome_trace
-from .health import HealthEngine, HealthRule, default_service_rules
 from .logconf import logging_setup
 from .metrics import DEFAULT_BUCKETS, MetricsRegistry, parse_prometheus_text
 from .procmem import (
@@ -31,7 +29,6 @@ from .procmem import (
     record_memory,
 )
 from .report import check_artifacts, load_metrics, render_report
-from .timeseries import DEFAULT_TIERS, MetricsScraper, Tier, TimeSeriesStore
 from .tracing import (
     JsonlTraceSink,
     ListTraceSink,
@@ -46,21 +43,14 @@ from .tracing import (
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "DEFAULT_TIERS",
-    "HealthEngine",
-    "HealthRule",
     "JsonlTraceSink",
     "ListTraceSink",
     "MetricsRegistry",
-    "MetricsScraper",
     "NullTracer",
     "Observability",
-    "Tier",
-    "TimeSeriesStore",
     "Tracer",
     "check_artifacts",
     "current_rss_bytes",
-    "default_service_rules",
     "effective_cores",
     "iter_spans",
     "peak_rss_bytes",
@@ -74,7 +64,5 @@ __all__ = [
     "render_report",
     "span",
     "span_key",
-    "to_chrome_trace",
     "trace_segment_paths",
-    "write_chrome_trace",
 ]

@@ -237,13 +237,6 @@ _HELP = {
         "Constant 1 gauge carrying the library version label.",
     "repro_uptime_seconds":
         "Seconds since this process's telemetry context was created.",
-    "repro_obs_scrapes_total":
-        "Daemon metric-scrape ticks executed, by outcome.",
-    "repro_obs_scrape_samples_total":
-        "Samples recorded into the time-series store by the scrape loop.",
-    "ALERTS":
-        "Health-rule firing state, 1 while firing (Prometheus "
-        "alerting convention), by alertname and severity.",
 }
 
 #: Non-default bucket layouts.  Farron round durations are *simulated*

@@ -1,10 +1,11 @@
 """Render campaign telemetry into human-readable summary tables.
 
 Backs the ``repro obs-report`` command: load a metrics file (canonical
-JSON or Prometheus exposition text) and/or a JSONL trace, validate
-their self-checks, and summarize counters, histograms, and the slowest
-spans.  ``check_artifacts`` is the strict schema-validation entry the
-CI observability smoke job uses.
+JSON or Prometheus exposition text) and/or a JSONL trace (a bare file,
+its rotated segments, or both), validate their self-checks, and
+summarize counters, histograms, and the slowest spans.
+``check_artifacts`` is the strict schema-validation entry the CI
+observability smoke job uses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from typing import Dict, List, Tuple
 
 from ..errors import ObservabilityError
 from .metrics import MetricsRegistry, parse_prometheus_text
-from .tracing import iter_spans, read_trace, span_key
+from .tracing import (
+    iter_spans,
+    read_trace,
+    read_trace_segments,
+    span_key,
+    trace_segment_paths,
+)
 
 __all__ = ["load_metrics", "render_report", "check_artifacts"]
 
@@ -43,6 +50,14 @@ def load_metrics(path) -> MetricsRegistry:
     registry = MetricsRegistry()
     registry._parsed_exposition = parsed  # noqa: SLF001 (report-only view)
     return registry
+
+
+def _load_trace(path, strict: bool) -> List[Dict[str, object]]:
+    """Every record of the trace ``--trace-out path`` wrote, rotated
+    or not; a path with no trace file fails as an unreadable file."""
+    if trace_segment_paths(path):
+        return read_trace_segments(path, strict=strict)
+    return read_trace(path, strict=strict)
 
 
 def _metric_rows(registry: MetricsRegistry) -> List[Tuple[str, str, str]]:
@@ -127,7 +142,7 @@ def render_report(
             title=f"Metrics — {metrics_path}",
         ))
     if trace_path is not None:
-        records = read_trace(trace_path)
+        records = _load_trace(trace_path, strict=False)
         rows = _span_rows(records)
         events = sum(1 for r in records if r.get("kind") == "event")
         sections.append(render_table(
@@ -148,9 +163,9 @@ def check_artifacts(
     contain at least one ``repro_``-prefixed family, and carry the
     standard identity gauges — ``repro_build_info`` (value 1, with a
     ``version`` label) and ``repro_uptime_seconds``.  Trace: every line
-    must pass its CRC (strict mode — no torn-tail tolerance), span
-    begin/end records must pair up per process, and nesting must be
-    well-formed.
+    of every segment must pass its CRC (strict mode — no torn-tail
+    tolerance), span begin/end records must pair up per process, and
+    nesting must be well-formed.
     """
     problems: List[str] = []
     if metrics_path is not None:
@@ -178,7 +193,7 @@ def check_artifacts(
             problems.extend(_check_identity_gauges(registry, parsed))
     if trace_path is not None:
         try:
-            records = read_trace(trace_path, strict=True)
+            records = _load_trace(trace_path, strict=True)
         except ObservabilityError as error:
             problems.append(f"trace: {error}")
         else:

@@ -19,10 +19,7 @@ Spans stitch across processes and threads.  Every record carries the
 emitting ``pid`` and a small per-tracer thread index ``tid``; span ids
 are only unique *within* a process, so joins key on ``(pid, span)`` —
 one trace (e.g. the rotated segments of several daemon incarnations)
-can hold records from many processes.  Traces written by older
-releases also hold pool-worker spans whose ``parent_pid`` names the
-coordinating process; :func:`iter_spans` and the Chrome exporter still
-honour that link.
+can hold records from many processes.
 
 When telemetry is disabled the campaign code holds no tracer at all
 (``obs is None``); :class:`NullTracer` exists for call sites that want
@@ -110,7 +107,7 @@ class JsonlTraceSink:
         self._lock = threading.Lock()
 
     def emit(self, record: Dict[str, object]) -> None:
-        # Serialized: the daemon's job threads and scrape loop share
+        # Serialized: the daemon's event loop and job threads share
         # one sink, and interleaved writes would tear JSONL lines.
         with self._lock:
             if self._log is None:
@@ -352,8 +349,8 @@ def iter_spans(
     """Yield completed spans joined from begin/end records.
 
     Each yielded dict has ``name``, ``span``, ``pid``, ``parent``,
-    ``parent_pid``, ``dur_s``, ``attrs`` and ``error`` (if any) — used
-    by ``repro obs-report`` and ``repro trace-export``.
+    ``dur_s``, ``attrs`` and ``error`` (if any) — used by
+    ``repro obs-report``.
     """
     begins: Dict[Tuple[int, int], Dict[str, object]] = {}
     for record in records:
@@ -362,18 +359,11 @@ def iter_spans(
             begins[span_key(record)] = record
         elif kind == "span_end":
             begin = begins.pop(span_key(record), None)
-            pid = int(record.get("pid", 0))
-            parent = (begin or {}).get("parent")
             joined: Dict[str, object] = {
                 "name": record["name"],
                 "span": record["span"],
-                "pid": pid,
-                "parent": parent,
-                "parent_pid": (
-                    (begin or {}).get("parent_pid", pid)
-                    if parent is not None
-                    else None
-                ),
+                "pid": int(record.get("pid", 0)),
+                "parent": (begin or {}).get("parent"),
                 "dur_s": record.get("dur_s", 0.0),
                 "attrs": (begin or {}).get("attrs", {}),
             }

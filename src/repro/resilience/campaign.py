@@ -544,10 +544,8 @@ class ResilientCampaign:
             while self.step():
                 pass
             # Final RSS stamp so one-shot CLI runs leave their peak on
-            # record.  This is *not* the memory time series: under the
-            # daemon, the scrape loop samples RSS every interval
-            # (ReproService._scrape_tick), so /timeseries history has
-            # real resolution instead of one point per campaign.
+            # record.  Under the daemon, /metrics also refreshes both
+            # RSS gauges each time it is read.
             record_memory(self.obs)
         return self.result
 

@@ -1,9 +1,9 @@
 r"""Sealed storage: the one on-disk container every durable artifact uses.
 
-Checkpoints and verdicts, column-store manifests, metrics and
-time-series snapshots, the service journal and trace files all reach
-disk through this module, so the rules that keep them honest are
-written, and tested, once:
+Checkpoints and verdicts, column-store manifests, metrics snapshots,
+the service journal and trace files all reach disk through this
+module, so the rules that keep them honest are written, and tested,
+once:
 
 * :func:`canonical` JSON (sorted keys, tight separators, no NaN) is the
   CRC-32 domain, so a seal does not depend on dict order or spelling.

@@ -20,8 +20,6 @@ Routes::
     GET  /healthz         liveness (always 200 while the loop runs)
     GET  /readyz          readiness (503 while draining/booting)
     GET  /metrics         Prometheus exposition text
-    GET  /timeseries      scrape history (?name=&tier=&since=)
-    GET  /alerts          health-rule firing state
 """
 
 from __future__ import annotations
@@ -29,11 +27,11 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-import urllib.parse
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..errors import AdmissionError, CheckpointError, ConfigurationError
+from ..obs import record_memory
 from .scheduler import JOB_DONE, JOB_EXPIRED, JOB_FAILED, CampaignScheduler
 
 __all__ = [
@@ -69,8 +67,6 @@ class HttpRequest:
     path: str
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
-    #: Decoded query parameters (last value wins on duplicates).
-    query: Dict[str, str] = field(default_factory=dict)
 
     @property
     def keep_alive(self) -> bool:
@@ -147,20 +143,9 @@ async def read_request(
                 raise RequestError(400, "body shorter than Content-Length")
     elif headers.get("transfer-encoding"):
         raise RequestError(400, "chunked bodies are not supported")
-    path, _, query_string = target.partition("?")
-    query: Dict[str, str] = {}
-    if query_string:
-        try:
-            query = dict(
-                urllib.parse.parse_qsl(
-                    query_string, keep_blank_values=True, strict_parsing=False
-                )
-            )
-        except (ValueError, UnicodeDecodeError):
-            raise RequestError(400, "malformed query string")
-    return HttpRequest(
-        method=method, path=path, headers=headers, body=body, query=query
-    )
+    # No route reads a query string; it is dropped, not an error.
+    path = target.partition("?")[0]
+    return HttpRequest(method=method, path=path, headers=headers, body=body)
 
 
 def render_response(
@@ -251,16 +236,7 @@ class ServiceApi:
         if path == "/healthz":
             if method != "GET":
                 return self._method_not_allowed("GET")
-            # Liveness stays 200 while the loop runs — firing alerts
-            # are *detail*, not a liveness failure (a drifting SDC rate
-            # is precisely when the daemon must keep serving).
-            doc: Dict[str, object] = {"status": "ok"}
-            health = getattr(self.service, "health", None)
-            if health is not None:
-                firing = health.active()
-                if firing:
-                    doc["firing_alerts"] = firing
-            return 200, _json_body(doc), "application/json", {}
+            return 200, _json_body({"status": "ok"}), "application/json", {}
         if path == "/readyz":
             if method != "GET":
                 return self._method_not_allowed("GET")
@@ -277,42 +253,14 @@ class ServiceApi:
                 return self._method_not_allowed("GET")
             if self.obs is None:
                 return 200, b"", "text/plain; version=0.0.4", {}
+            # The process gauges are sampled per read, so they are as
+            # fresh as the scraper asks for.
+            record_memory(self.obs)
+            self.obs.record_uptime()
             text = self.obs.metrics.to_prometheus_text()
             return (
                 200, text.encode("utf-8"),
                 "text/plain; version=0.0.4", {},
-            )
-        if path == "/timeseries":
-            if method != "GET":
-                return self._method_not_allowed("GET")
-            query = request.query
-            since: Optional[float] = None
-            if "since" in query:
-                try:
-                    since = float(query["since"])
-                except ValueError:
-                    raise ConfigurationError(
-                        f"since={query['since']!r} is not a number"
-                    )
-            tier = query.get("tier")
-            store = self.service.timeseries
-            if tier is not None and tier not in {
-                t.name for t in store.tiers
-            }:
-                raise ConfigurationError(
-                    f"unknown tier {tier!r} "
-                    f"(have {[t.name for t in store.tiers]})"
-                )
-            doc = self.service.timeseries_doc(
-                prefix=query.get("name"), tier=tier, since=since,
-            )
-            return 200, _json_body(doc), "application/json", {}
-        if path == "/alerts":
-            if method != "GET":
-                return self._method_not_allowed("GET")
-            return (
-                200, _json_body(self.service.health_doc()),
-                "application/json", {},
             )
         if path == "/submit":
             if method != "POST":

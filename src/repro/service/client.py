@@ -158,33 +158,6 @@ class ServiceClient:
             raise ServiceError(f"/jobs answered {reply.status}")
         return reply.json()
 
-    def timeseries(
-        self,
-        name: Optional[str] = None,
-        tier: Optional[str] = None,
-        since: Optional[float] = None,
-    ) -> Dict[str, object]:
-        """Scrape history from ``/timeseries`` (name is a key prefix)."""
-        params = []
-        if name is not None:
-            params.append(f"name={name}")
-        if tier is not None:
-            params.append(f"tier={tier}")
-        if since is not None:
-            params.append(f"since={since}")
-        path = "/timeseries" + ("?" + "&".join(params) if params else "")
-        reply = self._request("GET", path)
-        if reply.status != 200:
-            raise ServiceError(f"/timeseries answered {reply.status}")
-        return reply.json()
-
-    def alerts(self) -> Dict[str, object]:
-        """Health-rule firing state from ``/alerts``."""
-        reply = self._request("GET", "/alerts")
-        if reply.status != 200:
-            raise ServiceError(f"/alerts answered {reply.status}")
-        return reply.json()
-
     def job(self, job_id: str) -> Optional[Dict[str, object]]:
         reply = self._request("GET", f"/jobs/{job_id}")
         if reply.status == 404:

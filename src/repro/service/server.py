@@ -30,14 +30,11 @@ import logging
 import os
 import signal
 import threading
-import time
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..errors import ServiceError
 from ..obs import Observability, record_memory
-from ..obs.health import HealthEngine, HealthRule, default_service_rules
-from ..obs.timeseries import MetricsScraper, TimeSeriesStore
 from ..resilience.chaos import ChaosInjector
 from ..sealed import atomic_write
 from ..testing import build_library
@@ -50,7 +47,6 @@ logger = logging.getLogger(__name__)
 
 ENDPOINT_FILE = "endpoint.json"
 METRICS_SNAPSHOT = "metrics.prom"
-TIMESERIES_FILE = "timeseries.json"
 
 
 class ReproService:
@@ -73,15 +69,7 @@ class ReproService:
         max_body_bytes: int = 1 << 20,
         retry_after_s: float = 1.0,
         retain_verdicts=None,
-        scrape_interval_s: float = 1.0,
-        health_rules: Optional[Sequence[HealthRule]] = None,
-        rss_limit_bytes: Optional[int] = None,
-        history_flush_every: int = 10,
     ):
-        if scrape_interval_s <= 0:
-            raise ServiceError("scrape_interval_s must be positive")
-        if history_flush_every < 1:
-            raise ServiceError("history_flush_every must be >= 1")
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.host = host
@@ -90,23 +78,6 @@ class ReproService:
         self.chaos = chaos
         self.request_timeout_s = request_timeout_s
         self.max_body_bytes = max_body_bytes
-        # Mission-control layer: scrape history survives SIGKILL via
-        # the CRC-sealed container (a torn file just restarts history),
-        # and health rules watch the store, not the live registry.
-        self.scrape_interval_s = scrape_interval_s
-        self.history_flush_every = history_flush_every
-        self.timeseries = TimeSeriesStore.restore(
-            self.state_dir / TIMESERIES_FILE
-        )
-        self._scraper = MetricsScraper(self.obs.metrics, self.timeseries)
-        self.health = HealthEngine(
-            self.timeseries,
-            health_rules if health_rules is not None
-            else default_service_rules(rss_limit_bytes=rss_limit_bytes),
-            obs=self.obs,
-        )
-        self._scrape_task: Optional[asyncio.Task] = None
-        self._ticks_since_flush = 0
         self.scheduler = CampaignScheduler(
             self.state_dir,
             library if library is not None else build_library(),
@@ -153,15 +124,6 @@ class ReproService:
             port=self._requested_port,
         )
         self._write_endpoint()
-        # One synchronous tick before readiness: /timeseries and the
-        # health engine have data from the first served request on.
-        # Flushing it too means every incarnation that reports ready
-        # has persisted history, however soon it is killed.
-        self._scrape_tick()
-        self._flush_history()
-        self._scrape_task = asyncio.get_running_loop().create_task(
-            self._scrape_loop()
-        )
         self._ready = True
         logger.info(
             "repro serve listening on %s:%d (state %s, %d job(s) recovered)",
@@ -174,57 +136,6 @@ class ReproService:
         atomic_write(
             self.state_dir / ENDPOINT_FILE, (json.dumps(doc) + "\n").encode()
         )
-
-    # -- mission control -----------------------------------------------------
-
-    def _scrape_tick(self) -> None:
-        """One observation cycle: refresh ambient gauges, snapshot the
-        registry into the store, evaluate health, flush periodically.
-
-        RSS is sampled *here*, every interval — not only at checkpoint
-        boundaries — so memory series have scrape-rate resolution.
-        """
-        now = time.time()
-        record_memory(self.obs)
-        self.obs.record_uptime()
-        samples = self._scraper.scrape(now)
-        outcome = "ok" if samples else "skipped"
-        self.obs.inc("repro_obs_scrapes_total", outcome=outcome)
-        if samples:
-            self.obs.inc("repro_obs_scrape_samples_total", samples)
-        self.health.evaluate(now)
-        self._ticks_since_flush += 1
-        if self._ticks_since_flush >= self.history_flush_every:
-            self._flush_history()
-
-    def _flush_history(self) -> None:
-        self._ticks_since_flush = 0
-        try:
-            self.timeseries.save(self.state_dir / TIMESERIES_FILE)
-        except Exception:  # noqa: BLE001 — history loss, not an outage
-            logger.exception("time-series history flush failed")
-
-    async def _scrape_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.scrape_interval_s)
-            try:
-                self._scrape_tick()
-            except Exception:  # noqa: BLE001 — observation must not kill serving
-                logger.exception("metrics scrape tick failed")
-
-    def timeseries_doc(
-        self,
-        *,
-        prefix: Optional[str] = None,
-        tier: Optional[str] = None,
-        since: Optional[float] = None,
-    ) -> Dict[str, object]:
-        """The ``/timeseries`` endpoint body."""
-        return self.timeseries.to_doc(prefix=prefix, tier=tier, since=since)
-
-    def health_doc(self) -> Dict[str, object]:
-        """The ``/alerts`` endpoint body."""
-        return self.health.to_doc(time.time())
 
     def request_stop(self) -> None:
         """Ask the daemon to drain and exit; safe from signal handlers."""
@@ -242,27 +153,14 @@ class ReproService:
             return
         self._stopped = True
         self._ready = True  # liveness stays truthful; readiness says no
-        if self._scrape_task is not None:
-            self._scrape_task.cancel()
-            try:
-                await self._scrape_task
-            except asyncio.CancelledError:
-                pass
-            self._scrape_task = None
         await self.scheduler.drain()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Final observation after the drain so the persisted history
-        # ends on quiesced counters, then seal it to disk.
-        try:
-            self._scrape_tick()
-        except Exception:  # noqa: BLE001
-            logger.exception("final scrape tick failed")
-        self._flush_history()
         # Always leave a scrape-equivalent snapshot in the state dir so
         # post-mortems and CI have the final counters without a live
         # /metrics endpoint.
+        record_memory(self.obs)
         self.obs.record_uptime()
         self.obs.metrics.save(self.state_dir / METRICS_SNAPSHOT)
         self.obs.close()

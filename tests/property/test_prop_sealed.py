@@ -31,8 +31,6 @@ from repro.errors import (
 from repro.obs import (
     JsonlTraceSink,
     MetricsRegistry,
-    TimeSeriesStore,
-    Tier,
     read_trace,
 )
 from repro.obs.report import load_metrics
@@ -118,50 +116,6 @@ def test_column_store(tmp_path_factory, ints, meta, mask):
     # A column file has no JSON to survive a flip: its size and CRC-32
     # catch every cut and every flipped byte.
     _check_document(directory / "ids.npy", mask, read, None, CheckpointError)
-
-
-HISTORY_TIERS = (Tier("raw", 0.0, 4), Tier("1s", 1.0, 3))
-
-
-def _history_points(store: TimeSeriesStore):
-    return store.tiers, {
-        (key, tier.name): store.points(key, tier.name)
-        for key in store.keys()
-        for tier in store.tiers
-    }
-
-
-@SETTINGS
-@given(
-    samples=st.lists(
-        st.tuples(
-            st.sampled_from(["g", 'h{mode="é"}']),
-            st.floats(0, 1e9),
-            st.floats(allow_nan=False, allow_infinity=False),
-        ),
-        min_size=1,
-        max_size=5,
-    ),
-    mask=_masks,
-)
-def test_history(tmp_path_factory, samples, mask):
-    path = tmp_path_factory.mktemp("history") / "timeseries.json"
-    store = TimeSeriesStore(HISTORY_TIERS)
-    for key, ts, value in sorted(samples, key=lambda sample: sample[1]):
-        store.record(key, value, ts)
-    store.save(path)
-    expected = _history_points(store)
-
-    def read(path):
-        loaded = _history_points(TimeSeriesStore.load(path))
-        # The daemon's policy: a history that fails to load restores
-        # as a fresh store; it never refuses to boot.
-        restored = _history_points(TimeSeriesStore.restore(path))
-        assert restored == loaded
-        return loaded
-
-    assert read(path) == expected
-    _check_document(path, mask, read, expected, ObservabilityError)
 
 
 @SETTINGS

@@ -24,6 +24,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet-study", *option])
 
+    @pytest.mark.parametrize("argv", [
+        ["top", "--once"],
+        ["trace-export", "trace.jsonl"],
+        ["serve", "--state-dir", "s", "--scrape-interval", "0.2"],
+        ["serve", "--state-dir", "s", "--rss-limit-mb", "512"],
+    ])
+    def test_mission_control_settings_are_gone(self, argv):
+        """The daemon keeps /metrics and the trace; the time-series
+        dashboard, the exporter and their settings are gone."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
     def test_test_command(self):
         args = build_parser().parse_args(
             ["test", "MIX1", "--duration", "30", "--preheat", "70"]

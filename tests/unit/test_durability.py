@@ -6,7 +6,7 @@ after the *parent directory* is fsynced.  These tests shim
 :mod:`repro.fsutil`'s ``os`` with a recording/fault-injecting double and
 assert two things about every durable artifact writer in the tree
 (checkpoints, column-store manifests and columns, metrics snapshots,
-time-series histories, journal segments, service endpoint files):
+journal segments, service endpoint files):
 
 1. the parent directory fsync happens, and happens **after** the
    rename (the ordering that makes the entry durable);
@@ -21,7 +21,7 @@ import os
 import pytest
 
 import repro.fsutil as fsutil
-from repro.obs import MetricsRegistry, TimeSeriesStore
+from repro.obs import MetricsRegistry
 from repro.resilience.checkpoint import read_checkpoint, write_checkpoint
 from repro.service import ServiceThread
 from repro.service.journal import JournalWriter
@@ -164,14 +164,6 @@ class TestWriters:
         assert "dir_fsync" in kinds, (
             "new journal segment's directory entry was never made durable"
         )
-
-    def test_timeseries_history(self, tmp_path, shim):
-        store = TimeSeriesStore()
-        store.record("g", 1.0, 100.0)
-        path = tmp_path / "timeseries.json"
-        store.save(path)
-        assert TimeSeriesStore.load(path).keys() == ["g"]
-        _assert_rename_then_dir_sync(shim, path)
 
     def test_service_endpoint_file(self, tmp_path, shim, library):
         endpoint = tmp_path / ENDPOINT_FILE

@@ -13,6 +13,7 @@ import zlib
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ObservabilityError, TraceCorruptError
 from repro.fleet import (
     FleetSpec,
@@ -34,7 +35,9 @@ from repro.obs import (
     observed_sleep,
     parse_prometheus_text,
     read_trace,
+    read_trace_segments,
     render_report,
+    trace_segment_paths,
 )
 from repro.resilience.health import CampaignHealthReport
 from repro.sealed import canonical
@@ -331,6 +334,123 @@ class TestTracer:
         for strict in (False, True):
             with pytest.raises(TraceCorruptError, match="line 3"):
                 read_trace(path, strict=strict)
+
+
+# ---------------------------------------------------------------------------
+# trace rotation
+# ---------------------------------------------------------------------------
+
+
+class TestSinkRotation:
+    def _fill(self, sink, n, start=0):
+        for i in range(start, start + n):
+            sink.emit({"kind": "event", "name": f"e{i}", "ts": float(i),
+                       "pid": 1, "tid": 0, "attrs": {}})
+        sink.close()
+
+    def test_rotates_and_numbering_continues_across_incarnations(
+        self, tmp_path
+    ):
+        base = tmp_path / "trace.jsonl"
+        sink = JsonlTraceSink(base, max_bytes=1024)
+        self._fill(sink, 40)
+        first = trace_segment_paths(base)
+        assert len(first) > 1
+        assert [p.name for p in first][0] == "trace-000001.jsonl"
+        assert not base.exists()  # rotating mode never writes the bare file
+        # Restart: a new sink extends numbering instead of overwriting.
+        sink2 = JsonlTraceSink(base, max_bytes=1024)
+        self._fill(sink2, 5, start=40)
+        second = trace_segment_paths(base)
+        assert len(second) == len(first) + 1
+        assert second[: len(first)] == first
+        records = read_trace_segments(base)
+        assert [r["name"] for r in records] == [f"e{i}" for i in range(45)]
+
+    def test_segment_reader_stitches_bare_file_first(self, tmp_path):
+        base = tmp_path / "trace.jsonl"
+        legacy = JsonlTraceSink(base)  # non-rotating legacy mode
+        self._fill(legacy, 3)
+        rotating = JsonlTraceSink(base, max_bytes=1024)
+        self._fill(rotating, 2, start=3)
+        names = [r["name"] for r in read_trace_segments(base)]
+        assert names == ["e0", "e1", "e2", "e3", "e4"]
+
+    def test_torn_tails_tolerated_per_segment(self, tmp_path):
+        base = tmp_path / "trace.jsonl"
+        sink = JsonlTraceSink(base, max_bytes=1024)
+        self._fill(sink, 40)
+        paths = trace_segment_paths(base)
+        # Tear the final segment AND an earlier one: any segment can be
+        # the last write of a SIGKILLed incarnation, so the lax reader
+        # drops each torn tail; strict refuses.
+        for path in (paths[-1], paths[0]):
+            raw = path.read_text()
+            path.write_text(raw[:-20])
+        survivors = read_trace_segments(base)
+        assert 0 < len(survivors) < 40
+        with pytest.raises(TraceCorruptError):
+            read_trace_segments(base, strict=True)
+        # Corruption BEFORE a segment's final line is damage, not a
+        # crash artifact — lax still raises.
+        lines = paths[1].read_text().splitlines()
+        lines[1] = lines[1][:-5]  # mangle a mid-segment record
+        paths[1].write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceCorruptError):
+            read_trace_segments(base)
+
+    def test_max_bytes_floor(self, tmp_path):
+        with pytest.raises(ObservabilityError, match=">= 1024"):
+            JsonlTraceSink(tmp_path / "t.jsonl", max_bytes=10)
+
+
+def _spans_trace(path, rotate_bytes=None, spans=30):
+    obs = Observability.create(None, path, trace_rotate_bytes=rotate_bytes)
+    for index in range(spans):
+        with obs.tracer.span("work", index=index):
+            obs.tracer.event("tick")
+    obs.close()
+
+
+class TestObsReportReadsRotatedTraces:
+    """``obs-report --trace`` takes the path given to ``--trace-out``,
+    whether the sink rotated or not."""
+
+    def test_rotated_trace_reports_like_a_bare_one(self, tmp_path, capsys):
+        bare = tmp_path / "bare" / "trace.jsonl"
+        rotated = tmp_path / "rotated" / "trace.jsonl"
+        bare.parent.mkdir()
+        rotated.parent.mkdir()
+        _spans_trace(bare)
+        _spans_trace(rotated, rotate_bytes=1024)
+        assert not rotated.exists()
+        assert len(trace_segment_paths(rotated)) > 1
+        assert check_artifacts(trace_path=bare) == []
+        assert check_artifacts(trace_path=rotated) == []
+        for path in (bare, rotated):
+            report = render_report(trace_path=path)
+            assert "(90 records, 30 point events)" in report
+            assert "work  30" in report
+        assert main(["obs-report", "--trace", str(rotated)]) == 0
+        assert main(["obs-report", "--trace", str(rotated), "--check"]) == 0
+        assert "ok: telemetry artifacts validate" in capsys.readouterr().out
+
+    def test_torn_segment_renders_but_fails_check(self, tmp_path):
+        base = tmp_path / "trace.jsonl"
+        _spans_trace(base, rotate_bytes=1024)
+        first = trace_segment_paths(base)[0]
+        first.write_bytes(first.read_bytes()[:-7])
+        assert "work" in render_report(trace_path=base)
+        problems = check_artifacts(trace_path=base)
+        assert len(problems) == 1 and "is torn" in problems[0]
+
+    def test_missing_trace_is_still_an_error(self, tmp_path):
+        missing = tmp_path / "trace.jsonl"
+        with pytest.raises(ObservabilityError, match="cannot read trace"):
+            render_report(trace_path=missing)
+        assert main(["obs-report", "--trace", str(missing)]) == 2
+        problems = check_artifacts(trace_path=missing)
+        assert len(problems) == 1 and "cannot read trace" in problems[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@
 ``tests/fixtures/sealed/`` holds one small file set per format, written
 by the release before the formats shared one storage module: a
 checkpoint, a column store, a journal segment whose last entry was torn
-mid-append, rotated trace segments, a time-series history and a
-metrics JSON document.  Each must still load to the payload recorded
-here, and the current writers must reproduce each file byte for byte —
-except the metrics document, whose outer key order and trailing newline
-changed (it must still load).
+mid-append, rotated trace segments and a metrics JSON document.  Each
+must still load to the payload recorded here, and the current writers
+must reproduce each file byte for byte — except the metrics document,
+whose outer key order and trailing newline changed (it must still
+load).
+
+The directory also keeps ``timeseries.json``, a time-series history as
+the daemon stored it before that history was retired; no reader for it
+is left, and ``tests/unit/test_service.py`` boots a daemon beside it.
 
 The ``write_*`` helpers below are the recipe that produced the
 fixtures; they use only the public writers.
@@ -21,8 +25,6 @@ from repro.colstore import read_columns, write_columns
 from repro.obs import (
     JsonlTraceSink,
     MetricsRegistry,
-    TimeSeriesStore,
-    Tier,
     read_trace_segments,
     trace_segment_paths,
 )
@@ -67,13 +69,6 @@ TRACE_RECORDS = [
     for i in range(24)
 ]
 
-HISTORY_TIERS = (Tier("raw", 0.0, 6), Tier("1s", 1.0, 3))
-HISTORY_SAMPLES = [
-    (key, 100.0 + 0.4 * i, value * i)
-    for i in range(8)
-    for key, value in (("g", 1.5), ('h{mode="x"}', -2.0))
-]
-
 
 def write_checkpoint_fixture(directory: Path) -> None:
     write_checkpoint(directory / "campaign.ckpt", CHECKPOINT_PAYLOAD)
@@ -98,25 +93,6 @@ def write_trace_fixture(directory: Path) -> None:
     for record in TRACE_RECORDS:
         sink.emit(dict(record))
     sink.close()
-
-
-def build_history() -> TimeSeriesStore:
-    store = TimeSeriesStore(HISTORY_TIERS)
-    for key, ts, value in HISTORY_SAMPLES:
-        store.record(key, value, ts)
-    return store
-
-
-def write_history_fixture(directory: Path) -> None:
-    build_history().save(directory / "timeseries.json")
-
-
-def history_points(store: TimeSeriesStore) -> dict:
-    return {
-        (key, tier.name): store.points(key, tier.name)
-        for key in store.keys()
-        for tier in store.tiers
-    }
 
 
 def build_registry() -> MetricsRegistry:
@@ -170,11 +146,6 @@ class TestFixturesLoad:
         assert len(trace_segment_paths(base)) > 1
         assert read_trace_segments(base, strict=True) == TRACE_RECORDS
 
-    def test_history(self):
-        loaded = TimeSeriesStore.load(FIXTURES / "timeseries.json")
-        assert loaded.tiers == HISTORY_TIERS
-        assert history_points(loaded) == history_points(build_history())
-
     def test_metrics_document(self):
         loaded = load_metrics(FIXTURES / "metrics.json")
         assert loaded.snapshot() == build_registry().snapshot()
@@ -200,12 +171,6 @@ class TestWritersReproduceFixtures:
     def test_trace_segments(self, tmp_path):
         write_trace_fixture(tmp_path)
         _same_files(FIXTURES / "trace", tmp_path / "trace")
-
-    def test_history(self, tmp_path):
-        write_history_fixture(tmp_path)
-        assert (tmp_path / "timeseries.json").read_bytes() == (
-            FIXTURES / "timeseries.json"
-        ).read_bytes()
 
     def test_metrics_document_loads_after_rewrite(self, tmp_path):
         # The one format whose bytes changed: the outer document's key

@@ -6,9 +6,10 @@ in-process HTTP API end to end — including the acceptance-criteria
 behaviors: verdict parity with a direct campaign run, a saturated
 admission queue answering 429 with Retry-After while losing nothing,
 concurrent jobs, state directories written before the process-pool
-engine or the spec's engine/residency selectors were retired, a job
-whose failure must not stall the queue, and verdict retention that
-survives restarts.
+engine, the spec's engine/residency selectors or the time-series
+history were retired, the telemetry surface (``/metrics`` and the
+trace), a job whose failure must not stall the queue, and verdict
+retention that survives restarts.
 """
 
 import json
@@ -16,6 +17,7 @@ import threading
 import time
 import typing
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +27,13 @@ from repro.errors import (
     ServiceError,
 )
 from repro.cli import main
-from repro.obs import ListTraceSink, MetricsRegistry, Observability, Tracer
+from repro.obs import (
+    ListTraceSink,
+    MetricsRegistry,
+    Observability,
+    Tracer,
+    parse_prometheus_text,
+)
 from repro.resilience import CampaignSpec, CheckpointStore, ResilientCampaign
 from repro.resilience.chaos import ChaosInjector, parse_chaos_spec
 from repro.sealed import canonical
@@ -720,6 +728,97 @@ class TestRetiredSelectorState:
         assert final["spec"] == CampaignSpec(**SPEC).to_dict()
         assert final["detections"] == expected["detections"]
         assert final["undetected"] == expected["undetected"]
+
+
+# -- telemetry surface ---------------------------------------------------------
+
+
+#: A time-series history as the daemon kept it beside its journal
+#: before the history, the health rules and their routes were retired.
+HISTORY_FIXTURE = (
+    Path(__file__).resolve().parent.parent / "fixtures" / "sealed"
+    / "timeseries.json"
+)
+
+
+def _uptime(client) -> float:
+    families = parse_prometheus_text(client.metrics_text())
+    return families["repro_uptime_seconds"]["samples"]["repro_uptime_seconds"]
+
+
+class TestTelemetrySurface:
+    def test_identity_gauges_present(self, service):
+        text = service.metrics_text()
+        assert "repro_build_info{version=" in text
+        assert "repro_uptime_seconds" in text
+        assert "repro_rss_bytes" in text  # sampled on each /metrics read
+
+    def test_process_gauges_refresh_on_each_read(self, service):
+        first = _uptime(service)
+        time.sleep(0.05)
+        assert _uptime(service) >= first + 0.05
+
+    def test_healthz_detail_stays_200(self, service):
+        reply = service._request("GET", "/healthz")
+        assert reply.status == 200
+        assert reply.json() == {"status": "ok"}
+
+    @pytest.mark.parametrize("route", ["/timeseries", "/alerts"])
+    def test_retired_routes_are_404(self, service, route):
+        reply = service._request("GET", route + "?tier=raw")
+        assert reply.status == 404
+        assert reply.json()["error"] == f"no route for {route}"
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["sealed", "torn"])
+    def test_torn_history_file_does_not_kill_boot(
+        self, tmp_path, library, torn
+    ):
+        """An older daemon's ``timeseries.json``, sealed or torn, is
+        left alone: the daemon boots beside it, replays the journal and
+        serves."""
+        history = HISTORY_FIXTURE.read_bytes()
+        if torn:
+            history = history[: len(history) // 2]
+        (tmp_path / "timeseries.json").write_bytes(history)
+        with JournalWriter(tmp_path / "journal") as journal:
+            journal.append(
+                "submit", job="old", spec=CampaignSpec(**SPEC).to_dict()
+            )
+        with ServiceThread(tmp_path, library=library) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            assert client.healthz()
+            assert client.job("old")["recovered"] is True
+            verdict = client.wait_verdict("old", timeout_s=120)
+        assert verdict["result"] == _direct_result(SPEC, library)
+        assert (tmp_path / "timeseries.json").read_bytes() == history
+
+    def test_telemetry_never_changes_verdicts(self, tmp_path, library):
+        """Metrics plus a rotating trace sink must not perturb seeded
+        verdicts."""
+        plain_dir = tmp_path / "plain"
+        instrumented_dir = tmp_path / "instrumented"
+        with ServiceThread(plain_dir, library=library) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            client.wait_ready()
+            client.submit(dict(SPEC, job_id="parity"))
+            plain = client.wait_verdict("parity", timeout_s=120)
+        obs = Observability.create(
+            str(instrumented_dir / "metrics.json"),
+            str(instrumented_dir / "trace.jsonl"),
+            trace_rotate_bytes=65536,
+        )
+        try:
+            with ServiceThread(
+                instrumented_dir / "state", library=library, obs=obs,
+            ) as handle:
+                client = ServiceClient("127.0.0.1", handle.port)
+                client.wait_ready()
+                client.submit(dict(SPEC, job_id="parity"))
+                instrumented = client.wait_verdict("parity", timeout_s=120)
+        finally:
+            obs.close()
+        assert instrumented["result"] == plain["result"]
+        assert instrumented["spec"] == plain["spec"]
 
 
 # -- a job that raises ----------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.perf.exact_rng import (
     derive_seed_batch,
     pcg64_state_words,
 )
+from repro.resilience import ResilientCampaign
 from repro.rng import derive_seed
 from repro.testing import build_library
 
@@ -135,3 +136,31 @@ def test_campaign_parity_across_pipeline_seeds():
             _detection_key(d) for d in vectorized.detections
         ]
         assert scalar.undetected_ids == vectorized.undetected_ids
+
+
+def test_sharded_campaign_keeps_no_lowered_block():
+    """Campaigns walk shards forward and never lower a range twice, so
+    the engine keeps no lowered block once a shard is replayed."""
+    fleet = generate_fleet(
+        FleetSpec(total_processors=5_000, failure_rate_scale=40.0, seed=9)
+    )
+    library = build_library()
+    campaign = ResilientCampaign(fleet, library, seed=11, shard_size=16)
+    engine = campaign._vectorized
+    lower = engine._lower_range
+    lowered = {}
+
+    def spy(start, stop):
+        assert (start, stop) not in lowered
+        lowered[(start, stop)] = block = lower(start, stop)
+        return block
+
+    engine._lower_range = spy
+    result = campaign.run()
+    ranges = list(lowered)
+    assert len(ranges) >= 4
+    # A held block would come back as the same object.
+    assert all(lower(*key) is not lowered[key] for key in ranges)
+    scalar = TestPipeline(fleet, library, seed=11).run()
+    assert result.detections == scalar.detections
+    assert result.undetected_ids == scalar.undetected_ids
