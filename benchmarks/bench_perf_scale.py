@@ -4,13 +4,14 @@ Proves the paper-scale claim of the out-of-core substrate end-to-end:
 
 1. **Parity** — a reference fleet (default 100k CPUs) is campaigned
    twice through ``VectorizedTestPipeline``, once over a plain list of
-   every faulty Processor materialized from the same rows and once
-   window by window over ``generate_fleet``'s frame-backed population;
+   every faulty Processor built from the same rows and once range by
+   range over ``generate_fleet``'s frame-backed population;
    detections, undetected ids, and the finishing stream position must
    be bit-identical.
-2. **Scale** — a 1,000,000-CPU fleet is generated chunk-by-chunk
-   (never materializing Processor objects for the whole population),
-   campaigned window by window through the vectorized engine, and
+2. **Scale** — a 1,000,000-CPU fleet is generated as one compact
+   frame (never materializing Processor objects for the whole
+   population), campaigned range by range through the vectorized
+   engine, and
    analysed through the columnar ``DetectionFrame`` spilled to a
    CRC-checked on-disk column store and memory-mapped back.  Peak RSS
    over the whole run must stay under ``--max-peak-rss-mb`` (default
@@ -45,7 +46,6 @@ from repro.fleet import (
     VectorizedTestPipeline,
     fleet_arch_counts,
     generate_fleet,
-    iter_fleet_chunks,
     stats,
 )
 from repro.fleet.pipeline import FleetStudyResult
@@ -59,6 +59,10 @@ from repro.testing import build_library
 
 logger = logging.getLogger("repro.bench.perf_scale")
 
+#: Faulty CPUs per campaign range: the frame builds one range of
+#: Processors at a time, so this bounds the resident Processors.
+RANGE_CPUS = 8192
+
 
 def _detection_key(detection):
     return (
@@ -70,11 +74,10 @@ def _detection_key(detection):
     )
 
 
-def _run_streamed(spec, library, *, seed, obs=None):
-    """Streamed campaign: chunked generation -> the vectorized engine
-    over the lazily materializing frame population, one window-sized
-    range at a time so no range outgrows the resident window."""
-    population = generate_fleet(spec, obs=obs)
+def _run_streamed(spec, library, *, seed):
+    """Streamed campaign: the vectorized engine over the frame-backed
+    population, one ``RANGE_CPUS`` range at a time."""
+    population = generate_fleet(spec)
     engine = VectorizedTestPipeline(
         population, library, trigger_model=TriggerModel(), seed=seed,
     )
@@ -83,9 +86,8 @@ def _run_streamed(spec, library, *, seed, obs=None):
         arch_counts=dict(population.arch_counts),
     )
     faulty = len(population.faulty)
-    window = population.faulty.window
-    for start in range(0, faulty, window):
-        engine.run_range(start, min(start + window, faulty), result)
+    for start in range(0, faulty, RANGE_CPUS):
+        engine.run_range(start, min(start + RANGE_CPUS, faulty), result)
     return population, result, engine._scalar._stream.consumed
 
 
@@ -96,10 +98,9 @@ def _check_reference_parity(args, library) -> dict:
         seed=args.fleet_seed,
     )
     # Every faulty Processor resident at once, in a plain list.
-    faulty = []
-    for chunk in iter_fleet_chunks(spec):
-        faulty.extend(chunk.materialize())
-    fleet = FleetPopulation(spec, fleet_arch_counts(spec), faulty)
+    fleet = FleetPopulation(
+        spec, fleet_arch_counts(spec), list(generate_fleet(spec).faulty)
+    )
     engine = VectorizedTestPipeline(
         fleet, library, trigger_model=TriggerModel(), seed=args.seed
     )
@@ -134,9 +135,7 @@ def _run_scale(args, library, obs) -> dict:
         seed=args.fleet_seed,
     )
     start = time.perf_counter()
-    population, result, _ = _run_streamed(
-        spec, library, seed=args.seed, obs=obs,
-    )
+    population, result, _ = _run_streamed(spec, library, seed=args.seed)
     campaign_s = time.perf_counter() - start
 
     # Columnar analytics leg: encode -> spill -> mmap back -> kernels,
@@ -164,7 +163,7 @@ def _run_scale(args, library, obs) -> dict:
         "failure_rate_scale": spec.failure_rate_scale,
         "faulty": len(population.faulty),
         "detections": len(result.detections),
-        "window": population.faulty.window,
+        "range_cpus": RANGE_CPUS,
         "campaign_s": round(campaign_s, 4),
         "analytics_s": round(analytics_s, 4),
         "spill_bytes": spill_bytes,

@@ -47,8 +47,6 @@ from .precision import PrecisionSummary
 __all__ = [
     "RecordFrame",
     "DetectionFrame",
-    "save_record_frame",
-    "load_record_frame",
     "popcount_u64",
     "bitflip_histogram_frame",
     "flip_direction_fraction_frame",
@@ -508,70 +506,6 @@ def summarize_precision_frame(
         below_002pct=below(0.02 / 100.0),
         below_5pct=below(5.0 / 100.0),
         above_100pct=int(np.count_nonzero(losses > 100.0 / 100.0)) / n,
-    )
-
-
-# -- spill-to-disk (out-of-core analytics) ------------------------------------
-
-#: RecordFrame array fields, in canonical column order for persistence.
-_RECORD_COLUMNS: Tuple[str, ...] = (
-    "expected_lo",
-    "expected_hi",
-    "actual_lo",
-    "actual_hi",
-    "mask_lo",
-    "mask_hi",
-    "dtype_code",
-    "setting_code",
-    "processor_code",
-    "testcase_code",
-    "precision_loss",
-)
-
-
-def save_record_frame(frame: RecordFrame, directory, obs=None) -> int:
-    """Spill a :class:`RecordFrame` through :mod:`repro.colstore`.
-
-    Columns land one ``.npy`` per field under a CRC-checked manifest;
-    the code tables travel in the manifest's meta.  Returns bytes
-    written.
-    """
-    from ..colstore import write_columns
-
-    meta = {
-        "kind": "record-frame",
-        "settings": [list(key) for key in frame.settings],
-        "processors": list(frame.processors),
-        "testcases": list(frame.testcases),
-    }
-    columns = {name: getattr(frame, name) for name in _RECORD_COLUMNS}
-    return write_columns(directory, columns, meta=meta, obs=obs)
-
-
-def load_record_frame(
-    directory, mmap: bool = True, verify: bool = False
-) -> RecordFrame:
-    """Map a spilled :class:`RecordFrame` back (zero-copy by default).
-
-    Kernels run unchanged over the memory-mapped columns, paging only
-    the bytes each one touches — figure analytics over millions of
-    records never need the corpus resident.
-    """
-    from ..colstore import read_columns
-
-    columns, meta = read_columns(directory, mmap=mmap, verify=verify)
-    missing = [name for name in _RECORD_COLUMNS if name not in columns]
-    if missing:
-        raise ConfigurationError(
-            f"record-frame store {directory} missing columns: {missing}"
-        )
-    return RecordFrame(
-        settings=tuple(
-            (str(p), str(t)) for p, t in meta.get("settings", [])
-        ),
-        processors=tuple(meta.get("processors", [])),
-        testcases=tuple(meta.get("testcases", [])),
-        **{name: columns[name] for name in _RECORD_COLUMNS},
     )
 
 

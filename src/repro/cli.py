@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--spill-dir", default=None, metavar="DIR",
-        help="spill the campaign's detections and the fleet frame to "
-             "CRC-checked column stores here",
+        help="spill the campaign's detections to a CRC-checked column "
+             "store in DIR/detections",
     )
 
     sub.add_parser(
@@ -277,7 +277,7 @@ def _cmd_fleet_study(args, obs=None) -> int:
     _print_fleet_tables(result)
     logger.info("campaign health: %s", campaign.health.summary())
     if args.spill_dir is not None:
-        _spill_study(args.spill_dir, campaign, result, obs)
+        _spill_study(args.spill_dir, result, obs)
     if store is not None:
         logger.info(
             "snapshots in %s (continue with: repro resume %s)",
@@ -286,8 +286,9 @@ def _cmd_fleet_study(args, obs=None) -> int:
     return 0
 
 
-def _spill_study(spill_dir, campaign, result, obs=None) -> None:
-    """Spill campaign outputs as memory-mappable column stores."""
+def _spill_study(spill_dir, result, obs=None) -> None:
+    """Spill the campaign's detections as a memory-mappable column
+    store."""
     from pathlib import Path
 
     from .analysis import DetectionFrame
@@ -298,10 +299,6 @@ def _spill_study(spill_dir, campaign, result, obs=None) -> None:
     logger.info(
         "spilled %d detections to %s (%d bytes)",
         len(frame), base / "detections", written,
-    )
-    written = campaign.population.faulty.frame.save(base / "fleet", obs=obs)
-    logger.info(
-        "spilled fleet frame to %s (%d bytes)", base / "fleet", written
     )
 
 

@@ -2,14 +2,12 @@
 
 from .population import (
     ROW_SCHEMA,
-    FleetChunk,
     FleetPopulation,
     FleetSpec,
     OnsetMixture,
     fleet_arch_counts,
-    iter_fleet_chunks,
 )
-from .frame import FleetFrame, LazyFaultyList, generate_fleet
+from .frame import FleetFrame, generate_fleet
 from .machine import (
     Cluster,
     Datacenter,
@@ -30,15 +28,12 @@ from . import stats
 
 __all__ = [
     "ROW_SCHEMA",
-    "FleetChunk",
     "FleetPopulation",
     "FleetSpec",
     "OnsetMixture",
     "fleet_arch_counts",
     "generate_fleet",
-    "iter_fleet_chunks",
     "FleetFrame",
-    "LazyFaultyList",
     "Cluster",
     "Datacenter",
     "FleetTopology",

@@ -25,7 +25,7 @@ Calibration:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,22 +50,16 @@ __all__ = [
     "OnsetMixture",
     "FleetSpec",
     "FleetPopulation",
-    "FleetChunk",
     "ROW_SCHEMA",
+    "draw_fleet_columns",
     "fleet_arch_counts",
-    "iter_fleet_chunks",
 ]
 
-#: Streamed generation emits faulty CPUs in struct-of-arrays chunks of
-#: this many rows by default — large enough to amortize per-chunk
-#: overhead, small enough that a chunk is always cache-friendly.
-DEFAULT_CHUNK_SIZE = 8192
-
 #: The one row schema of a faulty CPU: column name -> dtype, in the
-#: order :func:`iter_fleet_chunks` draws the values.  The last eight
-#: columns are :func:`_sample_defect_params`' tuple.  Generation,
-#: :class:`~.frame.FleetFrame`, the column-store manifest and row
-#: materialization all read this table.
+#: order :func:`draw_fleet_columns` draws the values.  The last eight
+#: columns are :func:`_sample_defect_params`' tuple.  Generation and
+#: :class:`~.frame.FleetFrame`'s validation and row building all read
+#: this table.
 ROW_SCHEMA: Dict[str, np.dtype] = {
     "arch_code": np.dtype(np.int16),
     # Per-architecture faulty index (the ``F%04d`` in the CPU name).
@@ -180,8 +174,8 @@ class FleetPopulation:
     """The generated fleet: healthy counts plus the faulty CPUs.
 
     :func:`~.frame.generate_fleet` backs ``faulty`` with a
-    :class:`~.frame.LazyFaultyList`, which builds Processors one window
-    at a time; any other sequence of Processors works too.
+    :class:`~.frame.FleetFrame`, which builds Processors from its rows
+    on each access; any other sequence of Processors works too.
     """
 
     spec: FleetSpec
@@ -281,8 +275,7 @@ def _build_fleet_defect(
     Consumes no randomness: core multipliers and bitflip patterns come
     from name-keyed substreams inside the catalog builder, so the same
     ``(name, params)`` always yields an equal frozen
-    :class:`~repro.cpu.defects.Defect`, whichever window or chunk
-    rebuilds it.
+    :class:`~repro.cpu.defects.Defect`, whichever access rebuilds it.
     """
     (
         consistency, combo, pool_index, core_id,
@@ -331,48 +324,6 @@ def _build_fleet_defect(
     )
 
 
-@dataclass
-class FleetChunk:
-    """A contiguous run of faulty CPUs in struct-of-arrays form.
-
-    Each row is one faulty CPU's complete stochastic state, laid out by
-    :data:`ROW_SCHEMA` — about 45 bytes instead of the kilobytes a
-    :class:`~repro.cpu.processor.Processor` costs — so a million-CPU
-    fleet streams through memory a chunk at a time.
-    :meth:`materialize` deterministically rebuilds the rows'
-    Processor objects.
-    """
-
-    #: Global faulty-CPU index of this chunk's first row.
-    start: int
-    #: Architecture name table ``arch_code`` indexes into.
-    arch_names: Tuple[str, ...]
-    #: One array per :data:`ROW_SCHEMA` column.
-    columns: Dict[str, np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.columns["arch_code"])
-
-    def materialize(self) -> List[Processor]:
-        """Rebuild every row's Processor, in row order."""
-        rows = zip(*(self.columns[name].tolist() for name in ROW_SCHEMA))
-        processors = []
-        for arch_code, arch_index, onset, escapes, *params in rows:
-            name = self.arch_names[arch_code]
-            arch = ARCHITECTURES[name]
-            cpu_name = f"{name}-F{arch_index:04d}"
-            defect = _build_fleet_defect(
-                cpu_name, arch, tuple(params), onset, escapes
-            )
-            processors.append(Processor(
-                processor_id=cpu_name,
-                arch=arch,
-                defects=(defect,),
-                age_years=0.0,
-            ))
-        return processors
-
-
 def fleet_arch_counts(spec: FleetSpec) -> Dict[str, int]:
     """Per-architecture processor counts (deterministic, no RNG).
 
@@ -391,53 +342,20 @@ def fleet_arch_counts(spec: FleetSpec) -> Dict[str, int]:
     return arch_counts
 
 
-def iter_fleet_chunks(
-    spec: Optional[FleetSpec] = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[FleetChunk]:
-    """Stream the fleet's faulty CPUs as struct-of-arrays chunks.
+def draw_fleet_columns(spec: FleetSpec) -> Dict[str, np.ndarray]:
+    """Draw every faulty CPU's row into :data:`ROW_SCHEMA` columns.
 
     Consumes the single ``substream(seed, "fleet")`` generator in one
     fixed order — per sorted architecture, one binomial count, then per
-    CPU: onset, escape, defect parameters — so every chunking yields
-    the same rows, and concatenating the chunks gives
-    :func:`~.frame.generate_fleet`'s frame.  Peak memory is one chunk
-    (~45 bytes/row), never the whole fleet.
-
-    Chunks may span architecture boundaries; rows carry their arch code
-    and per-arch index so any chunking yields the same global sequence.
+    CPU: onset, escape, defect parameters.  ``arch_code`` indexes the
+    sorted architecture names; a fleet with no faulty CPU gets typed
+    zero-length columns.
     """
-    spec = spec or FleetSpec()
-    if chunk_size <= 0:
-        raise ConfigurationError("chunk_size must be positive")
     rng = substream(spec.seed, "fleet")
     arch_counts = fleet_arch_counts(spec)
-    names = sorted(arch_counts)
-    arch_names = tuple(names)
-    arch_code_of = {name: code for code, name in enumerate(arch_names)}
-
     rows: List[Tuple] = []
-    start = 0
-
-    def flush() -> FleetChunk:
-        nonlocal rows, start
-        chunk = FleetChunk(
-            start=start,
-            arch_names=arch_names,
-            columns={
-                name: np.asarray(values, dtype=dtype)
-                for (name, dtype), values in zip(
-                    ROW_SCHEMA.items(), zip(*rows)
-                )
-            },
-        )
-        start += len(rows)
-        rows = []
-        return chunk
-
-    for name in names:
+    for code, name in enumerate(sorted(arch_counts)):
         arch = ARCHITECTURES[name]
-        code = arch_code_of[name]
         # Table 2 rates are *detected* failure rates; true incidence is
         # higher by the escape fraction.
         detected_rate = from_permyriad(PAPER_ARCH_FAILURE_RATES_PERMYRIAD[name])
@@ -450,16 +368,12 @@ def iter_fleet_chunks(
         for index in range(count):
             onset = spec.onset.sample(rng)
             escapes = bool(rng.random() < spec.escape_fraction)
-            (
-                consistency, combo, pool_index, core_id,
-                tmin, log10_f0, slope, pattern_probability,
-            ) = _sample_defect_params(arch, rng)
-            rows.append((
-                code, index, onset, escapes, consistency, combo,
-                pool_index, core_id, tmin, log10_f0, slope,
-                pattern_probability,
-            ))
-            if len(rows) >= chunk_size:
-                yield flush()
-    if rows:
-        yield flush()
+            rows.append(
+                (code, index, onset, escapes)
+                + _sample_defect_params(arch, rng)
+            )
+    values = list(zip(*rows)) or [()] * len(ROW_SCHEMA)
+    return {
+        name: np.array(column, dtype=dtype)
+        for (name, dtype), column in zip(ROW_SCHEMA.items(), values)
+    }

@@ -225,7 +225,8 @@ class VectorizedTestPipeline:
         is what lets a sharded campaign match the unsharded engine bit
         for bit.
 
-        All returned arrays are indexed by ``cpu - range_start``.
+        All returned arrays, and the range's Processors that lead the
+        block, are indexed by ``cpu - range_start``.
         """
         schedule, kind_temp, kind_time = self._schedule()
         n_kinds = len(kind_temp)
@@ -423,6 +424,7 @@ class VectorizedTestPipeline:
             )
 
         return (
+            faulty,
             cpu_skip,
             cpu_onset,
             cpu_pair_start,
@@ -455,6 +457,7 @@ class VectorizedTestPipeline:
             entry_undetected = len(result.undetected_ids)
         block = self._lower_range(start, stop)
         (
+            faulty,
             cpu_skip,
             cpu_onset,
             cpu_pair_start,
@@ -470,9 +473,7 @@ class VectorizedTestPipeline:
         detections_append = result.detections.append
         undetected_append = result.undetected_ids.append
 
-        for cpu in range(start, stop):
-            local = cpu - start
-            processor = self.population.faulty[cpu]
+        for local, processor in enumerate(faulty):
             if cpu_skip[local]:
                 undetected_append(processor.processor_id)
                 continue

@@ -206,10 +206,6 @@ _HELP = {
         "Resident set size of this process at last sample, in bytes.",
     "repro_peak_rss_bytes":
         "Peak resident set size of this process, in bytes.",
-    "repro_fleet_chunks_total":
-        "Struct-of-arrays chunks emitted by streamed fleet generation.",
-    "repro_frame_materializations_total":
-        "Processor windows rebuilt from frame-backed populations.",
     "repro_spill_bytes_total":
         "Bytes spilled to on-disk column stores.",
     "repro_service_http_requests_total":
@@ -247,7 +243,7 @@ _BUCKETS = {
     ),
     # Journal appends are fsync-bound: sub-millisecond on NVMe, tens of
     # milliseconds on contended spinning disks — default buckets start
-    # far too coarse to alert on.
+    # far too coarse to resolve them.
     "repro_service_journal_append_seconds": (
         0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
         1.0, float("inf"),

@@ -14,8 +14,9 @@ months:
   :mod:`repro.resilience.checkpoint`;
 * every shard starts on the vectorized engine; a shard that fails
   transiently is retried with exponential backoff, and a shard whose
-  vectorized parity self-check trips is **degraded** to the scalar
-  engine (whose output is the ground truth by construction);
+  parity check trips (the chaos ``parity_trip`` fault) is **degraded**
+  to the scalar engine (whose output is the ground truth by
+  construction);
 * every fault, retry, degradation, and snapshot lands in a
   :class:`~repro.resilience.health.CampaignHealthReport`.
 
@@ -63,6 +64,9 @@ __all__ = [
     "run_resilient_campaign",
 ]
 
+#: Transient failures one shard may retry before the campaign aborts.
+MAX_SHARD_RETRIES = 3
+
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -71,7 +75,7 @@ class CampaignSpec:
     Checkpoints embed this spec, so ``repro resume <dir>`` can
     regenerate the identical population and library without the caller
     re-supplying them.  The shard size also bounds the campaign's
-    resident Processors (see :class:`~repro.fleet.frame.LazyFaultyList`).
+    resident Processors (see :class:`~repro.fleet.frame.FleetFrame`).
     """
 
     total_processors: int
@@ -129,15 +133,14 @@ class CampaignSpec:
                 )
         return cls(**kwargs)
 
-    def build_population(self, obs=None) -> FleetPopulation:
+    def build_population(self) -> FleetPopulation:
         return generate_fleet(
             FleetSpec(
                 total_processors=self.total_processors,
                 seed=self.fleet_seed,
                 failure_rate_scale=self.failure_rate_scale,
                 escape_fraction=self.escape_fraction,
-            ),
-            obs=obs,
+            )
         )
 
 
@@ -157,17 +160,13 @@ class ResilientCampaign:
         checkpoint_every: int = 1,
         chaos: Optional[ChaosInjector] = None,
         health: Optional[CampaignHealthReport] = None,
-        max_shard_retries: int = 3,
         retry_backoff: Optional[ExponentialBackoff] = None,
-        verify_parity: bool = False,
         obs=None,
     ):
         if shard_size <= 0:
             raise ConfigurationError("shard_size must be positive")
         if checkpoint_every <= 0:
             raise ConfigurationError("checkpoint_every must be positive")
-        if max_shard_retries < 0:
-            raise ConfigurationError("max_shard_retries must be >= 0")
         self.population = population
         self.library = library
         self.spec = spec
@@ -181,11 +180,9 @@ class ResilientCampaign:
             # Bridge health into the telemetry stream: every event it
             # records, injected faults included, is counted and traced.
             self.health.observer = obs
-        self.max_shard_retries = max_shard_retries
         self.retry_backoff = retry_backoff or ExponentialBackoff(
             base_s=0.05, cap_s=1.0, seed=seed
         )
-        self.verify_parity = verify_parity
         # One vectorized engine; its embedded scalar engine shares the
         # counted pipeline stream, so either can execute any shard.
         self._vectorized = VectorizedTestPipeline(
@@ -272,7 +269,7 @@ class ResilientCampaign:
             kwargs.setdefault("shard_size", spec.shard_size)
             kwargs.setdefault("seed", spec.pipeline_seed)
             if population is None:
-                population = spec.build_population(kwargs.get("obs"))
+                population = spec.build_population()
         elif population is None:
             raise ConfigurationError(
                 "checkpoint embeds no spec; pass population= explicitly"
@@ -417,9 +414,12 @@ class ResilientCampaign:
                             f"{shard}"
                         )
                     shard_result = self._run_shard_once(start, stop, engine)
-                    if engine != "scalar":
-                        self._self_check_parity(
-                            start, stop, shard, draws_at_start, shard_result
+                    if engine != "scalar" and self._injects(
+                        shard, "parity_trip"
+                    ):
+                        raise ParityDegradedError(
+                            f"parity self-check tripped on shard {shard} "
+                            f"(cpus [{start}, {stop}))"
                         )
                 return shard_result
             except ParityDegradedError as error:
@@ -432,7 +432,7 @@ class ResilientCampaign:
                 engine = "scalar"
             except TransientWorkerError as error:
                 attempt += 1
-                if attempt > self.max_shard_retries:
+                if attempt > MAX_SHARD_RETRIES:
                     raise CampaignAbortedError(
                         f"shard {shard} failed {attempt} times; giving up: "
                         f"{error}"
@@ -446,40 +446,6 @@ class ResilientCampaign:
                 if self.obs is not None:
                     self.obs.inc("repro_retry_total", scope="shard")
                 observed_sleep(self.obs, delay, "shard_retry")
-
-    def _self_check_parity(
-        self,
-        start: int,
-        stop: int,
-        shard: int,
-        draws_at_start: int,
-        shard_result: FleetStudyResult,
-    ) -> None:
-        """Raise :class:`ParityDegradedError` when the shard's vectorized
-        output cannot be trusted (real divergence, or chaos says so)."""
-        tripped = self._injects(shard, "parity_trip")
-        if not tripped and not self.verify_parity:
-            return
-        if not tripped:
-            self._stream.reset_to(draws_at_start)
-            # The reference rerun is a *check*, not campaign work:
-            # counting it would double the shard in the per-engine
-            # totals, so telemetry is suspended for its duration.
-            saved_obs = self._scalar.obs
-            self._scalar.obs = None
-            try:
-                reference = self._run_shard_once(start, stop, "scalar")
-            finally:
-                self._scalar.obs = saved_obs
-            if (
-                reference.detections == shard_result.detections
-                and reference.undetected_ids == shard_result.undetected_ids
-            ):
-                return
-        raise ParityDegradedError(
-            f"parity self-check tripped on shard {shard} "
-            f"(cpus [{start}, {stop}))"
-        )
 
     def step(self) -> bool:
         """Execute exactly one shard through the retry/degradation
@@ -581,7 +547,7 @@ class CampaignSupervisor:
                 "a supervised campaign needs spec= or population="
             )
         if population is None:
-            population = spec.build_population(campaign_kwargs.get("obs"))
+            population = spec.build_population()
         self.library = library
         self.store = checkpoint_store
         self.max_restarts = max_restarts

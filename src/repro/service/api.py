@@ -45,6 +45,9 @@ __all__ = [
 _MAX_REQUEST_LINE = 8 * 1024
 _MAX_HEADER_BYTES = 32 * 1024
 
+#: Exact-path routes, each its own metrics ``route`` label.
+_ROUTES = frozenset(("/submit", "/jobs", "/healthz", "/readyz", "/metrics"))
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -223,11 +226,15 @@ class ServiceApi:
 
     @staticmethod
     def _route_label(path: str) -> str:
-        # Collapse per-job paths so label cardinality stays bounded.
+        # One label per route, per-job paths collapsed, and one label
+        # for every path with no route, so label cardinality stays
+        # bounded whatever clients request.
+        if path in _ROUTES:
+            return path
         for prefix in ("/jobs/", "/verdicts/"):
             if path.startswith(prefix):
                 return prefix.rstrip("/")
-        return path
+        return "other"
 
     async def _dispatch(
         self, request: HttpRequest

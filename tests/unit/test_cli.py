@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis import DetectionFrame
 from repro.cli import build_parser, main
+from repro.resilience import CampaignSpec, ResilientCampaign
 
 
 class TestParser:
@@ -81,6 +83,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error" in err
         assert "Traceback" not in err
+
+    def test_fleet_study_spills_detections_only(self, tmp_path, library):
+        """The fleet frame is a function of the spec, so ``--spill-dir``
+        keeps only the detections, which load back CRC-verified."""
+        spill = tmp_path / "study"
+        assert main([
+            "fleet-study", "--size", "20000", "--spill-dir", str(spill),
+        ]) == 0
+        assert [path.name for path in spill.iterdir()] == ["detections"]
+        loaded = DetectionFrame.load(spill / "detections", verify=True)
+        direct = ResilientCampaign.from_spec(
+            CampaignSpec(total_processors=20_000, pipeline_seed=1), library
+        ).run()
+        assert len(loaded) == len(direct.detections) > 0
+        assert loaded.to_result().detections == direct.detections
 
     def test_test_runs_catalog_cpu(self, capsys):
         assert main(["test", "SIMD1", "--duration", "2"]) == 0

@@ -1,20 +1,19 @@
-"""Out-of-core substrate: streamed generation, frames, spill.
+"""Out-of-core substrate: fleet frames and column-store spill.
 
-The contract under test: every fleet population is frame-backed, and
-each path — chunked generation, the lazy faulty list, and column-store
-spill — is *bit-identical* to Processors materialized straight from
-the chunk stream, and bounded in what it keeps resident.
+The contract under test: every fleet population is frame-backed, its
+rows are pinned per seed, reading it in chunks matches one full build,
+each access to the frame builds exactly the Processors it names, and a
+campaign over the frame is *bit-identical*
+to one over a plain list of every faulty Processor while building one
+shard at a time.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.analysis import DetectionFrame
-from repro.analysis.columnar import (
-    RecordFrame,
-    load_record_frame,
-    save_record_frame,
-)
 from repro.colstore import read_columns, write_columns
 from repro.errors import (
     CheckpointCorruptError,
@@ -22,33 +21,40 @@ from repro.errors import (
     ConfigurationError,
 )
 from repro.fleet import (
+    ROW_SCHEMA,
+    FleetFrame,
     FleetPopulation,
     FleetSpec,
     VectorizedTestPipeline,
     fleet_arch_counts,
     generate_fleet,
-    iter_fleet_chunks,
     stats,
 )
-from repro.fleet.frame import FleetFrame, LazyFaultyList
 from repro.fleet.pipeline import FleetStudyResult
 from repro.obs import Observability
 from repro.resilience import CampaignSpec, ResilientCampaign
 
-#: Dense enough that every arch contributes faulty CPUs and chunk
-#: boundaries land mid-arch.
+#: Dense enough that every arch contributes faulty CPUs.
 SPEC = FleetSpec(total_processors=50_000, failure_rate_scale=50.0, seed=3)
-#: Shard width of the campaign-level checks, far below the window.
+#: Shard width of the campaign-level checks.
 SHARD = 64
+
+#: sha256 over the ROW_SCHEMA columns (name, dtype, bytes, in schema
+#: order) of ``FleetSpec(20_000, failure_rate_scale=20, seed=seed)``,
+#: recorded from the chunked generator that the one column draw
+#: replaced.
+PINNED_ROWS = {
+    1: "c1067e2e4a261749041959bf8ef9915017b4a74135331116e225c52bd13a592b",
+    3: "13f8a91455b14b3dfb8d1eeb4fa47c64c76aecdf78ca18dd088eb649a48bd73d",
+    7: "2d0ebb5682e50bd6ad4653895666375e362bce385caad4cce90ecc5295033353",
+}
 
 
 def materialized_population(spec: FleetSpec) -> FleetPopulation:
-    """The reference: every faulty Processor built straight from
-    :func:`iter_fleet_chunks` into a plain list."""
-    faulty = []
-    for chunk in iter_fleet_chunks(spec):
-        faulty.extend(chunk.materialize())
-    return FleetPopulation(spec, fleet_arch_counts(spec), faulty)
+    """The reference: every faulty Processor resident in a plain list."""
+    return FleetPopulation(
+        spec, fleet_arch_counts(spec), list(generate_fleet(spec).faulty)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -61,28 +67,56 @@ def framed():
     return generate_fleet(SPEC)
 
 
-# -- streamed generation parity ------------------------------------------------
+def _counting(frame, monkeypatch):
+    """Record the slice of every row build ``frame`` performs."""
+    build = frame._build
+    built = []
+
+    def recording(rows):
+        built.append(rows)
+        return build(rows)
+
+    monkeypatch.setattr(frame, "_build", recording)
+    return built
+
+
+# -- generation ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_ROWS))
+def test_fleet_rows_pinned(seed):
+    spec = FleetSpec(
+        total_processors=20_000, failure_rate_scale=20.0, seed=seed
+    )
+    columns = generate_fleet(spec).faulty.columns
+    digest = hashlib.sha256()
+    for name, dtype in ROW_SCHEMA.items():
+        assert columns[name].dtype == dtype
+        digest.update(name.encode())
+        digest.update(str(dtype).encode())
+        digest.update(columns[name].tobytes())
+    assert digest.hexdigest() == PINNED_ROWS[seed]
 
 
 @pytest.mark.parametrize("seed", [1, 3, 7])
 @pytest.mark.parametrize("chunk_size", [17, 256, 100_000])
 def test_streamed_chunks_match_eager_generation(seed, chunk_size):
+    """Reading the frame in consecutive ``chunk_size`` slices, with
+    boundaries mid-arch or past the end, yields the same Processors as
+    building them all at once."""
     spec = FleetSpec(
         total_processors=20_000, failure_rate_scale=20.0, seed=seed
     )
     reference = materialized_population(spec)
+    frame = generate_fleet(spec).faulty
     streamed = []
-    for chunk in iter_fleet_chunks(spec, chunk_size=chunk_size):
-        assert len(chunk) <= chunk_size
-        streamed.extend(chunk.materialize())
+    for start in range(0, len(frame), chunk_size):
+        chunk = frame[start:start + chunk_size]
+        assert 0 < len(chunk) <= chunk_size
+        streamed.extend(chunk)
     assert streamed == reference.faulty
-    assert generate_fleet(spec).faulty[:] == reference.faulty
+    assert frame[:] == reference.faulty
     assert fleet_arch_counts(spec) == reference.arch_counts
-
-
-def test_chunk_size_must_be_positive():
-    with pytest.raises(ConfigurationError):
-        list(iter_fleet_chunks(SPEC, chunk_size=0))
 
 
 def test_arch_counts_need_no_rng():
@@ -98,19 +132,11 @@ def _counter_total(obs, name):
     raise AssertionError(f"metric {name} not emitted")
 
 
-def test_chunk_counter_reaches_obs():
-    obs = Observability.in_memory()
-    generate_fleet(SPEC, obs=obs)
-    assert _counter_total(obs, "repro_fleet_chunks_total") == len(
-        list(iter_fleet_chunks(SPEC))
-    )
-
-
 # -- frame-backed populations --------------------------------------------------
 
 
 def test_frame_population_matches_eager(eager, framed):
-    assert isinstance(framed.faulty, LazyFaultyList)
+    assert isinstance(framed.faulty, FleetFrame)
     assert len(framed.faulty) == len(eager.faulty)
     assert framed.faulty[:] == eager.faulty
     assert framed.arch_counts == eager.arch_counts
@@ -126,41 +152,48 @@ def test_frame_population_grouping_matches(eager, framed):
         assert by_arch[name] == eager_by_arch[name]
 
 
-def test_lazy_list_window_locality(framed, eager):
-    lazy = LazyFaultyList(framed.faulty.frame, window=64)
-    # Sequential integer access within one window costs one rebuild.
-    first = [lazy[i] for i in range(min(64, len(lazy)))]
-    assert lazy.materializations == 1
-    assert first == eager.faulty[: len(first)]
-    # Crossing the window boundary costs exactly one more.
-    if len(lazy) > 64:
-        _ = lazy[64]
-        assert lazy.materializations == 2
-    # Slices materialize the exact requested range.
-    assert lazy[5:12] == eager.faulty[5:12]
-    assert lazy[-3:] == eager.faulty[-3:]
-    with pytest.raises(IndexError):
-        lazy[len(lazy)]
+def test_frame_builds_exactly_the_rows_asked(framed, eager, monkeypatch):
+    frame = FleetFrame(framed.faulty.arch_names, framed.faulty.columns)
+    built = _counting(frame, monkeypatch)
+    n = len(frame)
+    assert n == len(eager.faulty) > 64
 
+    def rows_built():
+        count = sum(len(range(*rows.indices(n))) for rows in built)
+        built.clear()
+        return count
 
-def test_frame_save_load_roundtrip(tmp_path, framed, eager):
-    frame = framed.faulty.frame
-    written = frame.save(tmp_path / "fleet")
-    assert written > 0
-    loaded = FleetFrame.load(tmp_path / "fleet", verify=True)
-    assert loaded.spec == frame.spec
-    assert loaded.arch_names == frame.arch_names
-    assert loaded.arch_counts == frame.arch_counts
-    for name, column in frame.columns.items():
-        np.testing.assert_array_equal(loaded.columns[name], column)
-    assert LazyFaultyList(loaded, window=128)[:25] == eager.faulty[:25]
+    # An int builds its one row; a slice builds its own rows.
+    assert frame[3] == eager.faulty[3]
+    assert rows_built() == 1
+    assert frame[5:12] == eager.faulty[5:12]
+    assert rows_built() == 7
+    # Nothing is cached: two reads build twice, equal but not identical.
+    first, second = frame[40], frame[40]
+    assert rows_built() == 2
+    assert first == second and first is not second
+    # Negative indices, step slices and the bounds behave like a list's.
+    assert frame[-1] == eager.faulty[-1]
+    assert frame[-3:] == eager.faulty[-3:]
+    assert frame[1:60:7] == eager.faulty[1:60:7]
+    assert frame[::-5] == eager.faulty[::-5]
+    assert frame[n:] == frame[7:3] == []
+    assert rows_built() == 1 + 3 + 9 + len(eager.faulty[::-5])
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            frame[index]
+    # Iteration builds fixed blocks covering every row once.
+    assert list(frame) == frame[:] == eager.faulty
+    assert rows_built() == 2 * n
 
 
 def test_empty_fleet_frame():
     spec = FleetSpec(total_processors=10, failure_rate_scale=1e-9, seed=1)
     population = generate_fleet(spec)
     assert len(population.faulty) == 0
-    assert population.faulty[:] == []
+    assert population.faulty[:] == list(population.faulty) == []
+    for name, dtype in ROW_SCHEMA.items():
+        assert population.faulty.columns[name].dtype == dtype
     assert sum(population.arch_counts.values()) == 10
 
 
@@ -220,23 +253,18 @@ def test_streamed_campaign_bit_identical(eager, framed, library):
     )
 
 
-def test_campaign_residency_bounded_by_window_and_shard(library, monkeypatch):
-    """A campaign over ``generate_fleet`` caches no Processor range
-    wider than max(window, shard): here every range it builds is one
-    shard, never the whole population."""
+def test_campaign_residency_bounded_by_shard(library, monkeypatch):
+    """A campaign over ``generate_fleet`` builds exactly its consecutive
+    shard ranges, each once, never the whole population."""
     population = generate_fleet(SPEC)
-    frame = population.faulty.frame
-    materialize = frame.materialize
-    widths = []
-
-    def recording(start, stop):
-        widths.append(stop - start)
-        return materialize(start, stop)
-
-    monkeypatch.setattr(frame, "materialize", recording)
+    built = _counting(population.faulty, monkeypatch)
     ResilientCampaign(population, library, seed=11, shard_size=SHARD).run()
-    assert max(widths) <= max(population.faulty.window, SHARD)
-    assert max(widths) == SHARD < len(population.faulty)
+    faulty = len(population.faulty)
+    assert [(rows.start, rows.stop, rows.step) for rows in built] == [
+        (start, min(start + SHARD, faulty), None)
+        for start in range(0, faulty, SHARD)
+    ]
+    assert faulty > SHARD
 
 
 def test_campaign_spec_from_dict_tolerates_old_payloads():
@@ -306,49 +334,3 @@ def test_detection_frame_save_load(tmp_path, study_result):
     loaded = DetectionFrame.load(tmp_path / "detections", verify=True)
     assert loaded.to_result().detections == study_result.detections
     assert loaded.timing_failure_rates() == frame.timing_failure_rates()
-
-
-# -- record-frame spill and cache ----------------------------------------------
-
-
-def _synthetic_record_store(rows=200):
-    from repro.cpu.features import DataType
-    from repro.rng import substream
-    from repro.testing.records import RecordStore, SDCRecord
-
-    rng = substream(17, "out-of-core-records")
-    store = RecordStore()
-    for row in range(rows):
-        expected = int(rng.integers(0, 2**31))
-        store.add(
-            SDCRecord(
-                processor_id=f"CPU{int(rng.integers(4))}",
-                testcase_id=f"tc{int(rng.integers(5))}",
-                pcore_id=0,
-                defect_id="d0",
-                instruction="IMUL_I32",
-                dtype=DataType.INT32,
-                expected_bits=expected,
-                actual_bits=expected ^ (1 << int(rng.integers(31))),
-                temperature_c=80.0,
-                time_s=float(row),
-            )
-        )
-    return store
-
-
-def test_record_frame_spill_roundtrip(tmp_path):
-    store = _synthetic_record_store()
-    frame = RecordFrame.from_store(store)
-    save_record_frame(frame, tmp_path / "frame")
-    loaded = load_record_frame(tmp_path / "frame", verify=True)
-    assert loaded.settings == frame.settings
-    assert loaded.processors == frame.processors
-    assert loaded.testcases == frame.testcases
-    for name in (
-        "expected_lo", "actual_lo", "mask_lo", "dtype_code",
-        "setting_code", "processor_code", "testcase_code",
-    ):
-        np.testing.assert_array_equal(
-            getattr(loaded, name), getattr(frame, name)
-        )

@@ -763,6 +763,23 @@ class TestTelemetrySurface:
         assert reply.status == 200
         assert reply.json() == {"status": "ok"}
 
+    def test_unknown_paths_share_one_route_label(self, tmp_path, library):
+        """Paths with no route collapse into one ``route="other"``
+        label, so clients cannot grow /metrics by inventing paths."""
+        with ServiceThread(tmp_path, library=library) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            for index in range(5):
+                assert client._request("GET", f"/probe-{index}").status == 404
+            families = parse_prometheus_text(client.metrics_text())
+        samples = families["repro_service_http_requests_total"]["samples"]
+        not_found = {
+            labels: value for labels, value in samples.items()
+            if 'code="404"' in labels
+        }
+        assert len(not_found) == 1
+        (labels, count), = not_found.items()
+        assert 'route="other"' in labels and count == 5
+
     @pytest.mark.parametrize("route", ["/timeseries", "/alerts"])
     def test_retired_routes_are_404(self, service, route):
         reply = service._request("GET", route + "?tier=raw")
