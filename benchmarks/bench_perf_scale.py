@@ -3,15 +3,14 @@
 Proves the paper-scale claim of the out-of-core substrate end-to-end:
 
 1. **Parity** — a reference fleet (default 100k CPUs) is campaigned
-   twice through ``VectorizedTestPipeline``, once over a plain list of
-   every faulty Processor built from the same rows and once range by
-   range over ``generate_fleet``'s frame-backed population;
-   detections, undetected ids, and the finishing stream position must
-   be bit-identical.
+   twice: through the scalar oracle ``TestPipeline`` over a plain list
+   of every faulty Processor built from the same rows, and range by
+   range through ``VectorizedTestPipeline`` over ``generate_fleet``'s
+   frame-backed population; detections, undetected ids, and the
+   finishing stream position must be bit-identical.
 2. **Scale** — a 1,000,000-CPU fleet is generated as one compact
-   frame (never materializing Processor objects for the whole
-   population), campaigned range by range through the vectorized
-   engine, and
+   frame, campaigned range by range through the vectorized engine
+   (which lowers the frame's columns and builds no Processor), and
    analysed through the columnar ``DetectionFrame`` spilled to a
    CRC-checked on-disk column store and memory-mapped back.  Peak RSS
    over the whole run must stay under ``--max-peak-rss-mb`` (default
@@ -43,6 +42,7 @@ from repro.faults.trigger import TriggerModel
 from repro.fleet import (
     FleetPopulation,
     FleetSpec,
+    TestPipeline,
     VectorizedTestPipeline,
     fleet_arch_counts,
     generate_fleet,
@@ -59,8 +59,8 @@ from repro.testing import build_library
 
 logger = logging.getLogger("repro.bench.perf_scale")
 
-#: Faulty CPUs per campaign range: the frame builds one range of
-#: Processors at a time, so this bounds the resident Processors.
+#: Faulty CPUs per campaign range: the vectorized engine lowers one
+#: range of frame rows at a time.
 RANGE_CPUS = 8192
 
 
@@ -97,15 +97,16 @@ def _check_reference_parity(args, library) -> dict:
         failure_rate_scale=args.scale,
         seed=args.fleet_seed,
     )
-    # Every faulty Processor resident at once, in a plain list.
+    # The scalar oracle, every faulty Processor resident at once in a
+    # plain list.
     fleet = FleetPopulation(
         spec, fleet_arch_counts(spec), list(generate_fleet(spec).faulty)
     )
-    engine = VectorizedTestPipeline(
+    oracle = TestPipeline(
         fleet, library, trigger_model=TriggerModel(), seed=args.seed
     )
-    reference = engine.run()
-    reference_position = engine._scalar._stream.consumed
+    reference = oracle.run()
+    reference_position = oracle._stream.consumed
 
     _, streamed, streamed_position = _run_streamed(
         spec, library, seed=args.seed,
@@ -113,7 +114,7 @@ def _check_reference_parity(args, library) -> dict:
     ref_keys = [_detection_key(d) for d in reference.detections]
     streamed_keys = [_detection_key(d) for d in streamed.detections]
     assert ref_keys == streamed_keys, (
-        "streamed campaign diverged from the in-memory reference"
+        "streamed campaign diverged from the scalar oracle"
     )
     assert reference.undetected_ids == streamed.undetected_ids
     assert reference.arch_counts == streamed.arch_counts
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
     parser.add_argument("--processors", type=int, default=1_000_000)
     parser.add_argument(
         "--reference-processors", type=int, default=100_000,
-        help="in-memory reference fleet for the exact-parity check",
+        help="fleet the scalar oracle runs for the exact-parity check",
     )
     parser.add_argument(
         "--scale", type=float, default=20.0,

@@ -21,10 +21,13 @@ All trigger parameters are calibrated against the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..faults.bitflip import PatternBitflip, PositionBiasedBitflip
+from ..perf.exact_rng import VectorPCG64, derive_seed_batch
 from ..rng import substream
 from .defects import Defect, DefectScope, TriggerProfile
 from .features import DataType, Feature
@@ -131,6 +134,12 @@ def _computation_bitflip(
     )
 
 
+#: Substream name of an all-core defect's per-core multipliers, and
+#: the log10 range each core past core 0 draws its multiplier from.
+_MULTIPLIER_STREAM = "core-multipliers"
+_MULTIPLIER_LOG10 = (-3.0, 0.0)
+
+
 def _core_multipliers(n_cores: int, name: str) -> Dict[int, float]:
     """Per-core frequency multipliers spanning orders of magnitude.
 
@@ -139,11 +148,42 @@ def _core_multipliers(n_cores: int, name: str) -> Dict[int, float]:
     setting, making some of the defective cores difficult to be
     detected".
     """
-    rng = substream(0, "core-multipliers", name)
+    rng = substream(0, _MULTIPLIER_STREAM, name)
+    low, high = _MULTIPLIER_LOG10
     multipliers = {0: 1.0}
     for core in range(1, n_cores):
-        multipliers[core] = float(10.0 ** rng.uniform(-3.0, 0.0))
+        multipliers[core] = float(10.0 ** rng.uniform(low, high))
     return multipliers
+
+
+def _core_multiplier_sums(
+    n_cores: Sequence[int], names: Sequence[str]
+) -> List[float]:
+    """``sum(_core_multipliers(n, name).values())`` for each pair.
+
+    Every name's substream is replayed lane-parallel through
+    :mod:`repro.perf.exact_rng`.  ``10.0 ** x`` stays Python's float
+    pow (libm; NumPy's vectorised power may differ in the last ulp) and
+    the sum stays Python's ``sum()`` over ``[1.0, m1, ...]``, which is
+    compensated from Python 3.12 on, so each total equals the scalar
+    one bit for bit.
+    """
+    sums = [1.0] * len(n_cores)
+    lanes = [lane for lane, count in enumerate(n_cores) if count > 1]
+    if not lanes:
+        return sums
+    streams = VectorPCG64.from_seeds(derive_seed_batch(
+        0, (_MULTIPLIER_STREAM,), [names[lane] for lane in lanes]
+    ))
+    low, high = _MULTIPLIER_LOG10
+    width = max(n_cores) - 1
+    draws = np.stack(
+        [streams.uniform(low, high) for _ in range(width)], axis=1
+    ).tolist()
+    pow10 = (10.0).__pow__
+    for lane, row in zip(lanes, draws):
+        sums[lane] = sum([1.0, *map(pow10, row[:n_cores[lane] - 1])])
+    return sums
 
 
 def _defect(

@@ -8,7 +8,9 @@ would dominate campaign RSS.  :func:`generate_fleet` therefore keeps a
 that *determines* each processor.  The frame is the population's
 ``faulty`` sequence, and every access rebuilds exactly the Processors
 it names and keeps none of them, so resident Processors are whatever
-the caller holds — one shard, for a campaign.
+the caller holds.  The vectorized campaign engine reads
+:attr:`FleetFrame.columns` directly and builds none; the scalar oracle,
+a shard degraded to it, and callers that iterate ``faulty`` build them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .population import (
     _build_fleet_defect,
     draw_fleet_columns,
     fleet_arch_counts,
+    fleet_cpu_name,
 )
 
 __all__ = [
@@ -43,9 +46,11 @@ class FleetFrame(Sequence):
     """A whole fleet's faulty CPUs in struct-of-arrays form.
 
     An integer index or a slice (of any step) rebuilds exactly the rows
-    it names, in order; nothing is cached, so Processors rebuilt by
-    different accesses are equal, not identical.  Every consumer treats
-    the columns as immutable.
+    it names, in order, through the row→defect mapping of
+    :mod:`~.population`; nothing is cached, so Processors rebuilt by
+    different accesses are equal, not identical.  The vectorized engine
+    lowers ``columns`` through the same mapping without building any.
+    Every consumer treats the columns as immutable.
     """
 
     def __init__(
@@ -74,7 +79,7 @@ class FleetFrame(Sequence):
         for arch_code, arch_index, onset, escapes, *params in values:
             name = self.arch_names[arch_code]
             arch = ARCHITECTURES[name]
-            cpu_name = f"{name}-F{arch_index:04d}"
+            cpu_name = fleet_cpu_name(name, arch_index)
             defect = _build_fleet_defect(
                 cpu_name, arch, tuple(params), onset, escapes
             )

@@ -56,8 +56,10 @@ def record_range_metrics(
 ) -> None:
     """Account one *completed* campaign range into ``obs``.
 
-    Shared by both engines.  Called only after a range finishes, so
-    retried/abandoned attempts never pollute the exact per-engine
+    Shared by both engines' ``run_range`` and by
+    :class:`~repro.resilience.campaign.ResilientCampaign`, which calls
+    it once per shard for the attempt its retry/degradation ladder
+    accepts, so abandoned attempts never reach the exact per-engine
     totals the telemetry tests pin.
     """
     obs.inc("repro_campaign_cpus_total", cpus, engine=engine)
@@ -275,22 +277,28 @@ class TestPipeline:
 
     # -- matching settings ---------------------------------------------------
 
-    def _matching_settings(self, defect: Defect) -> List[Tuple[Testcase, float]]:
-        """(testcase, usage) pairs that can trigger a defect."""
+    def _matching_settings(
+        self, features: Tuple[Feature, ...], instructions: Tuple[str, ...]
+    ) -> List[Tuple[Testcase, float]]:
+        """(testcase, usage) pairs that can trigger a defect with these
+        features and instructions.
+
+        Only consistency defects name no instructions (enforced by
+        :class:`~repro.cpu.defects.Defect`), so the shape alone picks
+        the branch.
+        """
         matches: List[Tuple[Testcase, float]] = []
-        if defect.is_consistency:
+        if not instructions:
             wanted = (
                 ConsistencyKind.COHERENCE
-                if Feature.CACHE in defect.features
+                if Feature.CACHE in features
                 else ConsistencyKind.TXMEM
             )
             for testcase in self.library.consistency_testcases():
-                if testcase.consistency_kind is wanted or (
-                    len(defect.features) > 1
-                ):
+                if testcase.consistency_kind is wanted or len(features) > 1:
                     matches.append((testcase, testcase.consistency_ops_per_s))
             return matches
-        for mnemonic in defect.instructions:
+        for mnemonic in instructions:
             for testcase in self.library.using_instruction(mnemonic):
                 matches.append((testcase, testcase.usage_per_s(mnemonic)))
         return matches
@@ -310,7 +318,9 @@ class TestPipeline:
     ) -> Dict[str, float]:
         """Per-testcase expected error counts for one stage execution."""
         if settings is None:
-            settings = self._matching_settings(defect)
+            settings = self._matching_settings(
+                defect.features, defect.instructions
+            )
         multiplier_sum = self._multiplier_sum(defect)
         expectations: Dict[str, float] = {}
         if not settings:
@@ -420,7 +430,9 @@ class TestPipeline:
         defect = processor.defects[0]
         if defect.escapes_toolchain:
             return None
-        settings = self._matching_settings(defect)
+        settings = self._matching_settings(
+            defect.features, defect.instructions
+        )
         if not settings:
             return None
         # Expectation per stage config is time-invariant, so compute

@@ -24,7 +24,7 @@ Calibration:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,9 +39,11 @@ from ..cpu.catalog import (
     FIG9_SLOPE,
     PAPER_ARCH_FAILURE_RATES_PERMYRIAD,
     _GENERATED_POOLS,
-    _defect,
+    _computation_bitflip,
+    _core_multiplier_sums,
+    _core_multipliers,
 )
-from ..cpu.defects import Defect, DefectScope
+from ..cpu.defects import Defect, DefectScope, TriggerProfile
 from ..cpu.features import Feature
 from ..cpu.isa import DEFAULT_ISA
 from ..cpu.processor import MicroArchitecture, Processor
@@ -51,8 +53,13 @@ __all__ = [
     "FleetSpec",
     "FleetPopulation",
     "ROW_SCHEMA",
+    "FLEET_TRIGGER_DEFAULTS",
     "draw_fleet_columns",
     "fleet_arch_counts",
+    "fleet_cpu_name",
+    "fleet_defect_id",
+    "fleet_multiplier_sums",
+    "fleet_signature_shape",
 ]
 
 #: The one row schema of a faulty CPU: column name -> dtype, in the
@@ -175,7 +182,10 @@ class FleetPopulation:
 
     :func:`~.frame.generate_fleet` backs ``faulty`` with a
     :class:`~.frame.FleetFrame`, which builds Processors from its rows
-    on each access; any other sequence of Processors works too.
+    on each access.  The vectorized engine lowers that frame's columns
+    and accepts nothing else; for the scalar
+    :class:`~.pipeline.TestPipeline`, any other sequence of Processors
+    works too.
     """
 
     spec: FleetSpec
@@ -263,6 +273,74 @@ def _sample_defect_params(
     )
 
 
+#: The trigger-profile fields no fleet column samples: every fleet
+#: defect keeps :class:`TriggerProfile`'s defaults for its per-setting
+#: jitters and its stress exponent.
+FLEET_TRIGGER_DEFAULTS: Dict[str, float] = {
+    spec.name: spec.default
+    for spec in dataclass_fields(TriggerProfile)
+    if spec.default is not MISSING
+}
+
+
+def fleet_cpu_name(arch_name: str, arch_index: int) -> str:
+    """A faulty CPU's id: its architecture and per-architecture index."""
+    return f"{arch_name}-F{arch_index:04d}"
+
+
+def fleet_defect_id(cpu_name: str) -> str:
+    """The id of a faulty CPU's one defect, which keys its trigger
+    substreams."""
+    return f"{cpu_name}-defect"
+
+
+def fleet_signature_shape(
+    consistency: bool, combo: int, pool_index: int
+) -> Tuple[Tuple[Feature, ...], Tuple[str, ...]]:
+    """A defect's ``(features, instructions)`` from its match signature.
+
+    ``combo`` indexes ``_CONSISTENCY_COMBOS`` or ``_PRIMARY_FEATURES``
+    as ``consistency`` says; a consistency defect names no
+    instructions.
+    """
+    if consistency:
+        return _CONSISTENCY_COMBOS[combo], ()
+    primary = _PRIMARY_FEATURES[combo]
+    instructions = _GENERATED_POOLS[primary][pool_index]
+    features = tuple(
+        dict.fromkeys(
+            (primary,)
+            + tuple(
+                f
+                for m in instructions
+                for f in DEFAULT_ISA[m].features
+                if f in (Feature.ALU, Feature.VECTOR, Feature.FPU)
+            )
+        )
+    )
+    return features, instructions
+
+
+def fleet_multiplier_sums(
+    arch_names: Sequence[str],
+    core_ids: Sequence[int],
+    cpu_names: Sequence[str],
+) -> List[float]:
+    """Each row's ``sum`` of per-core multipliers, as the scalar
+    pipeline adds them, without building its defect.
+
+    A single-core defect's one core weighs 1.0; an all-core defect
+    weighs its cores by the catalog's name-keyed multipliers, replayed
+    in bulk.  Every row's first affected core weighs 1.0, so its
+    reference multiplier is 1.0.
+    """
+    counts = [
+        1 if core >= 0 else ARCHITECTURES[arch].physical_cores
+        for arch, core in zip(arch_names, core_ids)
+    ]
+    return _core_multiplier_sums(counts, cpu_names)
+
+
 def _build_fleet_defect(
     name: str,
     arch: MicroArchitecture,
@@ -273,7 +351,7 @@ def _build_fleet_defect(
     """Deterministically rebuild a defect from its sampled parameters.
 
     Consumes no randomness: core multipliers and bitflip patterns come
-    from name-keyed substreams inside the catalog builder, so the same
+    from name-keyed substreams in the catalog, so the same
     ``(name, params)`` always yields an equal frozen
     :class:`~repro.cpu.defects.Defect`, whichever access rebuilds it.
     """
@@ -281,44 +359,40 @@ def _build_fleet_defect(
         consistency, combo, pool_index, core_id,
         tmin, log10_f0, slope, pattern_probability,
     ) = params
-    if consistency:
-        features: Tuple[Feature, ...] = _CONSISTENCY_COMBOS[combo]
-        instructions: Tuple[str, ...] = ()
-    else:
-        primary = _PRIMARY_FEATURES[combo]
-        pool = _GENERATED_POOLS[primary]
-        instructions = pool[pool_index]
-        features = tuple(
-            dict.fromkeys(
-                (primary,)
-                + tuple(
-                    f
-                    for m in instructions
-                    for f in DEFAULT_ISA[m].features
-                    if f in (Feature.ALU, Feature.VECTOR, Feature.FPU)
-                )
-            )
-        )
-    scope = DefectScope.SINGLE_CORE if core_id >= 0 else DefectScope.ALL_CORES
-    cores = (core_id,) if core_id >= 0 else None
-    defect = _defect(
-        name, features, arch, scope, instructions,
-        tmin=tmin, log10_f0=log10_f0, slope=slope,
-        pattern_probability=pattern_probability,
-        cores=cores,
+    features, instructions = fleet_signature_shape(
+        consistency, combo, pool_index
     )
-    # Dataclass is frozen; rebuild with onset/escape attributes set.
+    if core_id >= 0:
+        scope = DefectScope.SINGLE_CORE
+        core_ids: Tuple[int, ...] = (core_id,)
+        multipliers = {core_id: 1.0}
+    else:
+        scope = DefectScope.ALL_CORES
+        core_ids = tuple(range(arch.physical_cores))
+        multipliers = _core_multipliers(arch.physical_cores, name)
+    datatypes = tuple(
+        dict.fromkeys(DEFAULT_ISA[m].dtype for m in instructions)
+    )
     return Defect(
-        defect_id=defect.defect_id,
-        features=defect.features,
-        scope=defect.scope,
-        core_ids=defect.core_ids,
-        instructions=defect.instructions,
-        datatypes=defect.datatypes,
-        trigger=defect.trigger,
-        bitflip=defect.bitflip,
-        core_multipliers=defect.core_multipliers,
-        multithread_only=defect.multithread_only,
+        defect_id=fleet_defect_id(name),
+        features=features,
+        scope=scope,
+        core_ids=core_ids,
+        instructions=instructions,
+        datatypes=datatypes,
+        trigger=TriggerProfile(
+            tmin=tmin,
+            log10_freq_at_tmin=log10_f0,
+            temp_slope=slope,
+            **FLEET_TRIGGER_DEFAULTS,
+        ),
+        bitflip=(
+            None
+            if consistency
+            else _computation_bitflip(name, datatypes, pattern_probability)
+        ),
+        core_multipliers=multipliers,
+        multithread_only=consistency,
         escapes_toolchain=escapes,
         onset_days=onset_days,
     )

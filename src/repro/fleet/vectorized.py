@@ -1,11 +1,13 @@
 """Vectorised fleet campaign engine.
 
 :class:`VectorizedTestPipeline` runs the same 32-month staged campaign
-as :class:`~repro.fleet.pipeline.TestPipeline`, but lowers the faulty
-population into struct-of-arrays form and evaluates the closed-form
-per-stage detection law as NumPy matrix ops over the whole population at
-once.  The output is **bit-identical** to the scalar engine under the
-same seed — same :class:`Detection` objects, same undetected ids, in the
+as :class:`~repro.fleet.pipeline.TestPipeline`, but reads each range of
+faulty CPUs straight from the population's
+:class:`~repro.fleet.frame.FleetFrame` columns and evaluates the
+closed-form per-stage detection law as NumPy matrix ops over the whole
+range at once; it builds no :class:`~repro.cpu.processor.Processor`.
+The output is **bit-identical** to the scalar engine under the same
+seed — same :class:`Detection` objects, same undetected ids, in the
 same order — which the parity tests and the committed benchmark both
 assert.
 
@@ -25,11 +27,16 @@ randomness from two kinds of streams:
   are pulled from the real generator in blocks (``Generator.random(n)``
   emits the same doubles as ``n`` scalar calls).
 
+A third kind, each all-core defect's per-core multiplier substream,
+only feeds a sum; :func:`~repro.fleet.population.fleet_multiplier_sums`
+replays those streams the same way.
+
 Floating-point op *order* is mirrored too: per-row expectations
-accumulate with ordered ``np.add.at`` (element-by-element, matching the
-scalar dict accumulation), and transcendentals that NumPy vectorises
-with different last-ulp results than libm (``10 ** x``, ``x ** q``,
-``exp``) are evaluated scalar-wise exactly as the scalar engine does.
+accumulate with index-ordered ``np.bincount`` (element by element,
+matching the scalar dict accumulation), and transcendentals that NumPy
+vectorises with different last-ulp results than libm (``10 ** x``,
+``x ** q``, ``exp``) are evaluated scalar-wise exactly as the scalar
+engine does.
 
 Scope note: the per-stage expectation cache of the scalar engine is
 keyed by stage *name*; like that cache, this engine assumes same-named
@@ -44,15 +51,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..perf.exact_rng import (
     VectorPCG64,
     derive_from_hasher,
     encode_names,
     seed_hasher,
 )
-from ..cpu.defects import Defect
 from ..faults.trigger import TriggerModel
 from ..testing.library import TestcaseLibrary
+from .frame import FleetFrame
 from .pipeline import (
     Detection,
     FleetStudyResult,
@@ -60,7 +68,14 @@ from .pipeline import (
     TestPipeline,
     record_range_metrics,
 )
-from .population import FleetPopulation
+from .population import (
+    FLEET_TRIGGER_DEFAULTS,
+    FleetPopulation,
+    fleet_cpu_name,
+    fleet_defect_id,
+    fleet_multiplier_sums,
+    fleet_signature_shape,
+)
 
 __all__ = ["VectorizedTestPipeline"]
 
@@ -80,6 +95,12 @@ class VectorizedTestPipeline:
         *,
         obs=None,
     ):
+        if not isinstance(population.faulty, FleetFrame):
+            raise ConfigurationError(
+                "VectorizedTestPipeline lowers FleetFrame columns, but "
+                f"population.faulty is a {type(population.faulty).__name__}"
+                "; run TestPipeline over other Processor sequences"
+            )
         # The scalar pipeline provides setting enumeration, the stage
         # schedule, and the seeded Bernoulli stream; this engine replaces
         # only how the per-stage expectations are *computed*.
@@ -88,9 +109,8 @@ class VectorizedTestPipeline:
         )
         #: Optional :class:`repro.obs.Observability` context; ``None``
         #: disables telemetry.  Ranges replayed by *this* engine are
-        #: accounted under ``engine="vectorized"``, so mixed-engine
-        #: campaigns (a shard degraded to scalar) keep exact per-engine
-        #: totals.
+        #: accounted under ``engine="vectorized"``.  A resilient
+        #: campaign passes none and accounts each shard itself, once.
         self.obs = obs
         self.population = population
         self.library = library
@@ -98,7 +118,7 @@ class VectorizedTestPipeline:
         self.trigger = self._scalar.trigger
         # Settings skeletons per match signature: defects sampled from
         # the same instruction pool share their testcase rows.
-        self._skeletons: Dict[object, Tuple] = {}
+        self._skeletons: Dict[Tuple[bool, int, int], Tuple] = {}
         # The stage schedule is population-independent and computed
         # once.  Lowered blocks are not kept: every caller walks ranges
         # forward and none lowers the same range twice on one engine.
@@ -120,35 +140,33 @@ class VectorizedTestPipeline:
 
     # -- lowering ----------------------------------------------------------
 
-    def _skeleton(self, defect: Defect) -> Tuple:
-        """Shared per-signature rows: (pair_tcs, row_pair, row_usage,
-        encoded_tcs, stress_by_exponent).
+    def _skeleton(self, signature: Tuple[bool, int, int]) -> Tuple:
+        """Shared rows of a match signature ``(consistency, combo,
+        pool_index)``: (pair_tcs, row_pair, row_stress, encoded_tcs).
 
         Rows below the usage floor can never contribute (the trigger law
         zeroes them at every temperature), so they are dropped here;
         pairs are ordered by their first *qualifying* row, which is
         exactly the scalar engine's dict insertion order.  The testcase
-        ids are pre-encoded for seed derivation, and per-row usage
-        stress is cached per stress exponent (see
-        :meth:`_skeleton_stress`), since both depend only on the match
-        signature.
+        ids are pre-encoded for seed derivation.  Per-row usage stress
+        ``(usage / reference) ** exponent`` uses Python's ``**`` exactly
+        as the scalar trigger law does; every fleet defect shares the
+        default stress exponent, so it is a function of the signature.
         """
-        # Computation defects always name instructions, consistency
-        # defects never do (enforced by Defect.__post_init__), which
-        # sidesteps the set-building ``is_consistency`` property here.
-        if defect.instructions:
-            key = ("i", defect.instructions)
-        else:
-            key = ("c", defect.features)
-        cached = self._skeletons.get(key)
+        cached = self._skeletons.get(signature)
         if cached is not None:
             return cached
         floor = self.trigger.usage_floor
+        reference = self.trigger.reference_usage
+        exponent = FLEET_TRIGGER_DEFAULTS["stress_exponent"]
         pair_index: Dict[str, int] = {}
         pair_tcs: List[str] = []
         row_pair: List[int] = []
-        row_usage: List[float] = []
-        for testcase, usage in self._scalar._matching_settings(defect):
+        row_stress: List[float] = []
+        settings = self._scalar._matching_settings(
+            *fleet_signature_shape(*signature)
+        )
+        for testcase, usage in settings:
             if usage < floor:
                 continue
             tc_id = testcase.testcase_id
@@ -158,25 +176,10 @@ class VectorizedTestPipeline:
                 pair_index[tc_id] = index
                 pair_tcs.append(tc_id)
             row_pair.append(index)
-            row_usage.append(usage)
-        cached = (pair_tcs, row_pair, row_usage, encode_names(pair_tcs), {})
-        self._skeletons[key] = cached
+            row_stress.append((usage / reference) ** exponent)
+        cached = (pair_tcs, row_pair, row_stress, encode_names(pair_tcs))
+        self._skeletons[signature] = cached
         return cached
-
-    def _skeleton_stress(self, skeleton: Tuple, exponent: float) -> List[float]:
-        """Per-row ``(usage / reference) ** exponent``, scalar pow.
-
-        Evaluated with Python's ``**`` exactly as the scalar trigger law
-        does, once per (signature, exponent) instead of once per row per
-        processor.
-        """
-        cache = skeleton[4]
-        rows = cache.get(exponent)
-        if rows is None:
-            reference = self.trigger.reference_usage
-            rows = [(usage / reference) ** exponent for usage in skeleton[2]]
-            cache[exponent] = rows
-        return rows
 
     # -- the campaign ------------------------------------------------------
 
@@ -215,92 +218,55 @@ class VectorizedTestPipeline:
     def _lower_range(self, range_start: int, range_stop: int) -> Tuple:
         """Faulty CPUs ``[range_start, range_stop)`` → struct-of-arrays.
 
-        Pure function of the population/config/trigger (no pipeline
-        stream draws), recomputed on each call.  Every per-pair
-        quantity — the behaviour replay (independent :class:`VectorPCG64` lane per
-        setting seed), the scalar-`pow` frequency law, and the
-        index-ordered ``bincount`` accumulations (whose addends never
-        cross a CPU boundary) — is computed identically whether the CPU
-        is lowered alone, in a shard, or in the full population, which
-        is what lets a sharded campaign match the unsharded engine bit
-        for bit.
+        Reads the range's rows straight from the frame's columns and
+        builds no Processor.  Pure function of the population/config/
+        trigger (no pipeline stream draws), recomputed on each call.
+        Every per-pair quantity — the behaviour replay (independent
+        :class:`VectorPCG64` lane per setting seed), the scalar-`pow`
+        frequency law, and the index-ordered ``bincount`` accumulations
+        (whose addends never cross a CPU boundary) — is computed
+        identically whether the CPU is lowered alone, in a shard, or in
+        the full population, which is what lets a sharded campaign
+        match the unsharded engine bit for bit.
 
-        All returned arrays, and the range's Processors that lead the
-        block, are indexed by ``cpu - range_start``.
+        All returned sequences are indexed by ``cpu - range_start``.
         """
         schedule, kind_temp, kind_time = self._schedule()
         n_kinds = len(kind_temp)
 
-        # ---- struct-of-arrays lowering over the range ----
-        faulty = self.population.faulty[range_start:range_stop]
-        n_cpus = len(faulty)
-        cpu_ref_mult: List[float] = []
-        cpu_mult_sum: List[float] = []
-        cpu_onset: List[float] = []
+        # ---- the range's rows, straight from the frame's columns ----
+        frame = self.population.faulty
+        rows = {
+            name: column[range_start:range_stop]
+            for name, column in frame.columns.items()
+        }
+        cpu_arch = [frame.arch_names[code] for code in rows["arch_code"].tolist()]
+        cpu_ids = [
+            fleet_cpu_name(arch, index)
+            for arch, index in zip(cpu_arch, rows["arch_index"].tolist())
+        ]
+        cpu_skip = rows["escapes"].tolist()  # escapes: not even iterated
+        cpu_onset = rows["onset_days"].tolist()
+        signatures = list(zip(
+            rows["consistency"].tolist(),
+            rows["combo"].tolist(),
+            rows["pool_index"].tolist(),
+        ))
+        n_cpus = len(cpu_ids)
         cpu_pair_start: List[int] = []
-        cpu_skip: List[bool] = []  # escapes: not even iterated
-        tmin_base: List[float] = []
-        tmin_jitter: List[float] = []
-        f0_base: List[float] = []
-        f0_jitter: List[float] = []
-        slope: List[float] = []
         pair_tc: List[str] = []
-        pair_cpus: List[int] = []  # processors that contribute pairs ...
+        pair_cpus: List[int] = []  # CPUs that contribute pairs ...
         pair_counts: List[int] = []  # ... and how many each
         row_pair: List[int] = []
         row_stress_parts: List[float] = []
         seed_groups: List[Tuple[str, List[bytes]]] = []
         skeleton = self._skeleton
-        skeleton_stress = self._skeleton_stress
 
-        for cpu, processor in enumerate(faulty):
-            defect = processor.defects[0]
+        for cpu, skip in enumerate(cpu_skip):
             cpu_pair_start.append(len(pair_tc))
-            if defect.escapes_toolchain:
-                cpu_skip.append(True)
-                cpu_ref_mult.append(0.0)
-                cpu_mult_sum.append(0.0)
-                cpu_onset.append(0.0)
-                tmin_base.append(0.0)
-                tmin_jitter.append(0.0)
-                f0_base.append(0.0)
-                f0_jitter.append(0.0)
-                slope.append(0.0)
+            if skip:
                 continue
-            cpu_skip.append(False)
-            cpu_onset.append(defect.onset_days)
-            profile = defect.trigger
-            tmin_base.append(profile.tmin)
-            tmin_jitter.append(profile.tmin_jitter)
-            f0_base.append(profile.log10_freq_at_tmin)
-            f0_jitter.append(profile.freq_jitter)
-            slope.append(profile.temp_slope)
-            # Inlined core_multiplier sum: every core in core_ids is
-            # affected, missing map entries default to 1.0, and the
-            # running float sum adds term for term like the scalar
-            # ``sum()``.
-            core_ids = defect.core_ids
-            multipliers = defect.core_multipliers
-            if not multipliers:
-                reference_mult = 1.0
-                multiplier_sum = float(len(core_ids))
-            elif tuple(multipliers) == core_ids:
-                # The map covers core_ids in order (how the fleet
-                # generator builds them), so dict-order summation is
-                # the same addition sequence.
-                reference_mult = multipliers[core_ids[0]]
-                multiplier_sum = sum(multipliers.values())
-            else:
-                get = multipliers.get
-                reference_mult = get(core_ids[0], 1.0)
-                multiplier_sum = 0.0
-                for core in core_ids:
-                    multiplier_sum += get(core, 1.0)
-            cpu_ref_mult.append(reference_mult)
-            cpu_mult_sum.append(multiplier_sum)
-            if reference_mult == 0.0:
-                continue
-            skel = skeleton(defect)
+            skel = skeleton(signatures[cpu])
             pair_tcs = skel[0]
             if not pair_tcs:
                 continue
@@ -309,8 +275,8 @@ class VectorizedTestPipeline:
             pair_cpus.append(cpu)
             pair_counts.append(len(pair_tcs))
             row_pair += [base + local for local in skel[1]]
-            row_stress_parts += skeleton_stress(skel, profile.stress_exponent)
-            seed_groups.append((defect.defect_id, skel[3]))
+            row_stress_parts += skel[2]
+            seed_groups.append((fleet_defect_id(cpu_ids[cpu]), skel[3]))
         cpu_pair_start.append(len(pair_tc))
         n_pairs = len(pair_tc)
 
@@ -327,30 +293,30 @@ class VectorizedTestPipeline:
             np.asarray(pair_cpus, dtype=np.intp),
             np.asarray(pair_counts, dtype=np.intp),
         )
-        cpu_tmin_base = np.asarray(tmin_base)
-        cpu_tmin_jitter = np.asarray(tmin_jitter)
-        cpu_f0_base = np.asarray(f0_base)
-        cpu_f0_jitter = np.asarray(f0_jitter)
-        cpu_slope = np.asarray(slope)
-
         streams = VectorPCG64.from_seeds(seeds)
-        # Same two draws, same op order as TriggerModel.behaviour.
-        pair_tmin = cpu_tmin_base[pair_cpu_arr] + (
-            cpu_tmin_jitter[pair_cpu_arr] * streams.next_double()
+        # Same two draws, same op order as TriggerModel.behaviour; the
+        # jitter spreads are the fleet-wide TriggerProfile defaults.
+        pair_tmin = rows["tmin"][pair_cpu_arr] + (
+            FLEET_TRIGGER_DEFAULTS["tmin_jitter"] * streams.next_double()
         )
-        pair_f0 = cpu_f0_base[pair_cpu_arr] + (
-            cpu_f0_jitter[pair_cpu_arr] * streams.standard_normal()
+        pair_f0 = rows["log10_f0"][pair_cpu_arr] + (
+            FLEET_TRIGGER_DEFAULTS["freq_jitter"] * streams.standard_normal()
         )
-        pair_slope = cpu_slope[pair_cpu_arr]
+        pair_slope = rows["slope"][pair_cpu_arr]
 
         row_pair_arr = np.asarray(row_pair, dtype=np.intp)
         row_cpu_arr = pair_cpu_arr[row_pair_arr]
         row_stress = np.asarray(row_stress_parts)
-        # Contributing rows always have a nonzero reference multiplier
-        # (ref == 0 processors are skipped above), so the scalar law's
-        # freq / reference division is a plain vector divide.
-        row_ref = np.asarray(cpu_ref_mult)[row_cpu_arr]
-        row_sum = np.asarray(cpu_mult_sum)[row_cpu_arr]
+        # Every fleet row's reference core multiplier is 1.0, so the
+        # scalar law's ``* reference`` and ``/ reference`` are exact
+        # no-ops and are left out; only the multiplier sum scales.
+        cpu_mult_sum = np.zeros(n_cpus)
+        cpu_mult_sum[pair_cpus] = fleet_multiplier_sums(
+            [cpu_arch[cpu] for cpu in pair_cpus],
+            rows["core_id"][pair_cpus].tolist(),
+            [cpu_ids[cpu] for cpu in pair_cpus],
+        )
+        row_sum = cpu_mult_sum[row_cpu_arr]
 
         # ---- per-stage-kind expectations, ordered accumulation ----
         ramp_cap = self.trigger.ramp_cap_c
@@ -379,8 +345,8 @@ class VectorizedTestPipeline:
             # as its allocating form, so results stay bitwise equal:
             #   ramp       = np.minimum(temp - pair_tmin, ramp_cap)
             #   log10_freq = pair_f0 + pair_slope * ramp
-            #   freq       = (pair_pow[row_pair_arr] * row_stress) * row_ref
-            #   expected   = ((freq / row_ref) * row_sum) * kt / 60.0
+            #   freq       = pair_pow[row_pair_arr] * row_stress
+            #   expected   = (min(freq, max_freq) * row_sum) * kt / 60.0
             ramp = self._scratch_buffer("ramp", n_pairs)
             np.subtract(temp, pair_tmin, out=ramp)
             np.minimum(ramp, ramp_cap, out=ramp)
@@ -396,11 +362,9 @@ class VectorizedTestPipeline:
             freq = self._scratch_buffer("freq", n_rows)
             np.take(pair_pow, row_pair_arr, out=freq)
             np.multiply(freq, row_stress, out=freq)
-            np.multiply(freq, row_ref, out=freq)
             np.minimum(freq, max_freq, out=freq)
             expected = self._scratch_buffer("expected", n_rows)
-            np.divide(freq, row_ref, out=expected)
-            np.multiply(expected, row_sum, out=expected)
+            np.multiply(freq, row_sum, out=expected)
             # ``* kt`` then ``/ 60.0`` stay two separate operations — a
             # fused ``* (kt / 60.0)`` would change last-ulp results.
             np.multiply(expected, kind_time[kind], out=expected)
@@ -424,7 +388,8 @@ class VectorizedTestPipeline:
             )
 
         return (
-            faulty,
+            cpu_ids,
+            cpu_arch,
             cpu_skip,
             cpu_onset,
             cpu_pair_start,
@@ -457,7 +422,8 @@ class VectorizedTestPipeline:
             entry_undetected = len(result.undetected_ids)
         block = self._lower_range(start, stop)
         (
-            faulty,
+            cpu_ids,
+            cpu_arch,
             cpu_skip,
             cpu_onset,
             cpu_pair_start,
@@ -473,9 +439,9 @@ class VectorizedTestPipeline:
         detections_append = result.detections.append
         undetected_append = result.undetected_ids.append
 
-        for local, processor in enumerate(faulty):
+        for local, cpu_id in enumerate(cpu_ids):
             if cpu_skip[local]:
-                undetected_append(processor.processor_id)
+                undetected_append(cpu_id)
                 continue
             onset = cpu_onset[local]
             probs = cpu_probs[local]
@@ -489,8 +455,8 @@ class VectorizedTestPipeline:
                 if draw() < probability:
                     count = kind_nnz[kind][local]
                     detection = Detection(
-                        processor_id=processor.processor_id,
-                        arch_name=processor.arch.name,
+                        processor_id=cpu_id,
+                        arch_name=cpu_arch[local],
                         stage_name=stage_name,
                         day=day,
                         failing_testcase_ids=sample_failing(
@@ -503,7 +469,7 @@ class VectorizedTestPipeline:
                     )
                     break
             if detection is None:
-                undetected_append(processor.processor_id)
+                undetected_append(cpu_id)
             else:
                 detections_append(detection)
         if obs is not None:

@@ -29,6 +29,7 @@ invariant the chaos suite (``tests/chaos/``) enforces.
 
 from __future__ import annotations
 
+import time
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from typing import Dict, Optional, Tuple
 
@@ -42,7 +43,12 @@ from ..errors import (
     TransientWorkerError,
 )
 from ..fleet.frame import generate_fleet
-from ..fleet.pipeline import Detection, FleetStudyResult, PipelineConfig
+from ..fleet.pipeline import (
+    Detection,
+    FleetStudyResult,
+    PipelineConfig,
+    record_range_metrics,
+)
 from ..fleet.population import FleetPopulation, FleetSpec
 from ..fleet.vectorized import VectorizedTestPipeline
 from ..testing.library import TestcaseLibrary
@@ -74,8 +80,9 @@ class CampaignSpec:
 
     Checkpoints embed this spec, so ``repro resume <dir>`` can
     regenerate the identical population and library without the caller
-    re-supplying them.  The shard size also bounds the campaign's
-    resident Processors (see :class:`~repro.fleet.frame.FleetFrame`).
+    re-supplying them.  The shard size is also the range a shard
+    degraded to the scalar oracle builds as Processors; the vectorized
+    engine builds none (see :class:`~repro.fleet.frame.FleetFrame`).
     """
 
     total_processors: int
@@ -185,8 +192,10 @@ class ResilientCampaign:
         )
         # One vectorized engine; its embedded scalar engine shares the
         # counted pipeline stream, so either can execute any shard.
+        # Neither engine gets ``obs``: a shard's range metrics are
+        # recorded once, for the attempt the ladder accepts.
         self._vectorized = VectorizedTestPipeline(
-            population, library, config, None, seed, obs=obs
+            population, library, config, None, seed
         )
         self._scalar = self._vectorized._scalar
         self._stream = self._scalar._stream
@@ -378,13 +387,15 @@ class ResilientCampaign:
 
     def _run_shard_once(
         self, start: int, stop: int, engine: str
-    ) -> FleetStudyResult:
+    ) -> Tuple[FleetStudyResult, float]:
+        """One attempt at a shard on ``engine``: its result and seconds."""
         shard_result = self._shard_result()
+        started = time.perf_counter()
         if engine == "vectorized":
             self._vectorized.run_range(start, stop, shard_result)
         else:
             self._scalar.run_range(start, stop, shard_result)
-        return shard_result
+        return shard_result, time.perf_counter() - started
 
     def _execute_shard(self, start: int, stop: int, shard: int) -> FleetStudyResult:
         """One shard through the retry/degradation ladder.
@@ -413,7 +424,9 @@ class ResilientCampaign:
                             f"chaos: injected worker exception on shard "
                             f"{shard}"
                         )
-                    shard_result = self._run_shard_once(start, stop, engine)
+                    shard_result, seconds = self._run_shard_once(
+                        start, stop, engine
+                    )
                     if engine != "scalar" and self._injects(
                         shard, "parity_trip"
                     ):
@@ -421,6 +434,12 @@ class ResilientCampaign:
                             f"parity self-check tripped on shard {shard} "
                             f"(cpus [{start}, {stop}))"
                         )
+                if self.obs is not None:
+                    record_range_metrics(
+                        self.obs, engine, shard_result, 0, 0,
+                        self._stream.consumed - draws_at_start,
+                        stop - start, seconds,
+                    )
                 return shard_result
             except ParityDegradedError as error:
                 # Ground truth is the scalar engine; degrade this shard.

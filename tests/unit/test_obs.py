@@ -39,6 +39,7 @@ from repro.obs import (
     render_report,
     trace_segment_paths,
 )
+from repro.resilience import ChaosInjector, ResilientCampaign
 from repro.resilience.health import CampaignHealthReport
 from repro.sealed import canonical
 
@@ -585,3 +586,37 @@ class TestCampaignDeterminism:
         assert metrics.value(
             "repro_campaign_draws_total", engine="vectorized"
         ) == float(position)
+
+    def test_degraded_shard_counted_once(self, library):
+        """A shard whose parity trips runs twice, vectorized then
+        scalar, but only the accepted scalar attempt is counted."""
+        population = generate_fleet(
+            FleetSpec(total_processors=20_000, failure_rate_scale=20.0, seed=1)
+        )
+        obs = Observability.in_memory()
+        campaign = ResilientCampaign(
+            population, library, seed=11, shard_size=64,
+            chaos=ChaosInjector({0: ["parity_trip"]}), obs=obs,
+        )
+        result = campaign.run()
+        assert campaign.health.degradations == 1
+
+        def per_engine(name):
+            return [
+                obs.metrics.value(name, engine=engine)
+                for engine in ("vectorized", "scalar")
+            ]
+
+        faulty = len(population.faulty)
+        vectorized_cpus, scalar_cpus = per_engine("repro_campaign_cpus_total")
+        assert scalar_cpus == 64 < faulty
+        assert vectorized_cpus + scalar_cpus == faulty
+        assert sum(per_engine("repro_campaign_draws_total")) == (
+            campaign._stream.consumed
+        )
+        assert sum(per_engine("repro_campaign_undetected_total")) == len(
+            result.undetected_ids
+        )
+        assert obs.metrics.total("repro_campaign_detections_total") == len(
+            result.detections
+        )

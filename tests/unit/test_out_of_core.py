@@ -3,9 +3,9 @@
 The contract under test: every fleet population is frame-backed, its
 rows are pinned per seed, reading it in chunks matches one full build,
 each access to the frame builds exactly the Processors it names, and a
-campaign over the frame is *bit-identical*
-to one over a plain list of every faulty Processor while building one
-shard at a time.
+vectorized campaign lowered from the frame's columns is *bit-identical*
+to the scalar oracle over a plain list of every faulty Processor while
+building none itself.
 """
 
 import hashlib
@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis import DetectionFrame
 from repro.colstore import read_columns, write_columns
+from repro.cpu import catalog
 from repro.errors import (
     CheckpointCorruptError,
     CheckpointError,
@@ -25,14 +26,16 @@ from repro.fleet import (
     FleetFrame,
     FleetPopulation,
     FleetSpec,
+    TestPipeline,
     VectorizedTestPipeline,
     fleet_arch_counts,
     generate_fleet,
     stats,
 )
 from repro.fleet.pipeline import FleetStudyResult
+from repro.fleet.population import fleet_multiplier_sums
 from repro.obs import Observability
-from repro.resilience import CampaignSpec, ResilientCampaign
+from repro.resilience import CampaignSpec, ChaosInjector, ResilientCampaign
 
 #: Dense enough that every arch contributes faulty CPUs.
 SPEC = FleetSpec(total_processors=50_000, failure_rate_scale=50.0, seed=3)
@@ -235,8 +238,10 @@ def test_colstore_spill_bytes_metered(tmp_path):
 
 
 def test_streamed_campaign_bit_identical(eager, framed, library):
-    reference_engine = VectorizedTestPipeline(eager, library, seed=11)
-    reference = reference_engine.run()
+    """The vectorized engine over the frame, range by range, against
+    the scalar oracle over every Processor in a plain list."""
+    oracle = TestPipeline(eager, library, seed=11)
+    reference = oracle.run()
     # Shard-sized ranges, as a campaign requests them.
     engine = VectorizedTestPipeline(framed, library, seed=11)
     streamed = FleetStudyResult(
@@ -248,23 +253,72 @@ def test_streamed_campaign_bit_identical(eager, framed, library):
     assert streamed.detections == reference.detections
     assert streamed.undetected_ids == reference.undetected_ids
     assert streamed.arch_counts == reference.arch_counts
-    assert engine._scalar._stream.consumed == (
-        reference_engine._scalar._stream.consumed
-    )
+    assert engine._scalar._stream.consumed == oracle._stream.consumed
+    assert len(reference.detections) > 100
 
 
-def test_campaign_residency_bounded_by_shard(library, monkeypatch):
-    """A campaign over ``generate_fleet`` builds exactly its consecutive
-    shard ranges, each once, never the whole population."""
+def test_vectorized_engine_rejects_plain_lists(eager, library):
+    with pytest.raises(ConfigurationError, match="FleetFrame"):
+        VectorizedTestPipeline(eager, library, seed=11)
+
+
+def test_bulk_multiplier_sums_match_the_catalog(library):
+    """Every row's bulk multiplier sum equals the scalar one, over
+    fleets whose all-core rows together cover all nine architectures
+    (M9's 32 cores draw 31 multipliers), and every row's reference
+    multiplier is 1.0."""
+    all_core_archs = set()
+    for seed in (1, 3):
+        population = generate_fleet(FleetSpec(
+            total_processors=50_000, failure_rate_scale=50.0, seed=seed
+        ))
+        frame = population.faulty
+        columns = frame.columns
+        archs = [frame.arch_names[code] for code in columns["arch_code"].tolist()]
+        core_ids = columns["core_id"].tolist()
+        processors = frame[:]
+        names = [processor.processor_id for processor in processors]
+        sums = fleet_multiplier_sums(archs, core_ids, names)
+        for arch, core, name, total in zip(archs, core_ids, names, sums):
+            if core >= 0:
+                assert total == 1.0
+                continue
+            all_core_archs.add(arch)
+            n = catalog.ARCHITECTURES[arch].physical_cores
+            assert total == sum(catalog._core_multipliers(n, name).values())
+        scalar = TestPipeline(population, library)
+        for processor, total in zip(processors, sums):
+            defect = processor.defects[0]
+            assert defect.core_multiplier(defect.core_ids[0]) == 1.0
+            assert scalar._multiplier_sum(defect) == total
+    assert all_core_archs == set(catalog.ARCHITECTURES)
+
+
+def test_campaign_builds_no_processor(library, monkeypatch):
+    """A campaign over ``generate_fleet`` lowers every shard from the
+    frame's columns and never builds a Processor."""
     population = generate_fleet(SPEC)
     built = _counting(population.faulty, monkeypatch)
-    ResilientCampaign(population, library, seed=11, shard_size=SHARD).run()
-    faulty = len(population.faulty)
+    campaign = ResilientCampaign(population, library, seed=11, shard_size=SHARD)
+    campaign.run()
+    assert built == []
+    assert campaign.cursor == len(population.faulty) > SHARD
+
+
+def test_degraded_shard_builds_its_range_once(library, monkeypatch):
+    """A parity trip reruns its shard on the scalar oracle, which
+    builds exactly that shard's Processors, once."""
+    population = generate_fleet(SPEC)
+    built = _counting(population.faulty, monkeypatch)
+    campaign = ResilientCampaign(
+        population, library, seed=11, shard_size=SHARD,
+        chaos=ChaosInjector({1: ["parity_trip"]}),
+    )
+    campaign.run()
     assert [(rows.start, rows.stop, rows.step) for rows in built] == [
-        (start, min(start + SHARD, faulty), None)
-        for start in range(0, faulty, SHARD)
+        (SHARD, 2 * SHARD, None)
     ]
-    assert faulty > SHARD
+    assert campaign.health.degradations == 1
 
 
 def test_campaign_spec_from_dict_tolerates_old_payloads():
@@ -300,8 +354,8 @@ def test_campaign_spec_from_dict_tolerates_old_payloads():
 
 
 @pytest.fixture(scope="module")
-def study_result(eager, library):
-    return VectorizedTestPipeline(eager, library, seed=11).run()
+def study_result(framed, library):
+    return VectorizedTestPipeline(framed, library, seed=11).run()
 
 
 def test_detection_frame_roundtrip(study_result):
