@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -63,10 +64,16 @@ def record_range_metrics(
     totals the telemetry tests pin.
     """
     obs.inc("repro_campaign_cpus_total", cpus, engine=engine)
-    for detection in result.detections[entry_detections:]:
+    # One update per stage, not per detection: instrument updates per
+    # range stay bounded whatever the range's detection count.
+    stages = Counter(
+        detection.stage_name
+        for detection in result.detections[entry_detections:]
+    )
+    for stage, count in stages.items():
         obs.inc(
-            "repro_campaign_detections_total",
-            engine=engine, stage=detection.stage_name,
+            "repro_campaign_detections_total", count,
+            engine=engine, stage=stage,
         )
     undetected = len(result.undetected_ids) - entry_undetected
     if undetected:

@@ -14,7 +14,9 @@ simulators via a keyword-only ``obs=None`` parameter:
   consumes RNG draws), persisted as self-checking JSONL.
 * :class:`Observability` — the context object call sites receive;
   ``None`` means disabled and costs one pointer compare per
-  shard/range (gated by ``benchmarks/bench_perf_obs.py``).
+  shard/range.  Enabled, a campaign records a bounded number of
+  instrument updates and trace records per shard, whatever its
+  detection count (``tests/unit/test_obs.py::TestTelemetryBudget``).
 * :func:`logging_setup` — stderr logging for entry points so stdout
   stays machine-readable.
 """
@@ -24,7 +26,6 @@ from .logconf import logging_setup
 from .metrics import DEFAULT_BUCKETS, MetricsRegistry, parse_prometheus_text
 from .procmem import (
     current_rss_bytes,
-    effective_cores,
     peak_rss_bytes,
     record_memory,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "Tracer",
     "check_artifacts",
     "current_rss_bytes",
-    "effective_cores",
     "iter_spans",
     "peak_rss_bytes",
     "record_memory",

@@ -3,9 +3,11 @@
 Components take a keyword-only ``obs=None`` parameter and guard every
 instrumentation site with ``if obs is not None`` (or the :func:`span`
 helper) — disabled telemetry is a single pointer comparison per
-shard/range, never per record or per draw, which is what makes the
-null path provably near-zero cost (``benchmarks/bench_perf_obs.py``
-measures and gates it).
+shard/range, never per record or per draw.  Enabled telemetry keeps
+the same granularity: a campaign makes a bounded number of instrument
+updates and trace records per shard, and a batch screening a bounded
+number per run, whatever the detection and lane counts
+(``tests/unit/test_obs.py::TestTelemetryBudget`` pins both).
 
 One context owns one :class:`~repro.obs.metrics.MetricsRegistry` and
 one :class:`~repro.obs.tracing.Tracer`; :meth:`Observability.create`
@@ -166,8 +168,9 @@ class Observability:
 
 #: Help text for the metric families the instrumentation emits, keyed
 #: by name so the string-keyed shorthand stays a one-liner at call
-#: sites.  This is also the catalogue documented in
-#: ``docs/architecture.md``.
+#: sites.  Its keys are exactly the ``repro_*`` names that ``src/``
+#: passes to ``inc``, ``set_gauge`` and ``observe``
+#: (``tests/unit/test_metric_help.py`` checks both directions).
 _HELP = {
     "repro_campaign_cpus_total":
         "Faulty processors tested, by engine.",
@@ -202,6 +205,14 @@ _HELP = {
         "Scheduled test windows in Farron regular plans.",
     "repro_thermal_substeps_total":
         "Batch thermal-model integration substeps, by mode.",
+    "repro_toolchain_screen_lanes_total":
+        "Processors screened by the batch toolchain engine, by mode.",
+    "repro_toolchain_screen_windows_total":
+        "Lockstep runner windows stepped by batch screenings, by mode.",
+    "repro_toolchain_screen_substeps_total":
+        "Thermal-model integration substeps of batch screenings, by mode.",
+    "repro_toolchain_screen_errors_total":
+        "SDC and consistency records emitted by batch screenings, by mode.",
     "repro_rss_bytes":
         "Resident set size of this process at last sample, in bytes.",
     "repro_peak_rss_bytes":
@@ -221,8 +232,6 @@ _HELP = {
         "Jobs currently executing campaign shards.",
     "repro_service_journal_appends_total":
         "Write-ahead journal entries fsynced, by kind.",
-    "repro_service_journal_bytes_total":
-        "Bytes appended to the write-ahead journal.",
     "repro_service_drain_seconds":
         "Duration of the last graceful drain, in seconds.",
     "repro_service_shard_seconds":

@@ -227,12 +227,13 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
-        #: Total instrument updates recorded (the observability
-        #: benchmark uses this to bound per-sample overhead).
         self._samples = 0
 
     @property
     def sample_count(self) -> int:
+        """Total instrument updates recorded: every ``inc``, ``set``
+        and ``observe`` on any series.  The telemetry-budget tests bound
+        it per campaign shard and per screening run."""
         return self._samples
 
     # -- registration -------------------------------------------------------

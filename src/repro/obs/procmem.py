@@ -1,15 +1,13 @@
-"""Process-resource sampling for bounded-RSS campaigns and benchmarks.
+"""Process-resource sampling for bounded-RSS campaigns.
 
 The out-of-core substrate's whole promise is a resident-set bound; that
 bound has to be *measured*, not assumed.  This module reads the two
 numbers that matter — current RSS (``/proc/self/statm`` where procfs
 exists) and peak RSS (``getrusage``'s high-water mark, which no later
-free ever lowers) — and mirrors them into the telemetry registry so
-``obs-report --check`` and the scale benchmark can gate on them.
-
-It also reports the CPU budget a benchmark ran under
-(:func:`effective_cores`), which benchmark reports record beside their
-RSS readings as provenance.
+free ever lowers) — and mirrors them into the telemetry registry, where
+``/metrics`` and ``obs-report`` show them.  The paper-scale peak-RSS
+bound is a test (``tests/unit/test_out_of_core.py``) that reads
+:func:`peak_rss_bytes` at the end of a run in a fresh interpreter.
 
 Everything degrades gracefully: platforms without procfs fall back to
 ``getrusage`` for current RSS too, and platforms without ``resource``
@@ -28,7 +26,6 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "current_rss_bytes",
-    "effective_cores",
     "peak_rss_bytes",
     "record_memory",
 ]
@@ -42,21 +39,6 @@ def _ru_maxrss_bytes() -> int:
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is KiB on Linux, bytes on macOS.
     return maxrss * (1 if sys.platform == "darwin" else 1024)
-
-
-def effective_cores() -> int:
-    """The CPUs this process may run on.
-
-    ``os.cpu_count()`` reports the machine, not the process:
-    containerized CI commonly pins a job to a CPU subset (cpuset).  The
-    scheduler affinity mask is the honest budget where the platform
-    exposes it (Linux); elsewhere fall back to the CPU count.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS/Windows: no affinity API
-        cores = os.cpu_count() or 1
-    return max(1, cores)
 
 
 def current_rss_bytes() -> int:
@@ -80,7 +62,7 @@ def record_memory(obs) -> int:
     """Sample both RSS gauges into ``obs``; returns the peak in bytes.
 
     Safe to call with ``obs=None`` (still returns the measurement), so
-    benchmarks can share the sampling path without telemetry enabled.
+    callers can share the sampling path without telemetry enabled.
     """
     peak = peak_rss_bytes()
     if obs is not None:

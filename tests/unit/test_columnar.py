@@ -6,6 +6,8 @@ same integers, same doubles, same dict shapes — on corpora covering
 every dtype (including 80-bit float64x) and on degenerate inputs.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,52 @@ def store():
 @pytest.fixture(scope="module")
 def frame(store):
     return RecordFrame.from_store(store)
+
+
+# -- the full figure-analysis suite ------------------------------------------
+
+
+def scalar_suite(store):
+    """Every §4-§5 figure analysis through the per-record modules."""
+    records = store.records
+    return (
+        [bitflip_histogram(records, dtype) for dtype in DTYPES],
+        [summarize_precision(records, dtype) for dtype in NUMERIC],
+        pattern_proportions_by_setting(store, min_records=8),
+        [flip_count_distribution(store, dtype) for dtype in DTYPES],
+        flip_direction_fraction(records),
+    )
+
+
+def columnar_suite(frame):
+    """The same analyses through the frame kernels."""
+    return (
+        [bitflip_histogram_frame(frame, dtype) for dtype in DTYPES],
+        [summarize_precision_frame(frame, dtype) for dtype in NUMERIC],
+        pattern_proportions_by_setting_frame(frame, min_records=8),
+        [flip_count_distribution_frame(frame, dtype) for dtype in DTYPES],
+        flip_direction_fraction_frame(frame),
+    )
+
+
+def _timed(suite, source):
+    start = time.perf_counter()
+    result = suite(source)
+    return result, time.perf_counter() - start
+
+
+def test_columnar_suite_floor_at_40k_records():
+    """Over a 40k-record corpus the frame kernels return exactly what
+    the per-record modules return, at least 5x faster.  The frame is
+    built once per corpus, so its construction is not timed."""
+    corpus = synthetic_store(
+        records=40_000, processors=30, testcases=20, seed=5
+    )
+    frame = RecordFrame.from_store(corpus)
+    scalar, scalar_s = _timed(scalar_suite, corpus)
+    columnar, columnar_s = _timed(columnar_suite, frame)
+    assert columnar == scalar
+    assert scalar_s / columnar_s >= 5.0
 
 
 # -- frame construction --------------------------------------------------------

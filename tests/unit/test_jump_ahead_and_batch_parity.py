@@ -1,11 +1,9 @@
-"""O(1) stream jump-ahead, the affinity-aware core count, and the
-batch thermal / batch online engines' bit parity with their scalar
-references.
+"""O(1) stream jump-ahead and the batch thermal / batch online
+engines' bit parity with their scalar references.
 
 ``CountedStream.fast_forward``/``reset_to`` carry checkpoint restore and
-shard retries; ``effective_cores`` records the CPU budget benchmark
-reports ran under; the batch models must match the scalar models bit
-for bit.
+shard retries; the batch models must match the scalar models bit for
+bit.
 """
 
 import numpy as np
@@ -15,7 +13,6 @@ from repro.core import ApplicationProfile, simulate_online, simulate_online_batc
 from repro.core.farron import Farron
 from repro.cpu import Feature
 from repro.errors import ConfigurationError
-from repro.obs import procmem
 from repro.rng import CountedStream, substream
 from repro.thermal import BatchPackageThermalModel, PackageThermalModel
 
@@ -64,25 +61,6 @@ def test_reset_to_rewinds_and_replays_exactly():
     assert stream.draw_many(300) == first[200:500]
     stream.reset_to(1_500)
     assert stream.draw_many(50) == tail
-
-
-# ---------------------------------------------------------------------------
-# affinity-aware core count
-# ---------------------------------------------------------------------------
-
-
-def test_default_workers_respects_scheduler_affinity(monkeypatch):
-    monkeypatch.setattr(
-        procmem.os, "sched_getaffinity", lambda pid: {0, 2, 5},
-        raising=False,
-    )
-    assert procmem.effective_cores() == 3
-
-
-def test_default_workers_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.delattr(procmem.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(procmem.os, "cpu_count", lambda: 6)
-    assert procmem.effective_cores() == 6
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,11 @@ from repro.obs import (
     render_report,
     trace_segment_paths,
 )
-from repro.resilience import ChaosInjector, ResilientCampaign
+from repro.resilience import ChaosInjector, CheckpointStore, ResilientCampaign
 from repro.resilience.health import CampaignHealthReport
 from repro.sealed import canonical
+from repro.testing import BatchScreeningEngine, TestPlan
+from repro.testing.framework import PlanEntry
 
 
 @pytest.fixture(scope="module")
@@ -620,3 +622,95 @@ class TestCampaignDeterminism:
         assert obs.metrics.total("repro_campaign_detections_total") == len(
             result.detections
         )
+
+    @pytest.mark.parametrize(
+        "total, scale", [(20_000, 25.0), (40_000, 60.0)]
+    )
+    def test_file_artifacts_self_check(self, library, tmp_path, total, scale):
+        """A campaign writing a metrics file and a JSONL trace matches
+        the silent run bit for bit, counts every faulty CPU, and leaves
+        artifacts that pass ``obs-report --check``'s self-checks."""
+        population = generate_fleet(
+            FleetSpec(total_processors=total, failure_rate_scale=scale, seed=7)
+        )
+        plain, plain_position = _run_engine(
+            "vectorized", population, library, 11, None
+        )
+        metrics_path = tmp_path / "metrics.prom"
+        trace_path = tmp_path / "trace.jsonl"
+        obs = Observability.create(metrics_path, trace_path)
+        traced, traced_position = _run_engine(
+            "vectorized", population, library, 11, obs
+        )
+        cpus = obs.metrics.total("repro_campaign_cpus_total")
+        obs.close()
+        assert traced.detections == plain.detections
+        assert traced.undetected_ids == plain.undetected_ids
+        assert traced_position == plain_position
+        assert cpus == len(population.faulty) > 100
+        # A bare engine run opens no span, so the lazy trace sink may
+        # never create its file.
+        assert check_artifacts(
+            metrics_path, trace_path if trace_path.exists() else None
+        ) == []
+
+
+# ---------------------------------------------------------------------------
+# telemetry budget: enabled cost is bounded per shard and per run
+# ---------------------------------------------------------------------------
+
+#: Most instrument updates and trace records enabled telemetry may make.
+#: A checkpointed campaign shard makes up to ten updates (its range's
+#: CPUs, one per detecting stage, undetected, draws and seconds; the
+#: checkpoint counter and the checkpoint's health event) and five trace
+#: records (the shard and checkpoint spans and the health event); the
+#: run's span and memory gauges fit in the margin.  A batch screening
+#: makes four counter updates and one span, however many lanes it runs.
+CAMPAIGN_SAMPLES_PER_SHARD = 16
+CAMPAIGN_TRACE_RECORDS_PER_SHARD = 8
+SCREENING_SAMPLES_PER_RUN = 8
+SCREENING_TRACE_RECORDS_PER_RUN = 4
+
+
+def _recording_obs():
+    sink = ListTraceSink()
+    return Observability(MetricsRegistry(), Tracer(sink)), sink
+
+
+class TestTelemetryBudget:
+    def test_campaign_cost_is_per_shard_not_per_detection(
+        self, library, tmp_path
+    ):
+        population = generate_fleet(
+            FleetSpec(total_processors=20_000, failure_rate_scale=60.0, seed=7)
+        )
+        obs, sink = _recording_obs()
+        campaign = ResilientCampaign(
+            population, library, seed=11, shard_size=64,
+            checkpoint_store=CheckpointStore(tmp_path), obs=obs,
+        )
+        result = campaign.run()
+        shards = -(-len(population.faulty) // 64)
+        # Per-detection accounting would overrun the budget several
+        # times over.
+        assert len(result.detections) > 3 * CAMPAIGN_SAMPLES_PER_SHARD * shards
+        assert obs.metrics.sample_count <= CAMPAIGN_SAMPLES_PER_SHARD * shards
+        assert len(sink.records) <= CAMPAIGN_TRACE_RECORDS_PER_SHARD * shards
+
+    @pytest.mark.parametrize("lanes", [1, 6])
+    def test_screening_cost_is_per_run_not_per_lane(self, library, lanes):
+        population = generate_fleet(
+            FleetSpec(total_processors=6_000, failure_rate_scale=60.0, seed=9)
+        )
+        plan = TestPlan(
+            entries=[
+                PlanEntry(tc.testcase_id, 30.0) for tc in list(library)[:20]
+            ]
+        )
+        obs, sink = _recording_obs()
+        BatchScreeningEngine(
+            population.faulty[:lanes], plan, library, seed=0, obs=obs
+        ).run()
+        assert obs.metrics.total("repro_toolchain_screen_lanes_total") == lanes
+        assert obs.metrics.sample_count <= SCREENING_SAMPLES_PER_RUN
+        assert len(sink.records) <= SCREENING_TRACE_RECORDS_PER_RUN

@@ -9,6 +9,11 @@ building none itself.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,9 @@ from repro.resilience import CampaignSpec, ChaosInjector, ResilientCampaign
 SPEC = FleetSpec(total_processors=50_000, failure_rate_scale=50.0, seed=3)
 #: Shard width of the campaign-level checks.
 SHARD = 64
+#: Range width of the paper-scale run: the vectorized engine lowers one
+#: range of frame rows at a time.
+SCALE_RANGE = 8192
 
 #: sha256 over the ROW_SCHEMA columns (name, dtype, bytes, in schema
 #: order) of ``FleetSpec(20_000, failure_rate_scale=20, seed=seed)``,
@@ -237,24 +245,100 @@ def test_colstore_spill_bytes_metered(tmp_path):
 # -- campaign-level parity -----------------------------------------------------
 
 
-def test_streamed_campaign_bit_identical(eager, framed, library):
+def _run_in_ranges(population, library, width):
+    """The vectorized engine over ``population``, ``width`` faulty CPUs
+    per ``run_range`` call; returns the result and stream position."""
+    engine = VectorizedTestPipeline(population, library, seed=11)
+    result = FleetStudyResult(
+        population_total=population.total,
+        arch_counts=dict(population.arch_counts),
+    )
+    faulty = len(population.faulty)
+    for start in range(0, faulty, width):
+        engine.run_range(start, min(start + width, faulty), result)
+    return result, engine._scalar._stream.consumed
+
+
+def _assert_streamed_parity(eager, framed, library, width):
     """The vectorized engine over the frame, range by range, against
     the scalar oracle over every Processor in a plain list."""
     oracle = TestPipeline(eager, library, seed=11)
     reference = oracle.run()
-    # Shard-sized ranges, as a campaign requests them.
-    engine = VectorizedTestPipeline(framed, library, seed=11)
-    streamed = FleetStudyResult(
-        population_total=framed.total, arch_counts=dict(framed.arch_counts)
-    )
-    faulty = len(framed.faulty)
-    for start in range(0, faulty, SHARD):
-        engine.run_range(start, min(start + SHARD, faulty), streamed)
+    streamed, position = _run_in_ranges(framed, library, width)
     assert streamed.detections == reference.detections
     assert streamed.undetected_ids == reference.undetected_ids
     assert streamed.arch_counts == reference.arch_counts
-    assert engine._scalar._stream.consumed == oracle._stream.consumed
+    assert position == oracle._stream.consumed
     assert len(reference.detections) > 100
+
+
+def test_streamed_campaign_bit_identical(eager, framed, library):
+    # Shard-sized ranges, as a campaign requests them.
+    _assert_streamed_parity(eager, framed, library, SHARD)
+
+
+def test_scale_reference_campaign_bit_identical(library):
+    """The paper-scale run's reference fleet, in its range width."""
+    spec = FleetSpec(total_processors=30_000, failure_rate_scale=20.0, seed=7)
+    _assert_streamed_parity(
+        materialized_population(spec), generate_fleet(spec), library,
+        SCALE_RANGE,
+    )
+
+
+#: One paper-scale run in a fresh interpreter, whose peak RSS is then
+#: the run's alone: the campaign range by range, then the detections
+#: spilled to a column store, memory-mapped back with every payload
+#: re-hashed, and their rates checked against the object-graph stats.
+SCALE_RUN = """
+import json, sys, tempfile
+from pathlib import Path
+from repro.analysis import DetectionFrame
+from repro.fleet import FleetSpec, VectorizedTestPipeline, generate_fleet, stats
+from repro.fleet.pipeline import FleetStudyResult
+from repro.obs import peak_rss_bytes
+from repro.testing import build_library
+
+total, width = int(sys.argv[1]), int(sys.argv[2])
+spec = FleetSpec(total_processors=total, failure_rate_scale=20.0, seed=7)
+population = generate_fleet(spec)
+engine = VectorizedTestPipeline(population, build_library(), seed=11)
+result = FleetStudyResult(
+    population_total=population.total,
+    arch_counts=dict(population.arch_counts),
+)
+faulty = len(population.faulty)
+for start in range(0, faulty, width):
+    engine.run_range(start, min(start + width, faulty), result)
+frame = DetectionFrame.from_result(result)
+with tempfile.TemporaryDirectory() as spill_dir:
+    path = Path(spill_dir) / "detections"
+    frame.save(path)
+    loaded = DetectionFrame.load(path, mmap=True, verify=True)
+    assert loaded.overall_failure_rate() == stats.overall_failure_rate(result)
+    assert loaded.timing_failure_rates() == stats.timing_failure_rates(result)
+    assert loaded.arch_failure_rates() == stats.arch_failure_rates(result)
+print(json.dumps({
+    "detections": len(result.detections),
+    "peak_rss_bytes": peak_rss_bytes(),
+}))
+"""
+
+
+@pytest.mark.parametrize(
+    "total, max_peak_rss_mb", [(300_000, 400.0), (1_000_000, 512.0)]
+)
+def test_paper_scale_campaign_peak_rss_bound(total, max_peak_rss_mb):
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-c", SCALE_RUN, str(total), str(SCALE_RANGE)],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["detections"] > 1_000
+    assert report["peak_rss_bytes"] / 1e6 <= max_peak_rss_mb
 
 
 def test_vectorized_engine_rejects_plain_lists(eager, library):

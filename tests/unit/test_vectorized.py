@@ -101,23 +101,39 @@ def _detection_key(detection):
     )
 
 
-def test_campaign_parity_on_50k_fleet():
-    fleet = generate_fleet(
-        FleetSpec(total_processors=50_000, failure_rate_scale=25.0, seed=3)
-    )
+def _assert_campaign_parity(spec: FleetSpec) -> None:
+    """Scalar and vectorized campaigns over ``spec`` (pipeline seed 11)
+    agree on every detection, the undetected ids and the final stream
+    position."""
+    fleet = generate_fleet(spec)
     library = build_library()
     scalar = TestPipeline(
         fleet, library, trigger_model=TriggerModel(), seed=11
-    ).run()
+    )
+    scalar_result = scalar.run()
     vectorized = VectorizedTestPipeline(
         fleet, library, trigger_model=TriggerModel(), seed=11
-    ).run()
-    assert [_detection_key(d) for d in scalar.detections] == [
-        _detection_key(d) for d in vectorized.detections
+    )
+    vectorized_result = vectorized.run()
+    assert [_detection_key(d) for d in scalar_result.detections] == [
+        _detection_key(d) for d in vectorized_result.detections
     ]
-    assert scalar.undetected_ids == vectorized.undetected_ids
+    assert scalar_result.undetected_ids == vectorized_result.undetected_ids
+    assert scalar._stream.consumed == vectorized._scalar._stream.consumed
     # The campaign actually detected things (not a vacuous equality).
-    assert len(scalar.detections) > 100
+    assert len(scalar_result.detections) > 100
+
+
+def test_campaign_parity_on_50k_fleet():
+    _assert_campaign_parity(
+        FleetSpec(total_processors=50_000, failure_rate_scale=25.0, seed=3)
+    )
+
+
+def test_campaign_parity_on_20k_fleet():
+    _assert_campaign_parity(
+        FleetSpec(total_processors=20_000, failure_rate_scale=25.0, seed=7)
+    )
 
 
 def test_campaign_parity_across_pipeline_seeds():
