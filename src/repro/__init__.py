@@ -19,8 +19,9 @@ substrate plus a real implementation of its mitigation system:
 * :mod:`repro.analysis` — the study's measurement machinery;
 * :mod:`repro.core` — **Farron**, the paper's mitigation system, plus
   the Alibaba baseline and the §7.2 evaluation harness;
-* :mod:`repro.resilience` — checkpoint/resume, supervised retries and
-  degradation, and chaos self-injection for month-scale campaigns.
+* :mod:`repro.resilience` — sharded, checkpointed campaigns that
+  resume after a process death, and chaos self-injection that proves
+  it, for month-scale campaigns.
 
 Quickstart::
 
@@ -68,7 +69,6 @@ from .resilience import (
     ChaosInjector,
     CheckpointStore,
     ResilientCampaign,
-    run_resilient_campaign,
 )
 from .core import (
     AlibabaBaseline,
@@ -112,7 +112,6 @@ __all__ = [
     "ChaosInjector",
     "CheckpointStore",
     "ResilientCampaign",
-    "run_resilient_campaign",
     "AlibabaBaseline",
     "ApplicationProfile",
     "Farron",

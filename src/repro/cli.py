@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--shard-size", type=int, default=256,
-        help="faulty CPUs per shard, the checkpoint/retry granule",
+        help="faulty CPUs per shard, the checkpoint granule",
     )
     fleet.add_argument(
         "--spill-dir", default=None, metavar="DIR",

@@ -1,7 +1,7 @@
 """Farron, the paper's SDC mitigation system (§7), plus the baseline."""
 
 from .boundary import AdaptiveTemperatureBoundary, BoundaryDecision
-from .backoff import BackoffController, ExponentialBackoff
+from .backoff import BackoffController
 from .priority import Priority, PriorityDatabase
 from .scheduler import FarronScheduleConfig, FarronScheduler
 from .pool import (
@@ -25,7 +25,6 @@ __all__ = [
     "AdaptiveTemperatureBoundary",
     "BoundaryDecision",
     "BackoffController",
-    "ExponentialBackoff",
     "Priority",
     "PriorityDatabase",
     "FarronScheduleConfig",

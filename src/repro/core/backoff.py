@@ -19,64 +19,9 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..errors import ConfigurationError
-from ..rng import substream
 from .boundary import AdaptiveTemperatureBoundary, BoundaryDecision
 
-__all__ = ["BackoffController", "ExponentialBackoff"]
-
-
-@dataclass(frozen=True)
-class ExponentialBackoff:
-    """Exponential retry backoff with deterministic jitter.
-
-    The *workload* backoff below throttles an application; this is the
-    other backoff the resilience layer needs — how long to wait before
-    retrying a flaky worker or shard.  Delays grow geometrically to a
-    cap, and jitter (which de-synchronizes a fleet of retrying
-    scanners) is derived from ``(seed, key, attempt)`` through
-    :func:`repro.rng.substream` rather than the wall clock, so a
-    resumed campaign replays the same schedule.
-    """
-
-    base_s: float = 0.05
-    factor: float = 2.0
-    cap_s: float = 5.0
-    #: Multiplicative jitter half-width: delay scales by a factor drawn
-    #: uniformly from [1 - jitter, 1 + jitter].
-    jitter: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.base_s) or self.base_s < 0:
-            raise ConfigurationError(
-                f"base_s must be a non-negative finite number of seconds, "
-                f"got {self.base_s!r}"
-            )
-        if not math.isfinite(self.factor) or self.factor < 1.0:
-            raise ConfigurationError(
-                f"factor must be >= 1 (delays must not shrink), got "
-                f"{self.factor!r}"
-            )
-        if not math.isfinite(self.cap_s) or self.cap_s < self.base_s:
-            raise ConfigurationError(
-                f"cap_s must be finite and >= base_s, got {self.cap_s!r}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1), got {self.jitter!r}"
-            )
-
-    def delay_s(self, attempt: int, key: str = "") -> float:
-        """Delay before retry number ``attempt`` (1-based) of ``key``."""
-        if attempt < 1:
-            raise ConfigurationError(
-                f"attempt is 1-based, got {attempt!r}"
-            )
-        delay = min(self.base_s * self.factor ** (attempt - 1), self.cap_s)
-        if self.jitter > 0.0 and delay > 0.0:
-            rng = substream(self.seed, "retry-backoff", key, str(attempt))
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return delay
+__all__ = ["BackoffController"]
 
 
 @dataclass

@@ -33,14 +33,8 @@ class DecommissionError(ReproError):
 
 
 class ResilienceError(ReproError):
-    """Base class for campaign-resilience failures (checkpointing,
-    supervision, degradation).  Subclasses distinguish *transient*
-    conditions worth retrying from permanent corruption."""
-
-
-class TransientWorkerError(ResilienceError):
-    """A campaign shard failed in a way that may succeed on retry
-    (worker crash, injected fault, timeout)."""
+    """Base class for campaign-resilience failures: unusable
+    checkpoints and campaigns stopped before they finished."""
 
 
 class CheckpointError(ResilienceError):
@@ -56,13 +50,9 @@ class CheckpointVersionError(CheckpointError):
     """A checkpoint was written by an incompatible format version."""
 
 
-class ParityDegradedError(ResilienceError):
-    """The vectorized engine's parity self-check tripped on a shard;
-    the campaign must fall back to the scalar engine for that shard."""
-
-
 class CampaignAbortedError(ResilienceError):
-    """A resilient campaign exhausted its restart/retry budget."""
+    """A campaign was stopped before it finished (a ``repro serve``
+    job that ran past its ``--job-timeout`` budget)."""
 
 
 class ObservabilityError(ReproError):

@@ -9,8 +9,8 @@ that *determines* each processor.  The frame is the population's
 ``faulty`` sequence, and every access rebuilds exactly the Processors
 it names and keeps none of them, so resident Processors are whatever
 the caller holds.  The vectorized campaign engine reads
-:attr:`FleetFrame.columns` directly and builds none; the scalar oracle,
-a shard degraded to it, and callers that iterate ``faulty`` build them.
+:attr:`FleetFrame.columns` directly and builds none; the scalar oracle
+and callers that iterate ``faulty`` build them.
 """
 
 from __future__ import annotations

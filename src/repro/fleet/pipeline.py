@@ -57,11 +57,8 @@ def record_range_metrics(
 ) -> None:
     """Account one *completed* campaign range into ``obs``.
 
-    Shared by both engines' ``run_range`` and by
-    :class:`~repro.resilience.campaign.ResilientCampaign`, which calls
-    it once per shard for the attempt its retry/degradation ladder
-    accepts, so abandoned attempts never reach the exact per-engine
-    totals the telemetry tests pin.
+    Shared by both engines' ``run_range``, so a campaign shard is
+    accounted by the engine that ran it.
     """
     obs.inc("repro_campaign_cpus_total", cpus, engine=engine)
     # One update per stage, not per detection: instrument updates per

@@ -48,9 +48,9 @@ def observed_sleep(
 ) -> None:
     """``time.sleep`` that is counted and traced when telemetry is on.
 
-    Backoff/chaos delays used to vanish into silent sleeps; this makes
-    every one visible as ``repro_sleep_seconds_total{reason=...}`` plus
-    a ``sleep`` trace event, without changing the slept duration.
+    A chaos delay would otherwise vanish into a silent sleep; this
+    makes every one visible as ``repro_sleep_seconds_total{reason=...}``
+    plus a ``sleep`` trace event, without changing the slept duration.
     """
     if obs is not None:
         obs.inc("repro_sleep_seconds_total", seconds, reason=reason)
@@ -187,9 +187,7 @@ _HELP = {
     "repro_health_events_total":
         "Campaign health events mirrored from CampaignHealthReport.",
     "repro_sleep_seconds_total":
-        "Seconds slept in backoff/chaos delays, by reason.",
-    "repro_retry_total":
-        "Retries attempted, by scope (shard).",
+        "Seconds slept in chaos delays, by reason.",
     "repro_online_steps_total":
         "Online-simulation control steps, by mode (scalar/batch).",
     "repro_online_sdc_total":

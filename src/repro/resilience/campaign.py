@@ -1,77 +1,49 @@
-"""Resilient fleet-campaign execution: shards, snapshots, degradation.
+"""Resilient fleet-campaign execution: shards and snapshots.
 
-:class:`ResilientCampaign` wraps the scalar
-:class:`~repro.fleet.pipeline.TestPipeline` and the vectorized
-:class:`~repro.fleet.vectorized.VectorizedTestPipeline` behind one
-supervised loop that a production deployment could actually run for 32
-months:
+:class:`ResilientCampaign` runs the vectorized
+:class:`~repro.fleet.vectorized.VectorizedTestPipeline` as a loop that
+a production deployment could actually run for 32 months:
 
 * the faulty population is processed in **shards** (contiguous CPU
-  ranges) so there is a natural retry/degradation/checkpoint boundary;
+  ranges), the granule a host interleaves with its own checks and the
+  natural checkpoint boundary;
 * after every ``checkpoint_every`` shards the full campaign state —
   stage cursor, partial detections, and the **exact draw position** of
   the pipeline's Bernoulli substream — is snapshotted through
   :mod:`repro.resilience.checkpoint`;
-* every shard starts on the vectorized engine; a shard that fails
-  transiently is retried with exponential backoff, and a shard whose
-  parity check trips (the chaos ``parity_trip`` fault) is **degraded**
-  to the scalar engine (whose output is the ground truth by
-  construction);
-* every fault, retry, degradation, and snapshot lands in a
-  :class:`~repro.resilience.health.CampaignHealthReport`.
+* every injected fault, snapshot, snapshot fallback and resume lands
+  in a :class:`~repro.resilience.health.CampaignHealthReport`.
 
-Because both engines consume the same counted stream and checkpoints
-record its exact position, a campaign that crashes, resumes, retries,
-and degrades produces a :class:`~repro.fleet.pipeline.FleetStudyResult`
+Because checkpoints record the counted stream's exact position, a
+campaign whose process dies and which resumes from its newest usable
+snapshot produces a :class:`~repro.fleet.pipeline.FleetStudyResult`
 **bit-identical** to an uninterrupted run at the same seed — the
 invariant the chaos suite (``tests/chaos/``) enforces.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..core.backoff import ExponentialBackoff
 from ..obs.context import observed_sleep, span
 from ..obs.procmem import record_memory
-from ..errors import (
-    CampaignAbortedError,
-    ConfigurationError,
-    ParityDegradedError,
-    TransientWorkerError,
-)
+from ..errors import ConfigurationError
 from ..fleet.frame import generate_fleet
-from ..fleet.pipeline import (
-    Detection,
-    FleetStudyResult,
-    PipelineConfig,
-    record_range_metrics,
-)
+from ..fleet.pipeline import Detection, FleetStudyResult, PipelineConfig
 from ..fleet.population import FleetPopulation, FleetSpec
 from ..fleet.vectorized import VectorizedTestPipeline
 from ..testing.library import TestcaseLibrary
-from .chaos import ChaosInjector, InjectedKillError
+from .chaos import ChaosInjector
 from .checkpoint import CheckpointStore
 from .health import (
     KIND_CHECKPOINT,
-    KIND_DEGRADATION,
     KIND_FAULT,
     KIND_RESUME,
-    KIND_RETRY,
     CampaignHealthReport,
 )
 
-__all__ = [
-    "CampaignSpec",
-    "CampaignSupervisor",
-    "ResilientCampaign",
-    "run_resilient_campaign",
-]
-
-#: Transient failures one shard may retry before the campaign aborts.
-MAX_SHARD_RETRIES = 3
+__all__ = ["CampaignSpec", "ResilientCampaign"]
 
 
 @dataclass(frozen=True)
@@ -80,9 +52,8 @@ class CampaignSpec:
 
     Checkpoints embed this spec, so ``repro resume <dir>`` can
     regenerate the identical population and library without the caller
-    re-supplying them.  The shard size is also the range a shard
-    degraded to the scalar oracle builds as Processors; the vectorized
-    engine builds none (see :class:`~repro.fleet.frame.FleetFrame`).
+    re-supplying them.  The shard size is the checkpoint granule; a
+    shard builds no Processor (see :class:`~repro.fleet.frame.FleetFrame`).
     """
 
     total_processors: int
@@ -152,7 +123,7 @@ class CampaignSpec:
 
 
 class ResilientCampaign:
-    """One supervised, checkpointed, degradable fleet campaign."""
+    """One sharded, checkpointed fleet campaign."""
 
     def __init__(
         self,
@@ -167,7 +138,6 @@ class ResilientCampaign:
         checkpoint_every: int = 1,
         chaos: Optional[ChaosInjector] = None,
         health: Optional[CampaignHealthReport] = None,
-        retry_backoff: Optional[ExponentialBackoff] = None,
         obs=None,
     ):
         if shard_size <= 0:
@@ -187,18 +157,11 @@ class ResilientCampaign:
             # Bridge health into the telemetry stream: every event it
             # records, injected faults included, is counted and traced.
             self.health.observer = obs
-        self.retry_backoff = retry_backoff or ExponentialBackoff(
-            base_s=0.05, cap_s=1.0, seed=seed
-        )
-        # One vectorized engine; its embedded scalar engine shares the
-        # counted pipeline stream, so either can execute any shard.
-        # Neither engine gets ``obs``: a shard's range metrics are
-        # recorded once, for the attempt the ladder accepts.
+        # The engine records each shard's range metrics itself.
         self._vectorized = VectorizedTestPipeline(
-            population, library, config, None, seed
+            population, library, config, None, seed, obs=obs
         )
-        self._scalar = self._vectorized._scalar
-        self._stream = self._scalar._stream
+        self._stream = self._vectorized._scalar._stream
         self._cursor = 0
         self._shards_since_checkpoint = 0
         self.result = FleetStudyResult(
@@ -210,8 +173,8 @@ class ResilientCampaign:
 
     @classmethod
     def from_spec(cls, spec: CampaignSpec, library: TestcaseLibrary, **kwargs):
-        """A fresh campaign for ``spec`` (see :meth:`_open`)."""
-        return cls._open(library, None, None, spec=spec, **kwargs)
+        """A fresh campaign for ``spec`` (see :meth:`open`)."""
+        return cls.open(library, None, None, spec=spec, **kwargs)
 
     @classmethod
     def resume(
@@ -220,7 +183,7 @@ class ResilientCampaign:
         """Rebuild a campaign from the newest usable snapshot.
 
         The CLI path rebuilds everything from the embedded spec; see
-        :meth:`_open` for the keyword arguments.  Raises
+        :meth:`open` for the keyword arguments.  Raises
         :class:`ConfigurationError` when no usable snapshot exists.
         """
         fallbacks = CampaignHealthReport()
@@ -229,12 +192,12 @@ class ResilientCampaign:
             raise ConfigurationError(
                 f"no usable checkpoint in {store.directory}"
             )
-        return cls._open(
+        return cls.open(
             library, payload, fallbacks, checkpoint_store=store, **kwargs
         )
 
     @classmethod
-    def _open(
+    def open(
         cls,
         library: TestcaseLibrary,
         payload: Optional[Dict[str, object]],
@@ -248,6 +211,8 @@ class ResilientCampaign:
         """The one path from a spec or snapshot to a campaign: fresh when
         ``payload`` is None, else restored from that snapshot payload
         (``fallbacks`` holds the corrupt snapshots skipped to reach it).
+        A host that resumes or starts a campaign passes the one
+        ``CheckpointStore.load_latest`` result it already holds.
 
         The spec (given, or embedded in the snapshot) supplies shard
         size and pipeline seed unless ``kwargs`` name them, and
@@ -379,97 +344,23 @@ class ResilientCampaign:
     def done(self) -> bool:
         return self._cursor >= len(self.population.faulty)
 
-    def _shard_result(self) -> FleetStudyResult:
-        return FleetStudyResult(
+    def _execute_shard(self, start: int, stop: int, shard: int) -> FleetStudyResult:
+        """One shard on the vectorized engine, after any chaos delay."""
+        shard_result = FleetStudyResult(
             population_total=self.population.total,
             arch_counts=dict(self.population.arch_counts),
         )
-
-    def _run_shard_once(
-        self, start: int, stop: int, engine: str
-    ) -> Tuple[FleetStudyResult, float]:
-        """One attempt at a shard on ``engine``: its result and seconds."""
-        shard_result = self._shard_result()
-        started = time.perf_counter()
-        if engine == "vectorized":
+        with span(
+            self.obs, "campaign.shard", shard=shard, start=start, stop=stop,
+        ):
+            if self._injects(shard, "delay"):
+                observed_sleep(self.obs, self.chaos.delay_s, "chaos_delay")
             self._vectorized.run_range(start, stop, shard_result)
-        else:
-            self._scalar.run_range(start, stop, shard_result)
-        return shard_result, time.perf_counter() - started
-
-    def _execute_shard(self, start: int, stop: int, shard: int) -> FleetStudyResult:
-        """One shard through the retry/degradation ladder.
-
-        Any attempt starts by repositioning the stream at the shard's
-        draw offset, so retries and engine switches replay the exact
-        draw sequence an uninterrupted run would have consumed.
-        """
-        draws_at_start = self._stream.consumed
-        engine = "vectorized"
-        attempt = 0
-        while True:
-            self._stream.reset_to(draws_at_start)
-            try:
-                with span(
-                    self.obs, "campaign.shard",
-                    shard=shard, start=start, stop=stop,
-                    engine=engine, attempt=attempt,
-                ):
-                    if self._injects(shard, "delay"):
-                        observed_sleep(
-                            self.obs, self.chaos.delay_s, "chaos_delay"
-                        )
-                    if self._injects(shard, "exception"):
-                        raise TransientWorkerError(
-                            f"chaos: injected worker exception on shard "
-                            f"{shard}"
-                        )
-                    shard_result, seconds = self._run_shard_once(
-                        start, stop, engine
-                    )
-                    if engine != "scalar" and self._injects(
-                        shard, "parity_trip"
-                    ):
-                        raise ParityDegradedError(
-                            f"parity self-check tripped on shard {shard} "
-                            f"(cpus [{start}, {stop}))"
-                        )
-                if self.obs is not None:
-                    record_range_metrics(
-                        self.obs, engine, shard_result, 0, 0,
-                        self._stream.consumed - draws_at_start,
-                        stop - start, seconds,
-                    )
-                return shard_result
-            except ParityDegradedError as error:
-                # Ground truth is the scalar engine; degrade this shard.
-                self.health.record(
-                    KIND_DEGRADATION,
-                    f"{engine} -> scalar: {error}",
-                    shard=shard,
-                )
-                engine = "scalar"
-            except TransientWorkerError as error:
-                attempt += 1
-                if attempt > MAX_SHARD_RETRIES:
-                    raise CampaignAbortedError(
-                        f"shard {shard} failed {attempt} times; giving up: "
-                        f"{error}"
-                    ) from error
-                delay = self.retry_backoff.delay_s(attempt, f"shard-{shard}")
-                self.health.record(
-                    KIND_RETRY,
-                    f"attempt {attempt} after {error} (backoff {delay:.3f}s)",
-                    shard=shard,
-                )
-                if self.obs is not None:
-                    self.obs.inc("repro_retry_total", scope="shard")
-                observed_sleep(self.obs, delay, "shard_retry")
+        return shard_result
 
     def step(self) -> bool:
-        """Execute exactly one shard through the retry/degradation
-        ladder and apply the checkpoint policy; returns True while
-        faulty CPUs remain.
+        """Execute exactly one shard and apply the checkpoint policy;
+        returns True while faulty CPUs remain.
 
         This is the granule a long-running host (the ``repro serve``
         scheduler) interleaves with drain checks: between any two steps
@@ -495,10 +386,6 @@ class ResilientCampaign:
             self._shards_since_checkpoint = 0
         if self.chaos is not None:
             self.chaos.visit("shard_done")
-        if self._injects(shard, "kill"):
-            raise InjectedKillError(
-                f"chaos: campaign killed after shard {shard}"
-            )
         return self._cursor < faulty_count
 
     def checkpoint_now(self) -> None:
@@ -518,9 +405,9 @@ class ResilientCampaign:
     def run(self) -> FleetStudyResult:
         """Run to completion, checkpointing; returns the study result.
 
-        Injected kills propagate as :class:`InjectedKillError` — a
-        :class:`CampaignSupervisor` (or an operator running ``repro
-        resume``) restarts from the last good snapshot.
+        A process that dies mid-run leaves its snapshots behind, and
+        ``repro resume`` (or :meth:`resume`) continues from the newest
+        usable one.
         """
         with span(
             self.obs, "campaign.run",
@@ -534,91 +421,3 @@ class ResilientCampaign:
             record_memory(self.obs)
         return self.result
 
-
-class CampaignSupervisor:
-    """Runs one campaign, restarting it from its newest snapshot after
-    every injected kill.
-
-    The production deployment shape: a daemon that respawns a crashed
-    scanner and points it at the newest snapshot.  The population is
-    built once, one health report spans every restart, and the resume-
-    or-fresh decision is made here alone.  :meth:`step` is the granule a
-    host interleaves with its own checks (the ``repro serve`` scheduler's
-    drain, deadline and shard latency); :meth:`run` goes to the end.
-    Needs either ``spec`` (population regenerated deterministically) or
-    an explicit ``population``; other keyword arguments go to
-    :class:`ResilientCampaign`.
-    """
-
-    def __init__(
-        self,
-        library: TestcaseLibrary,
-        *,
-        spec: Optional[CampaignSpec] = None,
-        population: Optional[FleetPopulation] = None,
-        checkpoint_store: Optional[CheckpointStore] = None,
-        health: Optional[CampaignHealthReport] = None,
-        max_restarts: int = 8,
-        **campaign_kwargs,
-    ):
-        if spec is None and population is None:
-            raise ConfigurationError(
-                "a supervised campaign needs spec= or population="
-            )
-        if population is None:
-            population = spec.build_population()
-        self.library = library
-        self.store = checkpoint_store
-        self.max_restarts = max_restarts
-        self.restarts = 0
-        self._kwargs = dict(
-            campaign_kwargs,
-            spec=spec,
-            population=population,
-            checkpoint_store=checkpoint_store,
-        )
-        self.campaign = self._open(health)
-
-    def _open(
-        self, health: Optional[CampaignHealthReport]
-    ) -> ResilientCampaign:
-        fallbacks = CampaignHealthReport()
-        payload = (
-            self.store.load_latest(fallbacks)
-            if self.store is not None
-            else None
-        )
-        return ResilientCampaign._open(
-            self.library, payload, fallbacks, health=health, **self._kwargs
-        )
-
-    def step(self) -> bool:
-        """One shard of the current campaign; an injected kill restarts
-        it from the newest snapshot instead.  True while work remains."""
-        try:
-            return self.campaign.step()
-        except InjectedKillError as error:
-            self.restarts += 1
-            if self.restarts > self.max_restarts:
-                raise CampaignAbortedError(
-                    f"campaign killed {self.restarts} times; giving up"
-                ) from error
-            if self.store is None:
-                raise CampaignAbortedError(
-                    "campaign killed with no checkpoint store to resume from"
-                ) from error
-            self.campaign = self._open(self.campaign.health)
-            return True
-
-    def run(self) -> Tuple[FleetStudyResult, CampaignHealthReport]:
-        while self.step():
-            pass
-        return self.campaign.result, self.campaign.health
-
-
-def run_resilient_campaign(
-    library: TestcaseLibrary, **kwargs
-) -> Tuple[FleetStudyResult, CampaignHealthReport]:
-    """Run a :class:`CampaignSupervisor` (same arguments) to the end;
-    returns the study result and the health report."""
-    return CampaignSupervisor(library, **kwargs).run()

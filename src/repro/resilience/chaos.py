@@ -2,31 +2,26 @@
 
 The paper's campaigns model unreliable silicon; production experience
 (Meta's *Silent Data Corruptions at Scale*, Google's SiliFuzz) says the
-test infrastructure is unreliable too.  One :class:`ChaosInjector`
-injects that second kind of fault in two forms, both deterministic, so
-the chaos suites can prove every injected fault is survived with a
-bit-identical final result.
+test infrastructure is unreliable too: hosts stall, processes die and
+files rot.  One :class:`ChaosInjector` injects those faults in two
+forms, both deterministic, so the chaos suites can prove every injected
+fault is survived with a bit-identical final result.
 
 **Scheduled campaign faults**, keyed by shard index (the Python API and
 a ``/submit`` job's ``chaos`` field):
 
-* ``"exception"`` — the shard raises a transient error on its first
-  attempt (a flaking worker); the campaign retries it with backoff.
 * ``"delay"`` — the shard stalls briefly (a slow host); nothing should
   change but wall-clock time.
-* ``"kill"`` — the campaign "dies" right after the shard (an
-  OOM-killed scanner); the supervisor must resume from the last good
-  checkpoint.
-* ``"parity_trip"`` — the vectorized engine's parity self-check reports
-  a mismatch; the campaign must degrade that shard to the scalar engine.
 * ``"torn_checkpoint"`` — the snapshot written after the shard is
   truncated mid-file (power loss during write).
 * ``"corrupt_byte"`` — one byte of that snapshot is flipped (bit rot).
 
-Each scheduled fault fires **once**: a resumed campaign re-executing the
-same shard must not re-die, exactly like a real crash that does not
-reproduce.  The campaign asks :meth:`ChaosInjector.fires` at its own
-hook points and records every fault that fires in its health report.
+A damaged snapshot fails its self-check, and a resume falls back to
+the previous one.  Each scheduled fault fires **once**: a resumed
+campaign re-executing the same shard must not re-fire it, exactly like
+a real fault that does not reproduce.  The campaign asks
+:meth:`ChaosInjector.fires` at its own hook points and records every
+fault that fires in its health report.
 
 **Process deaths** from ``repro serve --chaos`` (:func:`parse_chaos_spec`),
 actions bound to the *n*-th visit of a named hook point::
@@ -58,27 +53,19 @@ from typing import (
     Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
-from ..errors import ConfigurationError, ResilienceError
+from ..errors import ConfigurationError
 from ..rng import substream
 
 __all__ = [
     "FAULT_KINDS",
     "HOOK_POINTS",
     "KILL_EXIT_CODE",
-    "InjectedKillError",
     "ChaosInjector",
     "parse_chaos_spec",
     "parse_job_chaos",
 ]
 
-FAULT_KINDS = (
-    "exception",
-    "delay",
-    "kill",
-    "parity_trip",
-    "torn_checkpoint",
-    "corrupt_byte",
-)
+FAULT_KINDS = ("delay", "torn_checkpoint", "corrupt_byte")
 
 HOOK_POINTS = (
     "submit_pre_ack",
@@ -94,10 +81,6 @@ _ACTIONS = ("kill", "tear_journal")
 #: SIGKILL's wait-status exit code; keeps post-mortems honest about
 #: what the simulated death is standing in for.
 KILL_EXIT_CODE = 137
-
-
-class InjectedKillError(ResilienceError):
-    """The chaos schedule killed the campaign process (simulated)."""
 
 
 def _known(name: object, known: Tuple[str, ...], what: str) -> str:
@@ -196,9 +179,10 @@ def _truncate(path: Path, keep: int) -> None:
 class ChaosInjector:
     """Fires scheduled harness faults and process deaths at hook points.
 
-    Keep one injector per supervised run: its fired set is what stops a
-    resumed campaign from re-running a fault.  The injector only decides
-    *whether* a fault fires; the campaign applies it and records it.
+    Keep one injector per campaign, across its resumes: its fired set is
+    what stops a resumed campaign from re-running a fault.  The injector
+    only decides *whether* a fault fires; the campaign applies it and
+    records it.
     """
 
     def __init__(

@@ -2,15 +2,17 @@
 
 Production fleet scanners (Meta's at-scale SDC screens, Google's
 SiliFuzz) treat the test infrastructure itself as unreliable: hosts
-flake, scanners crash, runs resume.  What keeps partial results
-trustworthy is a structured audit trail — every fault seen, every retry
-taken, every degradation of the execution strategy — attached to the
+stall, scanners crash, snapshots rot, runs resume.  What keeps partial
+results trustworthy is a structured audit trail — every fault seen,
+every snapshot written or skipped, every resume — attached to the
 campaign result instead of scattered through logs.
 
 :class:`CampaignHealthReport` is that trail.  The resilient campaign
 layer and the chaos suite append :class:`HealthEvent` records to one
 report; it serializes into the checkpoint payload so a resumed run
-keeps the full history.
+keeps the full history.  Checkpoints written before shard retries and
+engine degradation were retired may carry ``retry`` and
+``degradation`` events; they load like any other kind.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ __all__ = ["HealthEvent", "CampaignHealthReport"]
 #: (not an enum) so new layers can record domain-specific kinds without
 #: touching this module; these are the ones the core layer emits.
 KIND_FAULT = "fault"  #: a fault was observed or injected
-KIND_RETRY = "retry"  #: a shard was retried
-KIND_DEGRADATION = "degradation"  #: execution strategy was lowered
 KIND_CHECKPOINT = "checkpoint"  #: a snapshot was written
 KIND_CHECKPOINT_FALLBACK = "checkpoint_fallback"  #: a corrupt snapshot was skipped
 KIND_RESUME = "resume"  #: a campaign continued from a snapshot
@@ -98,14 +98,6 @@ class CampaignHealthReport:
         return self.count(KIND_FAULT)
 
     @property
-    def retries(self) -> int:
-        return self.count(KIND_RETRY)
-
-    @property
-    def degradations(self) -> int:
-        return self.count(KIND_DEGRADATION)
-
-    @property
     def checkpoints_written(self) -> int:
         return self.count(KIND_CHECKPOINT)
 
@@ -116,8 +108,7 @@ class CampaignHealthReport:
     def summary(self) -> str:
         """One human line per counter, for CLI output."""
         return (
-            f"faults={self.faults} retries={self.retries} "
-            f"degradations={self.degradations} "
+            f"faults={self.faults} "
             f"checkpoints={self.checkpoints_written} resumes={self.resumes}"
         )
 

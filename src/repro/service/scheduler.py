@@ -7,9 +7,7 @@ invariants no matter how the process dies:
   its submission is acknowledged; recovery replays the journal and
   re-queues everything not yet finished.
 * **Bit-identical verdicts.**  Jobs execute as
-  :class:`~repro.resilience.campaign.ResilientCampaign` shards under
-  the same :class:`~repro.resilience.campaign.CampaignSupervisor`
-  restart loop as ``run_resilient_campaign``, with a
+  :class:`~repro.resilience.campaign.ResilientCampaign` shards with a
   per-job :class:`~repro.resilience.checkpoint.CheckpointStore`; a
   daemon SIGKILLed mid-campaign and restarted on the same state
   directory resumes each in-flight campaign at its exact cursor and
@@ -28,8 +26,9 @@ State directory layout::
 Up to ``max_active`` job threads each drive one campaign in process,
 one shard per step.  The asyncio side never blocks on campaign work,
 and the drain path stops every job **between** shards, checkpoints,
-and leaves the rest to the next incarnation.  A job that raises fails
-on its own; its worker goes on to the next job.
+and leaves the rest, queued jobs untouched, to the next incarnation.
+A job that raises fails on its own; its worker goes on to the next
+job.
 
 :func:`parse_retention` parses the ``--retain-verdicts`` grammar shared
 by the CLI and :class:`~repro.service.server.ReproService`, and
@@ -58,17 +57,14 @@ from ..errors import (
     ReproError,
 )
 from ..obs.context import span
-from ..resilience.campaign import (
-    CampaignSpec,
-    CampaignSupervisor,
-    ResilientCampaign,
-)
+from ..resilience.campaign import CampaignSpec, ResilientCampaign
 from ..resilience.chaos import ChaosInjector, parse_job_chaos
 from ..resilience.checkpoint import (
     CheckpointStore,
     read_checkpoint,
     write_checkpoint,
 )
+from ..resilience.health import CampaignHealthReport
 from ..testing.library import TestcaseLibrary
 from .journal import JournalWriter, ReplayReport, replay_journal
 
@@ -212,9 +208,7 @@ class JobRecord:
     chaos_schedule: Optional[Dict[int, Tuple[str, ...]]] = None
     chaos_seed: int = 0
     error: Optional[str] = None
-    restarts: int = 0
     recovered: bool = False
-    finished_at: Optional[float] = None
     #: Journal seq of the verdict entry (retention orders by this).
     verdict_seq: int = 0
     #: Wall-clock completion time journaled with the verdict, so age
@@ -227,7 +221,6 @@ class JobRecord:
             "job_id": self.job_id,
             "state": self.state,
             "spec": self.spec.to_dict(),
-            "restarts": self.restarts,
             "recovered": self.recovered,
         }
         if self.error is not None:
@@ -301,10 +294,19 @@ class CampaignScheduler:
             journal_dir, salvage=True, report=self.replay_report
         )
         max_seq = 0
+        # Jobs whose journaled chaos schedule no longer parses, with why.
+        unrunnable: Dict[str, str] = {}
         for entry in entries:
             max_seq = max(max_seq, entry.seq)
             job_id = entry.job
             if entry.kind == "submit" and job_id is not None:
+                # An acknowledged id is never issued again, even if its
+                # entry turns out unusable below.
+                match = _AUTO_ID_RE.match(job_id)
+                if match:
+                    self._next_job_number = max(
+                        self._next_job_number, int(match.group(1)) + 1
+                    )
                 try:
                     spec = CampaignSpec.from_dict(entry.data["spec"])
                 except (KeyError, TypeError, ConfigurationError) as error:
@@ -324,21 +326,19 @@ class CampaignScheduler:
                             parse_job_chaos(entry.data["chaos"])
                         )
                     except ConfigurationError as error:
-                        self.replay_report.problems.append(
-                            f"job {job_id}: unusable journaled chaos "
-                            f"schedule ({error})"
+                        # E.g. a fault kind an older release knew.  The
+                        # job keeps its id and fails unless it finished.
+                        unrunnable[job_id] = (
+                            f"unusable journaled chaos schedule ({error})"
                         )
-                        continue
+                        self.replay_report.problems.append(
+                            f"job {job_id}: {unrunnable[job_id]}"
+                        )
                 # Entries from older releases may also carry ``exec``
                 # hints (pool worker count, engine pin) and specs with
                 # retired keys; replay ignores both.
                 self.jobs[job_id] = record
                 self._order.append(job_id)
-                match = _AUTO_ID_RE.match(job_id)
-                if match:
-                    self._next_job_number = max(
-                        self._next_job_number, int(match.group(1)) + 1
-                    )
             elif entry.kind == "start" and job_id in self.jobs:
                 self.jobs[job_id].state = JOB_RUNNING
             elif entry.kind == "verdict" and job_id in self.jobs:
@@ -371,14 +371,19 @@ class CampaignScheduler:
                         f"re-running"
                     )
                     record.state = JOB_QUEUED
-            elif record.state == JOB_RUNNING:
-                # Interrupted mid-campaign: re-queue; its checkpoint
-                # store carries the resume point.
-                record.state = JOB_QUEUED
             elif record.state == JOB_EXPIRED:
                 # Finish a deletion the previous incarnation journaled
                 # but did not complete before dying (idempotent).
                 shutil.rmtree(self._job_dir(job_id), ignore_errors=True)
+            if record.state in (JOB_QUEUED, JOB_RUNNING):
+                if job_id in unrunnable:
+                    record.state = JOB_FAILED
+                    record.error = unrunnable[job_id]
+                else:
+                    # Interrupted mid-campaign or never started:
+                    # (re-)queue; its checkpoint store carries any
+                    # resume point.
+                    record.state = JOB_QUEUED
         self._journal = JournalWriter(
             journal_dir,
             start_seq=max_seq + 1,
@@ -684,7 +689,11 @@ class CampaignScheduler:
         loop = asyncio.get_running_loop()
         while True:
             job_id = await self._queue.get()
-            if job_id is None:
+            if job_id is None or self._stop_event.is_set():
+                # Draining: a job not yet started stays queued and
+                # unjournaled for the next incarnation.  Returning on a
+                # job leaves this worker's sentinel behind in its place,
+                # so the queue still holds one item per queued job.
                 return
             record = self.jobs[job_id]
             self._active += 1
@@ -724,9 +733,12 @@ class CampaignScheduler:
 
     def _drive_job(self, record: JobRecord) -> None:
         store = CheckpointStore(self._job_dir(record.job_id) / "ckpt")
+        # One load decides resume-or-fresh; the campaign opens from it.
+        fallbacks = CampaignHealthReport()
+        payload = store.load_latest(fallbacks)
         record.state = JOB_RUNNING
         self._journal_append(
-            "start", record.job_id, resume=store.load_latest() is not None
+            "start", record.job_id, resume=payload is not None
         )
         if self.obs is not None:
             self.obs.inc("repro_service_jobs_total", event="started")
@@ -736,40 +748,36 @@ class CampaignScheduler:
             else None
         )
         with span(self.obs, "service.job", job=record.job_id):
-            supervisor = CampaignSupervisor(
-                self.library,
+            campaign = ResilientCampaign.open(
+                self.library, payload, fallbacks,
                 spec=record.spec,
                 checkpoint_store=store,
                 chaos=self._job_chaos(record),
                 checkpoint_every=self.checkpoint_every,
                 obs=self.obs,
             )
-            if self._pump(supervisor, record, deadline):
+            if self._pump(campaign, deadline):
                 # Drain: state stays journaled as running; the next
                 # incarnation re-queues and resumes.
                 return
-            self._finish(record, supervisor.campaign)
+            self._finish(record, campaign)
 
     def _pump(
-        self,
-        supervisor: CampaignSupervisor,
-        record: JobRecord,
-        deadline: Optional[float],
+        self, campaign: ResilientCampaign, deadline: Optional[float]
     ) -> bool:
         """Step the job until done; True means drain-suspended."""
         while True:
             if self._stop_event.is_set():
-                supervisor.campaign.checkpoint_now()
+                campaign.checkpoint_now()
                 return True
             if deadline is not None and time.monotonic() > deadline:
                 raise CampaignAbortedError(
                     f"job exceeded its {self.job_timeout_s:.0f}s budget "
-                    f"at cursor {supervisor.campaign.cursor}"
+                    f"at cursor {campaign.cursor}"
                 )
             started = time.monotonic()
-            more = supervisor.step()
+            more = campaign.step()
             elapsed = time.monotonic() - started
-            record.restarts = supervisor.restarts
             self._latency.record(elapsed)
             if self.obs is not None:
                 self.obs.observe("repro_service_shard_seconds", elapsed)
@@ -784,7 +792,6 @@ class CampaignScheduler:
             "spec": record.spec.to_dict(),
             "result": campaign.result.to_dict(),
             "health": campaign.health.to_dict(),
-            "restarts": record.restarts,
         }
         # Verdict file first, then the journal entry that blesses it:
         # a crash between the two re-runs the (deterministic) job, it
@@ -799,7 +806,6 @@ class CampaignScheduler:
             finished_unix=finished_unix,
         )
         record.state = JOB_DONE
-        record.finished_at = time.monotonic()
         record.finished_unix = finished_unix
         if self.obs is not None:
             self.obs.inc("repro_service_jobs_total", event="completed")
@@ -809,6 +815,5 @@ class CampaignScheduler:
         record.error = error
         self._journal_append("failed", record.job_id, error=error)
         record.state = JOB_FAILED
-        record.finished_at = time.monotonic()
         if self.obs is not None:
             self.obs.inc("repro_service_jobs_total", event="failed")

@@ -1,23 +1,34 @@
-"""Chaos acceptance: campaigns survive injected harness faults.
+"""Chaos acceptance: campaigns survive real harness faults.
 
-The invariant under test is the tentpole guarantee: a campaign that is
-killed, resumed, retried, and degraded by a seeded chaos schedule
-produces a :class:`FleetStudyResult` **bit-identical** to the fault-free
-run at the same seed, and the health report enumerates every injected
-fault and every recovery action taken.
+The invariant under test: a campaign whose process dies, whose newest
+snapshots are torn or bit-rotted, or whose shards stall, produces a
+:class:`FleetStudyResult` **bit-identical** to the fault-free run at
+the same seed, and the health report enumerates every injected fault
+and every recovery action taken.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core import ExponentialBackoff
+from repro.cli import main
+from repro.errors import CheckpointError, ConfigurationError
 from repro.fleet import FleetSpec, TestPipeline, generate_fleet
 from repro.resilience import (
+    CampaignHealthReport,
     CampaignSpec,
     ChaosInjector,
     CheckpointStore,
     ResilientCampaign,
-    run_resilient_campaign,
+    read_checkpoint,
 )
+from repro.resilience.chaos import KILL_EXIT_CODE
+
+REPO = Path(__file__).resolve().parents[2]
 
 #: 10k-CPU acceptance fleet; the scale multiplier gives ~200 faulty
 #: CPUs so shards/checkpoints/chaos all have something to chew on.
@@ -28,9 +39,6 @@ SPEC = CampaignSpec(
     failure_rate_scale=60.0,
     shard_size=32,
 )
-
-#: No real sleeping in CI: retries still count, they just don't wait.
-NO_WAIT = ExponentialBackoff(base_s=0.0, cap_s=0.0, jitter=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -68,68 +76,108 @@ def test_fault_free_campaign_matches_pipeline(fleet, library, baseline, tmp_path
     assert store.paths(), "snapshots must be on disk"
 
 
-def test_acceptance_chaos_campaign_bit_identical(library, baseline, tmp_path):
-    """The ISSUE acceptance scenario: >=1 kill, >=1 torn checkpoint,
-    >=1 parity trip (plus the rest of the fault menu), all survived
-    with a bit-identical result and a complete audit trail."""
-    schedule = {
-        0: ["exception"],
-        1: ["parity_trip"],
-        2: ["torn_checkpoint", "kill"],
-        3: ["delay"],
-        4: ["corrupt_byte", "kill"],
-    }
-    chaos = ChaosInjector(schedule, seed=5, delay_s=0.001)
-    store = CheckpointStore(tmp_path)
-    result, health = run_resilient_campaign(
-        library,
-        spec=SPEC,
-        checkpoint_store=store,
-        chaos=chaos,
-        checkpoint_every=1,
-        retry_backoff=NO_WAIT,
+#: ``repro fleet-study`` arguments for a ~30-faulty-CPU study in 4-CPU
+#: shards, and the spec the CLI builds from them.
+STUDY_ARGS = ["--size", "100000", "--seed", "3", "--shard-size", "4"]
+STUDY_SPEC = CampaignSpec(
+    total_processors=100_000, fleet_seed=3, pipeline_seed=3, shard_size=4
+)
+
+#: A campaign process that snapshots after every shard, has its last
+#: snapshot torn and then bit-rotted, and dies as SIGKILL leaves it:
+#: no atexit handlers, no flushes.
+CRASHING_CHILD = """
+import json, os, sys
+from repro.resilience import (
+    CampaignSpec, ChaosInjector, CheckpointStore, ResilientCampaign,
+)
+from repro.resilience.chaos import KILL_EXIT_CODE
+from repro.testing import build_library
+
+directory, spec, shards = sys.argv[1], sys.argv[2], int(sys.argv[3])
+campaign = ResilientCampaign.from_spec(
+    CampaignSpec.from_dict(json.loads(spec)), build_library(),
+    checkpoint_store=CheckpointStore(directory),
+    checkpoint_every=1,
+    chaos=ChaosInjector(
+        {shards - 1: ["torn_checkpoint", "corrupt_byte"]}, seed=5
+    ),
+)
+for _ in range(shards):
+    assert campaign.step(), "the death must come mid-campaign"
+os._exit(KILL_EXIT_CODE)
+"""
+
+
+def test_acceptance_chaos_campaign_bit_identical(tmp_path, capsys):
+    """A real process death right after the newest snapshot was torn
+    and bit-rotted: ``repro resume`` falls back past it and prints
+    exactly the tables of an uninterrupted ``repro fleet-study``."""
+    shards = 4
+    child = subprocess.run(
+        [
+            sys.executable, "-c", CRASHING_CHILD, str(tmp_path),
+            json.dumps(STUDY_SPEC.to_dict()), str(shards),
+        ],
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        cwd=REPO, capture_output=True, text=True, timeout=300,
     )
-    assert_bit_identical(result, baseline)
-    # Every scheduled fault fired exactly once and was recorded.
-    assert not chaos.pending()
-    fault_events = health.of_kind("fault")
-    for shard, kinds in schedule.items():
-        for kind in kinds:
-            assert any(
-                event.shard == shard and kind in event.detail
-                for event in fault_events
-            ), f"fault {kind} on shard {shard} missing from health report"
-    # ... and every recovery action is enumerated too.
-    assert health.retries >= 1  # the injected exception was retried
-    assert health.degradations >= 1  # the parity trip degraded to scalar
-    assert health.resumes == 2  # one per kill
-    assert health.count("checkpoint_fallback") >= 1  # the torn snapshot
-    assert health.checkpoints_written >= 5
+    assert child.returncode == KILL_EXIT_CODE, child.stderr
+    store = CheckpointStore(tmp_path)
+    with pytest.raises(CheckpointError):
+        read_checkpoint(store.paths()[-1])
+    fallback = store.load_latest()
+    assert fallback["cursor"] == (shards - 1) * STUDY_SPEC.shard_size
+
+    assert main(["fleet-study", *STUDY_ARGS]) == 0
+    uninterrupted = capsys.readouterr().out
+    assert main(["resume", str(tmp_path)]) == 0
+    resumed = capsys.readouterr().out
+    assert "Table 1" in uninterrupted
+    assert resumed == uninterrupted
+
+    final = store.load_latest()
+    assert final["spec"] == STUDY_SPEC.to_dict()
+    health = CampaignHealthReport.from_dict(final["health"])
+    assert health.count("checkpoint_fallback") == 1  # the damaged snapshot
+    assert health.resumes == 1
 
 
 @pytest.mark.parametrize("chaos_seed", [101, 202, 303])
 def test_seeded_chaos_matrix(library, baseline, tmp_path, chaos_seed):
-    """CI's fixed seed matrix: random schedules, same invariant."""
+    """CI's fixed seed matrix: random schedules of every fault kind on
+    a campaign dropped halfway, as a dead process leaves it, and
+    reopened with the same injector the way the daemon reopens a job."""
     faulty = len(baseline.detections) + len(baseline.undetected_ids)
     shard_count = -(-faulty // SPEC.shard_size)
     chaos = ChaosInjector.seeded(chaos_seed, shard_count, rate=0.3)
     chaos.delay_s = 0.001
-    result, health = run_resilient_campaign(
-        library,
-        spec=SPEC,
-        checkpoint_store=CheckpointStore(tmp_path),
-        chaos=chaos,
+    store = CheckpointStore(tmp_path)
+    dropped = ResilientCampaign.from_spec(
+        SPEC, library, checkpoint_store=store, chaos=chaos,
         checkpoint_every=1,
-        retry_backoff=NO_WAIT,
-        max_restarts=shard_count,
     )
-    assert_bit_identical(result, baseline)
+    for _ in range(shard_count // 2):
+        dropped.step()
+
+    fallbacks = CampaignHealthReport()
+    payload = store.load_latest(fallbacks)
+    if payload is None:
+        # Both retained snapshots are damaged: there is nothing to
+        # resume, and the job starts over.
+        with pytest.raises(ConfigurationError, match="no usable checkpoint"):
+            ResilientCampaign.resume(store, library)
+    reopened = ResilientCampaign.open(
+        library, payload, fallbacks, spec=SPEC, checkpoint_store=store,
+        chaos=chaos, checkpoint_every=1, health=dropped.health,
+    )
+    assert_bit_identical(reopened.run(), baseline)
     assert not chaos.pending()
+    health = reopened.health
     assert health.faults == sum(len(k) for k in chaos.schedule.values())
+    assert health.resumes == (payload is not None)
 
 
 def test_resume_requires_checkpoint(library, tmp_path):
-    from repro.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError, match="no usable checkpoint"):
         ResilientCampaign.resume(CheckpointStore(tmp_path), library)

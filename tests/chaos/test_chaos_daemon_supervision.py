@@ -1,11 +1,12 @@
-"""The daemon supervises its jobs with the shared campaign restart loop.
+"""A daemon job runs the same campaign as a direct ``ResilientCampaign``.
 
-A ``repro serve`` job whose chaos schedule kills its campaign twice and
-fails two shards must land what :func:`run_resilient_campaign` lands
-for the same spec, schedule and checkpoint interval: the same result,
-one restart per kill, and the same health report.  Every injected fault
-reaches telemetry exactly once, as a ``health.fault`` trace event and
-in ``repro_health_events_total{kind="fault"}``.
+A ``repro serve`` job whose chaos schedule stalls two shards, tears one
+snapshot and bit-rots another must land what a direct
+:class:`~repro.resilience.ResilientCampaign` lands for the same spec,
+schedule and checkpoint interval: the same result and the same health
+report.  Every injected fault reaches telemetry exactly once, as a
+``health.fault`` trace event and in
+``repro_health_events_total{kind="fault"}``.
 """
 
 from repro.obs import ListTraceSink, MetricsRegistry, Observability, Tracer
@@ -13,7 +14,7 @@ from repro.resilience import (
     CampaignSpec,
     ChaosInjector,
     CheckpointStore,
-    run_resilient_campaign,
+    ResilientCampaign,
 )
 from repro.service import ServiceClient, ServiceThread
 
@@ -26,19 +27,26 @@ SPEC = dict(
     shard_size=8,
 )
 
-SCHEDULE = {0: ["exception"], 1: ["kill"], 2: ["exception"], 3: ["kill"]}
+SCHEDULE = {
+    0: ["delay"],
+    1: ["torn_checkpoint"],
+    2: ["delay"],
+    3: ["corrupt_byte"],
+}
 CHAOS_SEED = 7
 CHECKPOINT_EVERY = 1
 
 
 def test_daemon_job_matches_direct_supervised_run(tmp_path, library):
-    result, health = run_resilient_campaign(
+    direct = ResilientCampaign.from_spec(
+        CampaignSpec(**SPEC),
         library,
-        spec=CampaignSpec(**SPEC),
         checkpoint_store=CheckpointStore(tmp_path / "direct"),
         chaos=ChaosInjector(SCHEDULE, seed=CHAOS_SEED),
         checkpoint_every=CHECKPOINT_EVERY,
     )
+    result = direct.run()
+    health = direct.health
     sink = ListTraceSink()
     obs = Observability(MetricsRegistry(), Tracer(sink))
     with ServiceThread(
@@ -57,13 +65,11 @@ def test_daemon_job_matches_direct_supervised_run(tmp_path, library):
         ))
         verdict = client.wait_verdict("supervised", timeout_s=120)
 
-    kills = sum(kinds.count("kill") for kinds in SCHEDULE.values())
     faults = sum(len(kinds) for kinds in SCHEDULE.values())
     assert verdict["result"] == result.to_dict()
-    assert verdict["restarts"] == kills
     assert verdict["health"] == health.to_dict()
     assert health.faults == faults
-    assert health.resumes == kills
+    assert health.resumes == 0
 
     names = [record["name"] for record in sink.records]
     assert names.count("health.fault") == faults

@@ -1,28 +1,22 @@
 """Property: checkpoint round-trips are bit-identical at any boundary.
 
-A campaign killed after an arbitrary shard and resumed from its snapshot
-must finish with exactly the result of an uninterrupted run — including
-the restored position of the pipeline's counted RNG stream.
+A campaign dropped after an arbitrary shard, as a dead process leaves
+it, and resumed from its snapshot must finish with exactly the result
+of an uninterrupted run — including the restored position of the
+pipeline's counted RNG stream.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ExponentialBackoff
 from repro.fleet import FleetSpec, TestPipeline, generate_fleet
-from repro.resilience import (
-    ChaosInjector,
-    CheckpointStore,
-    ResilientCampaign,
-    run_resilient_campaign,
-)
+from repro.resilience import CheckpointStore, ResilientCampaign
 
 TOTAL = 1_500
 FLEET_SEED = 3
 PIPELINE_SEED = 11
 SHARD_SIZE = 8
-NO_WAIT = ExponentialBackoff(base_s=0.0, cap_s=0.0, jitter=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +35,25 @@ def baseline(fleet, library):
     return result, pipeline._stream.consumed
 
 
+def _dropped_after(fleet, library, store, shard):
+    """A campaign stepped through ``shard`` with a snapshot after every
+    shard, then abandoned: only its snapshots survive it."""
+    campaign = ResilientCampaign(
+        fleet, library, seed=PIPELINE_SEED, shard_size=SHARD_SIZE,
+        checkpoint_store=store, checkpoint_every=1,
+    )
+    for _ in range(shard + 1):
+        campaign.step()
+    return campaign
+
+
+def _resume(store, fleet, library):
+    return ResilientCampaign.resume(
+        store, library, population=fleet,
+        seed=PIPELINE_SEED, shard_size=SHARD_SIZE,
+    )
+
+
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_kill_resume_at_random_boundary_is_bit_identical(
@@ -52,19 +65,12 @@ def test_kill_resume_at_random_boundary_is_bit_identical(
         st.integers(min_value=0, max_value=shard_count - 1), label="kill_shard"
     )
     store = CheckpointStore(tmp_path_factory.mktemp("ckpt"))
-    result, health = run_resilient_campaign(
-        library,
-        population=fleet,
-        checkpoint_store=store,
-        chaos=ChaosInjector({kill_shard: ["kill"]}),
-        seed=PIPELINE_SEED,
-        shard_size=SHARD_SIZE,
-        checkpoint_every=1,
-        retry_backoff=NO_WAIT,
-    )
+    _dropped_after(fleet, library, store, kill_shard)
+    resumed = _resume(store, fleet, library)
+    result = resumed.run()
     assert result.detections == reference.detections
     assert result.undetected_ids == reference.undetected_ids
-    assert health.resumes == 1
+    assert resumed.health.resumes == 1
 
 
 @settings(max_examples=8, deadline=None)
@@ -80,23 +86,11 @@ def test_snapshot_restores_exact_rng_position(
         st.integers(min_value=0, max_value=shard_count - 1), label="stop_shard"
     )
     store = CheckpointStore(tmp_path_factory.mktemp("ckpt"))
-    first = ResilientCampaign(
-        fleet, library, seed=PIPELINE_SEED, shard_size=SHARD_SIZE,
-        checkpoint_store=store, checkpoint_every=1,
-        chaos=ChaosInjector({stop_shard: ["kill"]}),
-        retry_backoff=NO_WAIT,
-    )
-    from repro.resilience import InjectedKillError
-
-    with pytest.raises(InjectedKillError):
-        first.run()
+    first = _dropped_after(fleet, library, store, stop_shard)
     draws_at_kill = first._stream.consumed
     cursor_at_kill = first.cursor
 
-    resumed = ResilientCampaign.resume(
-        store, library, population=fleet,
-        seed=PIPELINE_SEED, shard_size=SHARD_SIZE, retry_backoff=NO_WAIT,
-    )
+    resumed = _resume(store, fleet, library)
     assert resumed.cursor == cursor_at_kill
     assert resumed._stream.consumed == draws_at_kill
     final = resumed.run()

