@@ -116,8 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     test.add_argument(
         "cpu", nargs="+",
-        help="catalog name(s), e.g. MIX1 COMP3; several CPUs screen "
-             "as one batch under --engine batch",
+        help="catalog name(s), e.g. MIX1 COMP3; one CPU screens on the "
+             "scalar runner, several screen in lockstep on the batch "
+             "engine (bit-identical results)",
     )
     test.add_argument(
         "--duration", type=float, default=60.0,
@@ -126,11 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument(
         "--preheat", type=float, default=None,
         help="burn-in target temperature in °C (default: start at idle)",
-    )
-    test.add_argument(
-        "--engine", choices=("scalar", "batch"), default="scalar",
-        help="screening engine; batch runs all CPUs in lockstep on the "
-             "vectorized engine, bit-identical to scalar",
     )
 
     protect = sub.add_parser(
@@ -346,7 +342,7 @@ def _cmd_test(args, obs=None) -> int:
     from .testing import TestFramework, build_library
 
     library = build_library()
-    framework = TestFramework(library, engine=args.engine)
+    framework = TestFramework(library, engine="batch")
     processors = [catalog_processor(name) for name in args.cpu]
     plan = framework.equal_allocation_plan(args.duration)
     plan.preheat_to_c = args.preheat

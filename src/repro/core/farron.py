@@ -126,35 +126,22 @@ class Farron:
         immediately trigger the targeted-test/decommission path; clean
         processors enter the reliable pool.
         """
-        entry = self.pool.add(processor)
-        plan = self.framework.equal_allocation_plan(
-            self.config.pre_production_per_testcase_s
-        )
-        plan.preheat_to_c = self.config.pre_production_preheat_c
-        report = self.framework.execute(plan, processor)
-        self._record_round("pre_production", report)
-        if not report.detected:
-            return RoundOutcome(
-                processor.processor_id, report, ProcessorStatus.ONLINE
-            )
-        self.priorities.record_processor_detections(
-            processor.processor_id, report.failed_testcase_ids
-        )
-        status, masked = self._handle_suspected(entry, report)
-        return RoundOutcome(processor.processor_id, report, status, masked)
+        return self.pre_production_test_many([processor])[0]
 
     def pre_production_test_many(
         self, processors: List[Processor]
     ) -> List[RoundOutcome]:
         """:meth:`pre_production_test` for a delivery batch.
 
-        The adequate-resource rounds execute as one group on the
-        framework's engine — with ``engine="batch"`` every processor's
-        burn-in and plan run simultaneously — then the pool/priority
-        bookkeeping and any suspected-state handling apply in input
-        order.  Bit-identical to looping :meth:`pre_production_test`:
-        each round draws from its own processor substream and the
-        targeted follow-up rounds start fresh runners of their own.
+        The adequate-resource rounds execute as one group through
+        :meth:`TestFramework.execute_batch` — on a batch framework a
+        batch of two or more processors runs its burn-in and plan in
+        lockstep — then the pool/priority bookkeeping and any
+        suspected-state handling apply in input order.  The targeted
+        follow-up rounds screen one processor each, on the scalar
+        runner.  Bit-identical to looping :meth:`pre_production_test`:
+        each round draws from its own processor substream and starts a
+        fresh runner.
         """
         entries = [self.pool.add(processor) for processor in processors]
         plan = self.framework.equal_allocation_plan(

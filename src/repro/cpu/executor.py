@@ -19,7 +19,7 @@ from ..errors import ConfigurationError
 from ..faults.injector import CorruptionEvent, FaultInjector
 from ..faults.trigger import TriggerModel
 from ..rng import substream
-from .isa import DEFAULT_ISA, ISA
+from .isa import DEFAULT_ISA
 from .processor import Processor
 
 __all__ = ["ProgramStep", "ExecutionResult", "Executor"]
@@ -55,7 +55,6 @@ class Executor:
     def __init__(
         self,
         processor: Processor,
-        isa: ISA = DEFAULT_ISA,
         trigger_model: Optional[TriggerModel] = None,
         seed: int = 0,
         time_compression: float = 1.0,
@@ -63,7 +62,7 @@ class Executor:
         if time_compression <= 0:
             raise ConfigurationError("time_compression must be positive")
         self.processor = processor
-        self.isa = isa
+        self.isa = DEFAULT_ISA
         self.injector = FaultInjector(processor, trigger_model)
         #: Each executed instruction stands for this many hardware
         #: executions (see FaultInjector.maybe_corrupt's ``scale``).

@@ -249,13 +249,18 @@ class ResilientCampaign:
                 "checkpoint embeds no spec; pass population= explicitly"
             )
         campaign = cls(population, library, spec=spec, health=health, **kwargs)
+        if fallbacks is not None:
+            # Skipped snapshots are recorded whether a usable one was
+            # found or the campaign starts over because none was.
+            for event in fallbacks.events:
+                campaign.health.record(
+                    event.kind, event.detail, shard=event.shard
+                )
         if payload is not None:
-            campaign._restore(payload, fallbacks)
+            campaign._restore(payload)
         return campaign
 
-    def _restore(
-        self, payload: Dict[str, object], fallbacks: CampaignHealthReport
-    ) -> None:
+    def _restore(self, payload: Dict[str, object]) -> None:
         faulty_count = len(self.population.faulty)
         cursor = payload.get("cursor")
         draws = payload.get("draws")
@@ -283,8 +288,6 @@ class ResilientCampaign:
             Detection.from_row(row) for row in payload.get("detections", [])
         ]
         self.result.undetected_ids = list(payload.get("undetected", []))
-        for event in fallbacks.events:
-            self.health.record(event.kind, event.detail, shard=event.shard)
         self.health.record(
             KIND_RESUME,
             f"resumed at cursor {cursor} ({draws} draws consumed)",

@@ -201,7 +201,9 @@ class JobRecord:
     """Scheduler-side view of one submitted campaign job."""
 
     job_id: str
-    spec: CampaignSpec
+    #: None for a recovered job whose journaled spec no longer parses;
+    #: such a job never runs.
+    spec: Optional[CampaignSpec]
     state: str = JOB_QUEUED
     submitted_seq: int = 0
     #: Campaign-level chaos schedule ({shard: [kinds]}), test-only.
@@ -220,7 +222,7 @@ class JobRecord:
         doc: Dict[str, object] = {
             "job_id": self.job_id,
             "state": self.state,
-            "spec": self.spec.to_dict(),
+            "spec": self.spec.to_dict() if self.spec is not None else None,
             "recovered": self.recovered,
         }
         if self.error is not None:
@@ -294,7 +296,8 @@ class CampaignScheduler:
             journal_dir, salvage=True, report=self.replay_report
         )
         max_seq = 0
-        # Jobs whose journaled chaos schedule no longer parses, with why.
+        # Jobs whose journaled spec or chaos schedule no longer parses,
+        # with why.  Each keeps its id and fails unless it finished.
         unrunnable: Dict[str, str] = {}
         for entry in entries:
             max_seq = max(max_seq, entry.seq)
@@ -307,33 +310,31 @@ class CampaignScheduler:
                     self._next_job_number = max(
                         self._next_job_number, int(match.group(1)) + 1
                     )
-                try:
-                    spec = CampaignSpec.from_dict(entry.data["spec"])
-                except (KeyError, TypeError, ConfigurationError) as error:
-                    self.replay_report.problems.append(
-                        f"job {job_id}: unusable journaled spec ({error})"
-                    )
-                    continue
                 record = JobRecord(
                     job_id=job_id,
-                    spec=spec,
+                    spec=None,
                     submitted_seq=entry.seq,
                     recovered=True,
                 )
-                if "chaos" in entry.data:
-                    try:
-                        record.chaos_schedule, record.chaos_seed = (
-                            parse_job_chaos(entry.data["chaos"])
-                        )
-                    except ConfigurationError as error:
-                        # E.g. a fault kind an older release knew.  The
-                        # job keeps its id and fails unless it finished.
-                        unrunnable[job_id] = (
-                            f"unusable journaled chaos schedule ({error})"
-                        )
-                        self.replay_report.problems.append(
-                            f"job {job_id}: {unrunnable[job_id]}"
-                        )
+                try:
+                    record.spec = CampaignSpec.from_dict(entry.data["spec"])
+                except (KeyError, TypeError, ConfigurationError) as error:
+                    unrunnable[job_id] = f"unusable journaled spec ({error})"
+                else:
+                    if "chaos" in entry.data:
+                        try:
+                            record.chaos_schedule, record.chaos_seed = (
+                                parse_job_chaos(entry.data["chaos"])
+                            )
+                        except ConfigurationError as error:
+                            # E.g. a fault kind an older release knew.
+                            unrunnable[job_id] = (
+                                f"unusable journaled chaos schedule ({error})"
+                            )
+                if job_id in unrunnable:
+                    self.replay_report.problems.append(
+                        f"job {job_id}: {unrunnable[job_id]}"
+                    )
                 # Entries from older releases may also carry ``exec``
                 # hints (pool worker count, engine pin) and specs with
                 # retired keys; replay ignores both.

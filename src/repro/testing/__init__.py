@@ -11,7 +11,7 @@ from .alttoolchain import ALT_TOOLCHAIN_SIZE, build_open_library
 from .records import ConsistencyRecord, RecordStore, SDCRecord, SettingKey
 from .runner import HEAT_THROTTLE, TestcaseRun, ToolchainRunner
 from .framework import PlanEntry, TestFramework, TestPlan, ToolchainReport
-from .batch import BatchScreeningEngine, screen_plans, screening_record_frame
+from .batch import BatchScreeningEngine, screening_record_frame
 from .multithread import (
     CoherenceTestResult,
     TxMemTestResult,
@@ -41,7 +41,6 @@ __all__ = [
     "TestPlan",
     "ToolchainReport",
     "BatchScreeningEngine",
-    "screen_plans",
     "screening_record_frame",
     "CoherenceTestResult",
     "TxMemTestResult",

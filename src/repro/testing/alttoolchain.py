@@ -27,7 +27,7 @@ from typing import Dict, List
 from ..errors import ConfigurationError
 from ..rng import substream
 from ..cpu.features import Feature
-from ..cpu.isa import DEFAULT_ISA, ISA
+from ..cpu.isa import DEFAULT_ISA
 from .library import TestcaseLibrary, _normalized
 from .testcase import Complexity, ConsistencyKind, Testcase
 
@@ -46,7 +46,7 @@ _LOOPS_PER_INSTRUCTION = 3
 _CONSISTENCY_QUOTA = {Feature.CACHE: 18, Feature.TRX_MEM: 14}
 
 
-def build_open_library(seed: int = 77, isa: ISA = DEFAULT_ISA) -> TestcaseLibrary:
+def build_open_library(seed: int = 77) -> TestcaseLibrary:
     """Build the alternative open-source-style toolchain."""
     rng = substream(seed, "open-toolchain")
     testcases: List[Testcase] = []
@@ -60,11 +60,11 @@ def build_open_library(seed: int = 77, isa: ISA = DEFAULT_ISA) -> TestcaseLibrar
     # 1) Fuzz loops: every instruction, several hotness variants.
     mnemonics = [
         m
-        for m, inst in isa.instructions.items()
+        for m, inst in DEFAULT_ISA.instructions.items()
         if inst.features[0] not in (Feature.CACHE, Feature.TRX_MEM)
     ]
     for mnemonic in mnemonics:
-        instruction = isa[mnemonic]
+        instruction = DEFAULT_ISA[mnemonic]
         for variant in range(_LOOPS_PER_INSTRUCTION):
             hot = 0.95 - 0.05 * variant
             mix: Dict[str, float] = {mnemonic: hot}
@@ -110,7 +110,7 @@ def build_open_library(seed: int = 77, isa: ISA = DEFAULT_ISA) -> TestcaseLibrar
             mix[mnemonic] = mix.get(mnemonic, 0.0) + share
         for filler in _FILLER:
             mix[filler] = mix.get(filler, 0.0) + 0.2 / len(_FILLER)
-        primary = isa[chosen[0]].features[0]
+        primary = DEFAULT_ISA[chosen[0]].features[0]
         testcases.append(
             Testcase(
                 testcase_id=next_id(),

@@ -1,14 +1,17 @@
 """Struct-of-arrays toolchain screening: one plan per processor, all at
 once, bit-identical to the scalar runner.
 
-:func:`screen_plans` executes *B* test plans against *B* processors
-simultaneously and returns the same :class:`ToolchainReport` objects —
-records, consistency records, temperatures, run metadata and RNG end
-positions all equal, bit for bit, to looping
-``TestFramework.execute(plan, processor)`` per processor.  The speedup
-comes from where toolchain time actually goes: thermal co-simulation
-and temperature readouts, which become lane-parallel NumPy updates on
-the existing :class:`~repro.thermal.batch.BatchPackageThermalModel`
+:class:`BatchScreeningEngine` executes *B* test plans against *B*
+processors simultaneously and returns the same :class:`ToolchainReport`
+objects — records, consistency records, temperatures, run metadata and
+RNG end positions all equal, bit for bit, to looping
+``TestFramework.execute(plan, processor)`` per processor.
+``TestFramework(engine="batch").execute_batch`` runs groups of two or
+more processors here; one processor always screens on the scalar
+runner, which is faster for a single lane.  The speedup comes from
+where toolchain time actually goes: thermal co-simulation and
+temperature readouts, which become lane-parallel NumPy updates on the
+existing :class:`~repro.thermal.batch.BatchPackageThermalModel`
 (busy-neighbour heating, cross-testcase heat persistence and the
 ``HEAT_THROTTLE`` ceiling all included, because the very same power
 rows drive it).
@@ -28,12 +31,14 @@ established for batched engines:
   sampling and ``ToolchainRunner._emit_records`` operand/bitflip
   draws — in scalar window → core → setting order;
 * heterogeneous plans run in lockstep global windows: every lane
-  advances by its own ``min(dt_s, remaining)`` window each iteration
+  advances by its own ``min(WINDOW_S, remaining)`` window each
+  iteration
   (:meth:`~repro.thermal.batch.BatchPackageThermalModel.step_lanewise`),
   finished lanes request 0.0 and hold exactly still.
 
 Preheat (Farron's burn-in) is batched with the same check-before-step
-semantics as :meth:`repro.thermal.stress.StressTool.preheat_to`.
+semantics and the same burn-in constants as
+:meth:`repro.thermal.stress.StressTool.preheat_to`.
 """
 
 from __future__ import annotations
@@ -46,22 +51,16 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..obs.context import span
 from ..cpu.features import Feature
-from ..cpu.isa import DEFAULT_ISA, ISA
 from ..cpu.processor import Processor
 from ..faults.trigger import TriggerModel
 from ..thermal.batch import BatchPackageThermalModel
+from ..thermal.stress import PREHEAT_DT_S, PREHEAT_TIMEOUT_S, STRESS_HEAT_FACTOR
 from .framework import TestPlan, ToolchainReport
 from .library import TestcaseLibrary
-from .runner import HEAT_THROTTLE, TestcaseRun, ToolchainRunner
+from .runner import HEAT_THROTTLE, WINDOW_S, TestcaseRun, ToolchainRunner
 from .testcase import ConsistencyKind
 
-__all__ = ["BatchScreeningEngine", "screen_plans", "screening_record_frame"]
-
-#: StressTool's default heat factor — the burn-in load the scalar
-#: framework applies during preheat.
-_STRESS_HEAT_FACTOR = 1.4
-_PREHEAT_DT_S = 2.0
-_PREHEAT_TIMEOUT_S = 3_600.0
+__all__ = ["BatchScreeningEngine", "screening_record_frame"]
 
 
 class _Lane:
@@ -101,7 +100,9 @@ class BatchScreeningEngine:
     """Runs per-processor test plans in lockstep across lanes.
 
     ``plans`` is either one shared :class:`TestPlan` or a sequence with
-    one plan per processor; ``seed`` likewise is shared or per-lane.
+    one plan per processor.  ``seed`` is shared: each lane draws from
+    its own ``substream(seed, "runner", processor_id)``, as a scalar
+    runner built with that seed does.
     After :meth:`run`, :attr:`runners` holds each lane's scalar
     :class:`ToolchainRunner` — its ``_rng.bit_generator.state`` is the
     lane's RNG end position, comparable against the scalar oracle's.
@@ -113,18 +114,12 @@ class BatchScreeningEngine:
         plans: Union[TestPlan, Sequence[TestPlan]],
         library: TestcaseLibrary,
         trigger_model: Optional[TriggerModel] = None,
-        seed: Union[int, Sequence[int]] = 0,
+        seed: int = 0,
         heat_scale: float = 1.0,
-        isa: ISA = DEFAULT_ISA,
-        dt_s: float = 10.0,
         obs=None,
     ):
         if not processors:
             raise ConfigurationError("processors must be non-empty")
-        if not math.isfinite(dt_s) or dt_s <= 0:
-            raise ConfigurationError(
-                f"dt_s must be a positive finite step in seconds, got {dt_s!r}"
-            )
         n = len(processors)
         if isinstance(plans, TestPlan):
             plans = [plans] * n
@@ -134,19 +129,9 @@ class BatchScreeningEngine:
                 raise ConfigurationError(
                     f"got {len(plans)} plans for {n} processors"
                 )
-        if isinstance(seed, int):
-            seeds = [seed] * n
-        else:
-            seeds = list(seed)
-            if len(seeds) != n:
-                raise ConfigurationError(
-                    f"got {len(seeds)} seeds for {n} processors"
-                )
         self.library = library
         self.trigger = trigger_model or TriggerModel()
-        self.isa = isa
         self.heat_scale = heat_scale
-        self.dt_s = dt_s
         self.obs = obs
         self.lanes = [
             _Lane(
@@ -156,8 +141,7 @@ class BatchScreeningEngine:
                 ToolchainRunner(
                     processor,
                     trigger_model=self.trigger,
-                    isa=isa,
-                    seed=seeds[i],
+                    seed=seed,
                     heat_scale=heat_scale,
                 ),
             )
@@ -171,7 +155,7 @@ class BatchScreeningEngine:
         self.elapsed = np.zeros(n)
         self.windows = 0
         #: testcase_id → throttled heat factor; shared across lanes
-        #: (heat depends only on testcase, ISA and heat_scale).
+        #: (heat depends only on testcase and heat_scale).
         self._heat: Dict[str, float] = {}
         # Per-lane constants the per-entry hot path leans on: the
         # unmasked-core column templates (one vector multiply writes a
@@ -210,9 +194,10 @@ class BatchScreeningEngine:
         """Batched ``StressTool.preheat_to`` for lanes whose plan asks.
 
         Scalar semantics per lane: check ``core_temp(0) >= target``
-        *before* each 2 s step, stress every physical core (masked
-        included) at ``(1.0, 1.4)``, give up after 3600 s of stepping.
-        Lanes without a preheat target never move.
+        *before* each ``PREHEAT_DT_S`` step, stress every physical core
+        (masked included) at ``(1.0, STRESS_HEAT_FACTOR)``, give up
+        after ``PREHEAT_TIMEOUT_S`` of stepping.  Lanes without a
+        preheat target never move.
         """
         thermal = self.thermal
         targets = np.array([
@@ -224,7 +209,7 @@ class BatchScreeningEngine:
             return
         n = thermal.n_lanes
         stress_powers = thermal.core_powers(
-            np.ones(n), np.full(n, _STRESS_HEAT_FACTOR)
+            np.ones(n), np.full(n, STRESS_HEAT_FACTOR)
         )
         preheat_elapsed = np.zeros(n)
         # The heating set shrinks monotonically (a lane drops out when
@@ -237,7 +222,7 @@ class BatchScreeningEngine:
         while True:
             core0 = thermal.t_package + thermal.deltas[:, 0]
             heating = (core0 < targets) & (
-                preheat_elapsed < _PREHEAT_TIMEOUT_S
+                preheat_elapsed < PREHEAT_TIMEOUT_S
             )
             if not heating.any():
                 return
@@ -247,7 +232,7 @@ class BatchScreeningEngine:
                 heat_powers = np.where(heating[:, None], stress_powers, 0.0)
                 total_power = thermal.total_power_rows(heat_powers)
                 prev_heating = heating
-            dt = np.where(heating, _PREHEAT_DT_S, 0.0)
+            dt = np.where(heating, PREHEAT_DT_S, 0.0)
             thermal.step_lanewise(dt, heat_powers, total_power=total_power)
             preheat_elapsed = preheat_elapsed + dt
             self.elapsed = self.elapsed + dt
@@ -282,7 +267,7 @@ class BatchScreeningEngine:
         heat = self._heat.get(entry.testcase_id)
         if heat is None:
             heat = min(
-                testcase.heat_factor(self.isa) * self.heat_scale,
+                testcase.heat_factor() * self.heat_scale,
                 HEAT_THROTTLE,
             )
             self._heat[entry.testcase_id] = heat
@@ -427,7 +412,6 @@ class BatchScreeningEngine:
     def _run(self) -> List[ToolchainReport]:
         thermal = self.thermal
         n = thermal.n_lanes
-        dt_cap = self.dt_s
         self._preheat()
         powers = np.zeros((n, thermal.max_cores))
         active_cols = np.zeros((n, thermal.max_cores), dtype=bool)
@@ -456,10 +440,10 @@ class BatchScreeningEngine:
         masked_temps = np.empty_like(temps)
         window_max = np.empty(n)
         while running.any():
-            # Scalar window: `step = min(dt_s, duration_s - elapsed)`,
+            # Scalar window: `step = min(WINDOW_S, duration_s - elapsed)`,
             # loop while `elapsed < duration_s - 1e-9`.
             dt = np.where(
-                running, np.minimum(dt_cap, durations - entry_elapsed), 0.0
+                running, np.minimum(WINDOW_S, durations - entry_elapsed), 0.0
             )
             thermal.step_lanewise(dt, powers, total_power=total_power)
             entry_elapsed = entry_elapsed + dt
@@ -496,36 +480,6 @@ class BatchScreeningEngine:
                         hot.pop(int(i), None)
                 total_power = thermal.total_power_rows(powers)
         return [lane.report for lane in self.lanes]
-
-
-def screen_plans(
-    processors: Sequence[Processor],
-    plans: Union[TestPlan, Sequence[TestPlan]],
-    library: TestcaseLibrary,
-    trigger_model: Optional[TriggerModel] = None,
-    seed: Union[int, Sequence[int]] = 0,
-    heat_scale: float = 1.0,
-    isa: ISA = DEFAULT_ISA,
-    dt_s: float = 10.0,
-    obs=None,
-) -> List[ToolchainReport]:
-    """Run one plan per processor on the batch screening engine.
-
-    Bit-identical to ``[TestFramework(...).execute(plan, p) for ...]``
-    with matching seeds — same records in the same order, same
-    temperatures, same RNG end positions per processor.
-    """
-    return BatchScreeningEngine(
-        processors,
-        plans,
-        library,
-        trigger_model=trigger_model,
-        seed=seed,
-        heat_scale=heat_scale,
-        isa=isa,
-        dt_s=dt_s,
-        obs=obs,
-    ).run()
 
 
 def screening_record_frame(reports: Sequence[ToolchainReport]):

@@ -112,10 +112,10 @@ class TestFramework:
         self.seed = seed
         self.heat_scale = heat_scale
         #: ``"scalar"`` runs plans one processor at a time on
-        #: :class:`ToolchainRunner` (the oracle); ``"batch"`` routes
-        #: single-processor :meth:`execute` calls and every
-        #: :meth:`execute_batch` group through the struct-of-arrays
-        #: screening engine — bit-identical results either way.
+        #: :class:`ToolchainRunner` (the oracle); ``"batch"`` runs each
+        #: :meth:`execute_batch` group of two or more processors on the
+        #: struct-of-arrays screening engine — bit-identical results
+        #: either way.  One processor always screens on the runner.
         self.engine = engine
 
     # -- plan construction ---------------------------------------------------
@@ -155,8 +155,6 @@ class TestFramework:
         order and prior heat matter (Observation 10).
         """
         if runner is None:
-            if self.engine == "batch":
-                return self.execute_batch(plan, [processor])[0]
             runner = self.runner_for(processor)
         report = ToolchainReport(processor_id=processor.processor_id)
         if plan.preheat_to_c is not None:
@@ -185,9 +183,12 @@ class TestFramework:
     ) -> List[ToolchainReport]:
         """Run one plan per processor (or a shared plan) as one group.
 
-        With ``engine="batch"`` the whole group executes on the
-        struct-of-arrays screening engine; with ``engine="scalar"`` it
-        is a plain loop over :meth:`execute`.  Both orders are
+        With ``engine="batch"`` a group of two or more processors
+        executes in lockstep on
+        :class:`~repro.testing.batch.BatchScreeningEngine`, which
+        counts its lanes, windows and errors on ``obs``; otherwise it
+        is a plain loop over :meth:`execute`, because one lane of the
+        batch engine is slower than the scalar runner.  Both orders are
         bit-identical — each processor draws from its own substream,
         so grouping is free.
         """
@@ -199,14 +200,14 @@ class TestFramework:
                 raise ConfigurationError(
                     f"got {len(plans)} plans for {len(processors)} processors"
                 )
-        if self.engine == "scalar":
+        if self.engine == "scalar" or len(processors) < 2:
             return [
-                self.execute(plan, processor, runner=self.runner_for(processor))
+                self.execute(plan, processor)
                 for plan, processor in zip(plans, processors)
             ]
-        from .batch import screen_plans
+        from .batch import BatchScreeningEngine
 
-        return screen_plans(
+        return BatchScreeningEngine(
             processors,
             plans,
             self.library,
@@ -214,7 +215,7 @@ class TestFramework:
             seed=self.seed,
             heat_scale=self.heat_scale,
             obs=obs,
-        )
+        ).run()
 
     def known_failing_plan(
         self,

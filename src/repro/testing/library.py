@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Sequence
 from ..errors import ConfigurationError
 from ..rng import substream
 from ..cpu.features import Feature
-from ..cpu.isa import DEFAULT_ISA, ISA
+from ..cpu.isa import DEFAULT_ISA
 from .testcase import Complexity, ConsistencyKind, Testcase
 
 __all__ = ["TOOLCHAIN_SIZE", "FEATURE_QUOTAS", "TestcaseLibrary", "build_library"]
@@ -123,7 +123,7 @@ def _normalized(mix: Dict[str, float]) -> Dict[str, float]:
     return {m: f / total for m, f in mix.items()}
 
 
-def build_library(seed: int = 633, isa: ISA = DEFAULT_ISA) -> TestcaseLibrary:
+def build_library(seed: int = 633) -> TestcaseLibrary:
     """Build the deterministic 633-testcase toolchain."""
     rng = substream(seed, "testcase-library")
     testcases: List[Testcase] = []
@@ -138,7 +138,7 @@ def build_library(seed: int = 633, isa: ISA = DEFAULT_ISA) -> TestcaseLibrary:
 
     # Group instructions by the primary (first-listed) feature.
     by_primary: Dict[Feature, List[str]] = {f: [] for f in FEATURE_QUOTAS}
-    for mnemonic, instruction in isa.instructions.items():
+    for mnemonic, instruction in DEFAULT_ISA.instructions.items():
         primary = instruction.features[0]
         if primary in by_primary:
             by_primary[primary].append(mnemonic)

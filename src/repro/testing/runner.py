@@ -28,7 +28,7 @@ from ..rng import substream
 from ..cpu import datatypes
 from ..cpu.defects import Defect
 from ..cpu.features import DataType, Feature
-from ..cpu.isa import DEFAULT_ISA, ISA, Instruction
+from ..cpu.isa import DEFAULT_ISA, Instruction
 from ..cpu.processor import Processor
 from ..faults.injector import FaultInjector
 from ..faults.trigger import TriggerModel
@@ -36,11 +36,17 @@ from ..thermal.model import PackageThermalModel
 from .records import ConsistencyRecord, RecordStore, SDCRecord
 from .testcase import ConsistencyKind, Testcase
 
-__all__ = ["TestcaseRun", "ToolchainRunner", "HEAT_THROTTLE"]
+__all__ = ["TestcaseRun", "ToolchainRunner", "HEAT_THROTTLE", "WINDOW_S"]
 
 #: Per-core heat-factor ceiling: sustained power is thermally throttled,
 #: keeping all-core burn-in just under the package temperature limit.
 HEAT_THROTTLE = 1.6
+
+#: Thermal co-simulation window of a screening run, in seconds: each
+#: window steps the package model once and samples every live setting
+#: once.  The batch engine advances its lanes by the same window, which
+#: is what keeps the two engines' records bit-identical.
+WINDOW_S = 10.0
 
 
 @dataclass
@@ -95,8 +101,6 @@ class ToolchainRunner:
         self,
         processor: Processor,
         trigger_model: Optional[TriggerModel] = None,
-        thermal: Optional[PackageThermalModel] = None,
-        isa: ISA = DEFAULT_ISA,
         seed: int = 0,
         heat_scale: float = 1.0,
     ):
@@ -104,8 +108,7 @@ class ToolchainRunner:
             raise ConfigurationError("heat_scale must be positive")
         self.processor = processor
         self.trigger = trigger_model or TriggerModel()
-        self.thermal = thermal or PackageThermalModel(processor.arch)
-        self.isa = isa
+        self.thermal = PackageThermalModel(processor.arch)
         #: Framework efficiency multiplier on testcase heat.  §5's
         #: "toolchain update" case: a more efficient framework burns
         #: fewer cycles, generates less heat, and reproduces fewer SDCs.
@@ -236,7 +239,7 @@ class ToolchainRunner:
         temperature_c: float,
         time_s: float,
     ) -> List[SDCRecord]:
-        instruction = self.isa[mnemonic]
+        instruction = DEFAULT_ISA[mnemonic]
         dtype = instruction.dtype
         # `FaultInjector.materialize`'s checks depend only on (defect,
         # dtype): run them once per burst, then corrupt each result
@@ -316,24 +319,19 @@ class ToolchainRunner:
         duration_s: float,
         cores: Optional[Sequence[int]] = None,
         store: Optional[RecordStore] = None,
-        dt_s: float = 10.0,
     ) -> TestcaseRun:
         """Run one testcase with live thermal co-simulation.
 
         ``cores`` are the physical cores under test (defaults to all
         non-masked cores, i.e. the framework's full-concurrency mode).
         The thermal state persists on the runner across calls, so
-        consecutive testcases see each other's remaining heat.
+        consecutive testcases see each other's remaining heat.  Time
+        advances in :data:`WINDOW_S` windows, the last one shortened
+        to end at ``duration_s``.
         """
         if not math.isfinite(duration_s) or duration_s <= 0:
             raise ConfigurationError(
                 f"duration_s must be positive and finite, got {duration_s!r}"
-            )
-        if not math.isfinite(dt_s) or dt_s <= 0:
-            # dt_s == 0 would make the thermal loop below spin forever
-            # without advancing elapsed time.
-            raise ConfigurationError(
-                f"dt_s must be a positive finite step in seconds, got {dt_s!r}"
             )
         if cores is None:
             cores = self.default_cores()
@@ -342,7 +340,7 @@ class ToolchainRunner:
             masked = [c for c in cores if c in self.processor.masked_cores]
             if masked:
                 raise ConfigurationError(f"cores {masked} are masked out")
-        heat = min(testcase.heat_factor(self.isa) * self.heat_scale, HEAT_THROTTLE)
+        heat = min(testcase.heat_factor() * self.heat_scale, HEAT_THROTTLE)
         loads = {core: (1.0, heat) for core in cores}
         run = TestcaseRun(
             processor_id=self.processor.processor_id,
@@ -356,7 +354,7 @@ class ToolchainRunner:
         core_settings = self.compiled_core_settings(testcase, cores)
         elapsed = 0.0
         while elapsed < duration_s - 1e-9:
-            step = min(dt_s, duration_s - elapsed)
+            step = min(WINDOW_S, duration_s - elapsed)
             self.thermal.step(step, loads)
             elapsed += step
             time_s = self.thermal.elapsed_s

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..cpu.features import DataType, Feature
-from ..cpu.isa import DEFAULT_ISA, ISA
+from ..cpu.features import Feature
+from ..cpu.isa import DEFAULT_ISA
 
 __all__ = ["Complexity", "ConsistencyKind", "Testcase"]
 
@@ -88,15 +88,6 @@ class Testcase:
             if fraction <= 0:
                 raise ConfigurationError("mix fractions must be positive")
 
-    def _heat_cache(self) -> Dict[int, Tuple[ISA, float]]:
-        # Lazily attached memo for heat_factor; the dataclass is frozen,
-        # so the cache is installed via object.__setattr__.
-        cache = getattr(self, "_heat_memo", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_heat_memo", cache)
-        return cache
-
     # -- usage --------------------------------------------------------------
 
     def usage_per_s(self, mnemonic: str) -> float:
@@ -112,15 +103,7 @@ class Testcase:
 
     # -- derived properties ---------------------------------------------------
 
-    def datatypes(self, isa: ISA = DEFAULT_ISA) -> Tuple[DataType, ...]:
-        """Result data types this testcase's instructions produce."""
-        return tuple(
-            dict.fromkeys(
-                isa[m].dtype for m in self.instruction_mix
-            )
-        )
-
-    def heat_factor(self, isa: ISA = DEFAULT_ISA) -> float:
+    def heat_factor(self) -> float:
         """Relative heat of running this testcase flat-out.
 
         The mix-weighted instruction heat; consistency testcases use a
@@ -128,16 +111,10 @@ class Testcase:
         """
         if self.is_consistency:
             return 1.1
-        cache = self._heat_cache()
-        entry = cache.get(id(isa))
-        if entry is not None and entry[0] is isa:
-            return entry[1]
-        value = sum(
-            fraction * isa[m].heat
+        return sum(
+            fraction * DEFAULT_ISA[m].heat
             for m, fraction in self.instruction_mix.items()
         )
-        cache[id(isa)] = (isa, value)
-        return value
 
     def hot_instructions(self, threshold: float = 0.5) -> Tuple[str, ...]:
         """Instructions taking at least ``threshold`` of the mix."""

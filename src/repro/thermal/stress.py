@@ -20,7 +20,18 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from .model import PackageThermalModel
 
-__all__ = ["StressTool"]
+__all__ = [
+    "PREHEAT_DT_S",
+    "PREHEAT_TIMEOUT_S",
+    "STRESS_HEAT_FACTOR",
+    "StressTool",
+]
+
+#: Heat factor of a stressed core: the burn-in load of a preheat.
+STRESS_HEAT_FACTOR = 1.4
+#: Preheat step, and the stepping time after which a preheat gives up.
+PREHEAT_DT_S = 2.0
+PREHEAT_TIMEOUT_S = 3_600.0
 
 
 @dataclass
@@ -28,7 +39,7 @@ class StressTool:
     """Drives selected cores at a fixed utilization to generate heat."""
 
     model: PackageThermalModel
-    heat_factor: float = 1.4
+    heat_factor: float = STRESS_HEAT_FACTOR
 
     def __post_init__(self) -> None:
         if self.heat_factor <= 0:
@@ -45,8 +56,8 @@ class StressTool:
         target_c: float,
         monitor_core: int,
         stress_cores: Optional[Sequence[int]] = None,
-        timeout_s: float = 3_600.0,
-        dt_s: float = 2.0,
+        timeout_s: float = PREHEAT_TIMEOUT_S,
+        dt_s: float = PREHEAT_DT_S,
     ) -> bool:
         """Heat the package until ``monitor_core`` reaches ``target_c``.
 

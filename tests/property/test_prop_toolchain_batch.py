@@ -1,8 +1,8 @@
 """Property: batch screening is bit-identical to the scalar runner.
 
 For random processor groups, random plans (testcase subsets, durations,
-optional preheat, optional per-entry core pinning) and random seeds, the
-struct-of-arrays engine must reproduce the scalar per-processor loop
+optional preheat, optional per-entry core pinning) and a random seed,
+the struct-of-arrays engine must reproduce the scalar per-processor loop
 exactly — every run field, every record, and each lane's RNG end state.
 """
 
@@ -62,16 +62,14 @@ def screening_cases(draw):
             )
         )
         plans.append((entries, preheat))
-    seeds = [
-        draw(st.integers(min_value=0, max_value=2**31 - 1)) for _ in names
-    ]
-    return names, plans, seeds
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return names, plans, seed
 
 
 @settings(max_examples=12, deadline=None)
 @given(case=screening_cases())
 def test_random_plans_bit_identical(library, case):
-    names, raw_plans, seeds = case
+    names, raw_plans, seed = case
     catalog = full_catalog()
     processors = [catalog[name] for name in names]
     ids = [tc.testcase_id for tc in library]
@@ -87,12 +85,12 @@ def test_random_plans_bit_identical(library, case):
             )
         )
     scalar_reports, scalar_states = [], []
-    for processor, plan, seed in zip(processors, plans, seeds):
-        framework = TestFramework(library, seed=seed)
+    framework = TestFramework(library, seed=seed)
+    for processor, plan in zip(processors, plans):
         runner = framework.runner_for(processor)
         scalar_reports.append(framework.execute(plan, processor, runner=runner))
         scalar_states.append(runner._rng.bit_generator.state)
-    engine = BatchScreeningEngine(processors, plans, library, seed=seeds)
+    engine = BatchScreeningEngine(processors, plans, library, seed=seed)
     batch_reports = engine.run()
     for scalar, batch, runner, state in zip(
         scalar_reports, batch_reports, engine.runners, scalar_states

@@ -4,7 +4,9 @@ import pytest
 
 from repro.analysis import DetectionFrame
 from repro.cli import build_parser, main
+from repro.cpu import catalog_processor
 from repro.resilience import CampaignSpec, ResilientCampaign
+from repro.testing import TestFramework
 
 
 class TestParser:
@@ -46,14 +48,14 @@ class TestParser:
         assert args.cpu == ["MIX1"]
         assert args.duration == 30.0
         assert args.preheat == 70.0
-        assert args.engine == "scalar"
 
     def test_test_command_multi_cpu_batch(self):
-        args = build_parser().parse_args(
-            ["test", "MIX1", "FPU1", "--engine", "batch"]
-        )
+        """The number of CPUs picks the screening engine; there is no
+        option for it."""
+        args = build_parser().parse_args(["test", "MIX1", "FPU1"])
         assert args.cpu == ["MIX1", "FPU1"]
-        assert args.engine == "batch"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["test", "MIX1", "--engine", "batch"])
 
     def test_version_exits(self):
         with pytest.raises(SystemExit) as exc:
@@ -104,6 +106,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SIMD1" in out
         assert "detected" in out
+
+    def test_test_several_cpus_print_the_scalar_lines(self, library, capsys):
+        """Two CPUs screen in lockstep on the batch engine and print
+        what screening each alone on the scalar runner prints."""
+        names = ["MIX1", "FPU1"]
+        assert main(["test", *names, "--duration", "30"]) == 0
+        grouped = capsys.readouterr().out
+        alone = ""
+        for name in names:
+            assert main(["test", name, "--duration", "30"]) == 0
+            alone += capsys.readouterr().out
+        assert grouped == alone
+        framework = TestFramework(library)
+        plan = framework.equal_allocation_plan(30.0)
+        counts = [
+            framework.execute(plan, catalog_processor(name)).error_count
+            for name in names
+        ]
+        assert [
+            int(line.split(":")[1])
+            for line in grouped.splitlines()
+            if "SDC records" in line
+        ] == counts
 
     def test_detectors_command(self, capsys):
         assert main(["detectors"]) == 0

@@ -64,17 +64,6 @@ class TestTestcase:
         assert testcase.usage_per_s("ADD_I32") == pytest.approx(9.0e5)
         assert testcase.usage_per_s("XOR_B64") == 0.0
 
-    def test_datatypes_derived(self):
-        testcase = Testcase(
-            testcase_id="t",
-            name="t",
-            feature=Feature.FPU,
-            complexity=Complexity.LIBRARY,
-            instruction_mix={"FADD_F64": 0.5, "FATAN_F64X": 0.5},
-        )
-        names = {d.value for d in testcase.datatypes()}
-        assert names == {"f64", "f64x"}
-
     def test_heat_factor_weighted(self):
         testcase = Testcase(
             testcase_id="t",

