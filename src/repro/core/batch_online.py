@@ -254,6 +254,7 @@ def simulate_online_batch(
     window_slots = np.arange(window)[None, :]
 
     steps = int(hours * 3_600.0 / dt_s)
+    drive_key = None
     engagements = 0
     track = obs is not None
     with span(
@@ -322,10 +323,15 @@ def simulate_online_batch(
                 )
             else:
                 granted = requested
-            powers = np.where(
-                active_mask, ((granted * heat) * budget)[:, None], 0.0
-            )
-            thermal.step(dt_s, powers)
+            # The drive is a pure function of the granted utilisation,
+            # which moves only at spike edges and backoff changes.
+            granted_key = granted.tobytes()
+            if granted_key != drive_key:
+                drive = thermal.drive(np.where(
+                    active_mask, ((granted * heat) * budget)[:, None], 0.0
+                ))
+                drive_key = granted_key
+            thermal.step(dt_s, drive)
             np.maximum(
                 max_temp, thermal.max_core_temp(active_mask), out=max_temp
             )

@@ -34,7 +34,11 @@ established for batched engines:
   advances by its own ``min(WINDOW_S, remaining)`` window each
   iteration
   (:meth:`~repro.thermal.batch.BatchPackageThermalModel.step_lanewise`),
-  finished lanes request 0.0 and hold exactly still.
+  finished lanes request 0.0 and hold exactly still;
+* power rows change only at entry boundaries, so the engine builds the
+  model's :meth:`~repro.thermal.batch.BatchPackageThermalModel.drive`
+  (``[total power | core powers]``) there and passes it to every
+  window in between.
 
 Preheat (Farron's burn-in) is batched with the same check-before-step
 semantics and the same burn-in constants as
@@ -213,12 +217,11 @@ class BatchScreeningEngine:
         )
         preheat_elapsed = np.zeros(n)
         # The heating set shrinks monotonically (a lane drops out when
-        # core 0 reaches target or it times out), so the power rows —
-        # and their pure-function row sum — only need recomputing on
-        # the rare iterations where membership changes.
+        # core 0 reaches target or it times out), so the drive only
+        # needs rebuilding on the rare iterations where membership
+        # changes.
         prev_heating = None
-        heat_powers = None
-        total_power = None
+        drive = None
         while True:
             core0 = thermal.t_package + thermal.deltas[:, 0]
             heating = (core0 < targets) & (
@@ -229,11 +232,12 @@ class BatchScreeningEngine:
             if prev_heating is None or not np.array_equal(
                 heating, prev_heating
             ):
-                heat_powers = np.where(heating[:, None], stress_powers, 0.0)
-                total_power = thermal.total_power_rows(heat_powers)
+                drive = thermal.drive(
+                    np.where(heating[:, None], stress_powers, 0.0)
+                )
                 prev_heating = heating
             dt = np.where(heating, PREHEAT_DT_S, 0.0)
-            thermal.step_lanewise(dt, heat_powers, total_power=total_power)
+            thermal.step_lanewise(dt, drive)
             preheat_elapsed = preheat_elapsed + dt
             self.elapsed = self.elapsed + dt
 
@@ -430,10 +434,10 @@ class BatchScreeningEngine:
                 ].duration_s
                 if lane.settings:
                     hot[lane.index] = lane
-        # Power rows only change at entry boundaries, so their scalar
-        # left-to-right row sum is carried across the windows in
-        # between (it's a pure function of the rows).
-        total_power = thermal.total_power_rows(powers)
+        # Power rows only change at entry boundaries, so their drive
+        # (a pure function of the rows) is carried across the windows
+        # in between.
+        drive = thermal.drive(powers)
         # Reusable window buffers; the np.*(..., out=) calls perform the
         # exact operations of the allocating forms they replace.
         temps = np.empty((n, thermal.max_cores))
@@ -445,7 +449,7 @@ class BatchScreeningEngine:
             dt = np.where(
                 running, np.minimum(WINDOW_S, durations - entry_elapsed), 0.0
             )
-            thermal.step_lanewise(dt, powers, total_power=total_power)
+            thermal.step_lanewise(dt, drive)
             entry_elapsed = entry_elapsed + dt
             self.elapsed = self.elapsed + dt
             self.windows += 1
@@ -478,7 +482,7 @@ class BatchScreeningEngine:
                     else:
                         running[i] = False
                         hot.pop(int(i), None)
-                total_power = thermal.total_power_rows(powers)
+                drive = thermal.drive(powers)
         return [lane.report for lane in self.lanes]
 
 

@@ -3,30 +3,38 @@
 :class:`BatchPackageThermalModel` steps *N* independent package models
 at once with NumPy array ops, **bit-identical per lane** to stepping
 *N* scalar :class:`~repro.thermal.model.PackageThermalModel` instances.
-The fleet-scale Farron online simulation
-(:func:`repro.core.batch_online.simulate_online_batch`) spends most of
-its time here, so the inner loop must be array-shaped — but the
+The Farron co-simulations (:mod:`repro.testing.batch`,
+:func:`repro.core.batch_online.simulate_online_batch`) spend most of
+their time here, so the inner loop must be array-shaped — but the
 benchmarks assert exact parity with the scalar path, so every
 floating-point operation must happen in the same order per lane:
 
-* NumPy elementwise ``+ - * /`` on float64 are the same IEEE-754
-  operations the scalar model performs, so per-lane sequences of
-  elementwise updates match bit for bit;
-* the package power sum accumulates **core by core along axis 1**
-  (``total = total + powers[:, i]``), reproducing the scalar
-  ``sum(powers)`` left-to-right addition order — a pairwise
-  ``np.sum(axis=1)`` would round differently;
+* one ``state`` array ``[lanes, 1 + max_cores]`` holds the package
+  temperature (column 0) and the core deltas; full-shape constants
+  ``offset`` (ambient | 0.0), ``R`` (r_package·cooling_factor | r_core)
+  and ``C`` (c_package | c_core) make both Euler updates one kernel,
+  ``x + ((q - (x - offset) / R) / C) * h``.  A core column computes
+  ``d - 0.0 == d`` and then the scalar model's own operations in its
+  order.  The constants stay full-shape: a ``(cols,)`` row broadcast
+  makes NumPy loop lane by lane;
+* the drive ``q`` (:meth:`drive`) is ``[total power | core powers]``;
+  the package power accumulates **core by core**, reproducing the
+  scalar ``sum(powers)`` left-to-right order (a pairwise
+  ``np.sum(axis=1)`` would round differently);
 * lanes with fewer cores than the widest lane are zero-padded; padded
   powers and deltas stay exactly ``0.0`` (their ODE is ``dD = (0 -
   0/R)/C = 0``) and ``x + 0.0 == x`` for the non-negative power sums,
   so padding never perturbs a lane;
-* the substep schedule (``min(c_core * r_core, 2.0)`` chunks of the
-  requested ``dt_s``) is identical for every lane because it depends
-  only on the shared :class:`~repro.thermal.model.ThermalParams`.
+* a dt vector becomes per-substep full-shape ``h`` arrays through the
+  scalar model's own ``min(remaining, max_substep)`` loop, lane by
+  lane; finished lanes get ``h = 0.0`` (``x + dX * 0.0 == x`` for the
+  finite thermal states).  The schedule is reused while callers pass
+  the same vector, which the window loops almost always do.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -42,9 +50,10 @@ class BatchPackageThermalModel:
     """Thermal state of ``N`` packages, stepped together.
 
     Lane ``i`` mirrors ``PackageThermalModel(archs[i], params,
-    cooling_factor)`` exactly.  Readouts are arrays over lanes; cores
-    beyond a lane's ``physical_cores`` are padding and must be masked
-    by the caller (see :attr:`core_mask`).
+    cooling_factor)`` exactly.  Readouts are arrays over lanes;
+    :attr:`t_package` and :attr:`deltas` are views into :attr:`state`.
+    Cores beyond a lane's ``physical_cores`` are padding and must be
+    masked by the caller (see :attr:`core_mask`).
     """
 
     def __init__(
@@ -57,7 +66,8 @@ class BatchPackageThermalModel:
             raise ConfigurationError("archs must be non-empty")
         if cooling_factor <= 0:
             raise ConfigurationError("cooling_factor must be positive")
-        self.params = params if params is not None else ThermalParams()
+        params = params if params is not None else ThermalParams()
+        self.params = params
         self.cooling_factor = cooling_factor
         self.n_lanes = len(archs)
         self.n_cores = np.array(
@@ -71,19 +81,29 @@ class BatchPackageThermalModel:
         #: Max dynamic watts per core at heat factor 1.0, per lane.
         self.dynamic_budget_per_core = np.array(
             [
-                (arch.tdp_watts - self.params.idle_power_w)
-                / arch.physical_cores
+                (arch.tdp_watts - params.idle_power_w) / arch.physical_cores
                 for arch in archs
             ]
         )
-        # Idle equilibrium, the scalar model's starting temperature.
-        # One scalar expression broadcast to all lanes — identical to
-        # each lane's own equilibrium_package_temp(0.0).
-        idle_equilibrium = self.params.ambient_c + (
-            self.params.idle_power_w * self.params.r_package * cooling_factor
+        shape = (self.n_lanes, 1 + self.max_cores)
+        self.offset = np.zeros(shape)
+        self.offset[:, 0] = params.ambient_c
+        self.R = np.full(shape, params.r_core)
+        self.R[:, 0] = params.r_package * cooling_factor
+        self.C = np.full(shape, params.c_core)
+        self.C[:, 0] = params.c_package
+        #: [n_lanes, 1 + max_cores]: package temperature | core deltas.
+        #: Starts at idle equilibrium, one scalar expression identical
+        #: to each lane's own ``equilibrium_package_temp(0.0)``.
+        self.state = np.zeros(shape)
+        self.state[:, 0] = params.ambient_c + (
+            params.idle_power_w * params.r_package * cooling_factor
         )
-        self.t_package = np.full(self.n_lanes, idle_equilibrium)
-        self.deltas = np.zeros((self.n_lanes, self.max_cores))
+        self.t_package = self.state[:, 0]
+        self.deltas = self.state[:, 1:]
+        self._scratch = np.empty(shape)
+        self._dt_key: Optional[bytes] = None
+        self._schedule: List[np.ndarray] = []
         self.elapsed_s = 0.0
         #: Integration substeps executed so far (all lanes advance
         #: together, so this counts wall work, not lane-substeps).
@@ -100,7 +120,7 @@ class BatchPackageThermalModel:
         the product associates ``(utilization * heat_factor) * budget``
         — applied to every existing core of the lane; padded cores get
         exactly 0.0.  Callers zero out additional columns (masked
-        cores) before stepping.
+        cores) before building the :meth:`drive`.
         """
         if np.any(utilization < 0.0) or np.any(utilization > 1.0):
             raise ConfigurationError("utilization must be in [0, 1]")
@@ -111,103 +131,80 @@ class BatchPackageThermalModel:
         )
         return np.where(self.core_mask, per_core[:, None], 0.0)
 
-    def total_power_rows(self, powers: np.ndarray) -> np.ndarray:
-        """Per-lane package watts: idle power plus the core-by-core sum.
+    def drive(self, powers: np.ndarray) -> np.ndarray:
+        """``[total power | core powers]`` for ``powers`` [n_lanes, max_cores].
 
-        Scalar ``sum(powers)`` starts from 0 and adds left to right; a
-        padded column adds +0.0, which is exact for the non-negative
-        power rows.  The result depends on ``powers`` alone, so callers
-        whose power rows persist across windows (the screening engine's
-        plan entries) may compute it once and pass it back into
-        :meth:`step_lanewise` unchanged.
+        The total is idle power plus the scalar ``sum(powers)``: it
+        starts from 0 and adds core by core, and a padded column adds
+        +0.0, which is exact for the non-negative power rows.  A drive
+        depends on ``powers`` alone, so callers build it only when
+        their power rows change and pass it to every step in between.
         """
-        total_power = np.zeros(self.n_lanes)
+        total = np.zeros(self.n_lanes)
         for core in range(self.max_cores):
-            total_power = total_power + powers[:, core]
-        return self.params.idle_power_w + total_power
+            total = total + powers[:, core]
+        drive = np.empty_like(self.state)
+        drive[:, 0] = self.params.idle_power_w + total
+        drive[:, 1:] = powers
+        return drive
 
-    def step(self, dt_s: float, powers: np.ndarray) -> None:
-        """Advance every lane ``dt_s`` seconds under ``powers`` watts.
+    def step(self, dt_s: float, drive: np.ndarray) -> None:
+        """Advance every lane ``dt_s`` seconds under ``drive``.
 
-        ``powers`` is [n_lanes, max_cores] with padded columns equal to
-        0.0 (see :meth:`core_powers`).  The substep loop, the
-        core-by-core power accumulation, and the two Euler updates are
-        the scalar model's, evaluated lane-parallel.
+        ``drive`` comes from :meth:`drive`; the lanes share one clock.
         """
         if dt_s <= 0:
             raise ConfigurationError("dt_s must be positive")
-        params = self.params
-        r_eff = params.r_package * self.cooling_factor
-        total_power = self.total_power_rows(powers)
-        remaining = dt_s
-        max_substep = min(params.c_core * params.r_core, 2.0)
-        while remaining > 1e-12:
-            h = min(remaining, max_substep)
-            dT = (
-                total_power - (self.t_package - params.ambient_c) / r_eff
-            ) / params.c_package
-            self.t_package = self.t_package + dT * h
-            dD = (powers - self.deltas / params.r_core) / params.c_core
-            self.deltas = self.deltas + dD * h
-            remaining -= h
-            self.substeps += 1
+        self.step_lanewise(np.full(self.n_lanes, dt_s), drive)
         self.elapsed_s += dt_s
 
-    def step_lanewise(
-        self,
-        dt_lanes: np.ndarray,
-        powers: np.ndarray,
-        total_power: Optional[np.ndarray] = None,
-    ) -> None:
-        """Advance lane ``i`` by ``dt_lanes[i]`` seconds under ``powers``.
+    def step_lanewise(self, dt_lanes: np.ndarray, drive: np.ndarray) -> None:
+        """Advance lane ``i`` by ``dt_lanes[i]`` seconds under ``drive``.
 
-        The toolchain screening engine runs heterogeneous plans in
-        lockstep: lanes mid-entry request their own window lengths, and
-        finished lanes request 0.0 and must not move.  Per lane the
-        substep schedule is exactly the scalar model's — the same
-        ``min(remaining, max_substep)`` chunks in the same order —
-        realized lane-parallel by zeroing the finished lanes'
-        ``h``: ``x + dX * 0.0 == x`` exactly for the finite thermal
-        states, so an idle lane's Euler update is the identity while
-        the others keep integrating.
-
-        ``total_power``, when given, must equal
-        ``total_power_rows(powers)`` — a cache the screening engine
-        carries across the many windows a plan entry spans, since the
-        accumulation is a pure function of the unchanged power rows.
-
-        Unlike :meth:`step` this does not advance :attr:`elapsed_s`
-        (the lanes no longer share one clock); the caller tracks
+        The screening engine runs heterogeneous plans in lockstep:
+        lanes mid-entry request their own window lengths, finished
+        lanes request 0.0 and hold exactly still.  Unlike :meth:`step`
+        this does not advance :attr:`elapsed_s`; the caller tracks
         per-lane elapsed time itself.
         """
-        if np.any(dt_lanes < 0.0):
+        state, scratch = self.state, self._scratch
+        schedule = self._substep_schedule(dt_lanes)
+        for h in schedule:
+            # Every `out=` call is one IEEE-754 op of the scalar update.
+            np.subtract(state, self.offset, out=scratch)
+            np.divide(scratch, self.R, out=scratch)
+            np.subtract(drive, scratch, out=scratch)
+            np.divide(scratch, self.C, out=scratch)
+            np.multiply(scratch, h, out=scratch)
+            np.add(state, scratch, out=state)
+        self.substeps += len(schedule)
+
+    def _substep_schedule(self, dt_lanes: np.ndarray) -> List[np.ndarray]:
+        """Full-shape ``h`` per substep of ``dt_lanes``, cached by value."""
+        dt = np.asarray(dt_lanes, dtype=float)
+        key = dt.tobytes()
+        if key == self._dt_key:
+            return self._schedule
+        if np.any(dt < 0.0):
             raise ConfigurationError("dt_lanes must be non-negative")
-        params = self.params
-        r_eff = params.r_package * self.cooling_factor
-        if total_power is None:
-            total_power = self.total_power_rows(powers)
-        remaining = np.array(dt_lanes, dtype=float)
-        max_substep = min(params.c_core * params.r_core, 2.0)
-        active = remaining > 1e-12
-        # One scratch buffer instead of four temporaries per substep.
-        # Every np.* call below performs the same IEEE-754 operation in
-        # the same order as the allocating expressions it replaces —
-        # `out=` changes where results land, not what they are.
-        scratch = np.empty_like(self.deltas)
-        while active.any():
-            h = np.where(active, np.minimum(remaining, max_substep), 0.0)
-            dT = (
-                total_power - (self.t_package - params.ambient_c) / r_eff
-            ) / params.c_package
-            self.t_package = self.t_package + dT * h
-            np.divide(self.deltas, params.r_core, out=scratch)
-            np.subtract(powers, scratch, out=scratch)
-            np.divide(scratch, params.c_core, out=scratch)
-            np.multiply(scratch, h[:, None], out=scratch)
-            self.deltas += scratch
-            remaining = remaining - h
-            active = remaining > 1e-12
-            self.substeps += 1
+        max_substep = min(self.params.c_core * self.params.r_core, 2.0)
+        lanes = []
+        for remaining in dt.tolist():
+            chunks = []
+            while remaining > 1e-12:
+                h = min(remaining, max_substep)
+                chunks.append(h)
+                remaining -= h
+            lanes.append(chunks)
+        schedule: List[np.ndarray] = []
+        previous = None
+        for column in zip_longest(*lanes, fillvalue=0.0):
+            if column != previous:  # a run of equal substeps shares one h
+                previous = column
+                h = np.repeat(np.array([column]).T, self.state.shape[1], 1)
+            schedule.append(h)
+        self._dt_key, self._schedule = key, schedule
+        return schedule
 
     # -- readouts -----------------------------------------------------------
 

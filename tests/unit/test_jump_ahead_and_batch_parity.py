@@ -78,7 +78,7 @@ def test_batch_thermal_bit_identical_to_scalar(catalog):
     for step in range(25):
         dt = 5.0 if step % 3 else 0.7  # exercise the substep loop
         powers = batch.core_powers(np.array(utils), np.array(heats))
-        batch.step(dt, powers)
+        batch.step(dt, batch.drive(powers))
         for lane, scalar in enumerate(scalars):
             scalar.step(
                 dt,

@@ -343,7 +343,7 @@ class TestLanewiseThermal:
         ]
         for dt0, dt1, heat in schedule:
             powers = batch.core_powers(np.ones(2), np.full(2, heat))
-            batch.step_lanewise(np.array([dt0, dt1]), powers)
+            batch.step_lanewise(np.array([dt0, dt1]), batch.drive(powers))
             for scalar, dt, arch in zip(scalars, (dt0, dt1), archs):
                 if dt > 0.0:
                     scalar.step(
@@ -362,11 +362,11 @@ class TestLanewiseThermal:
         archs = [catalog_processor("MIX1").arch]
         batch = BatchPackageThermalModel(archs)
         powers = np.where(batch.core_mask, 1.75, 0.0)
-        cached = batch.total_power_rows(powers)
+        cached = batch.drive(powers)
         fresh = BatchPackageThermalModel(archs)
-        fresh.step_lanewise(np.array([10.0]), powers, total_power=cached)
+        fresh.step_lanewise(np.array([10.0]), cached)
         plain = BatchPackageThermalModel(archs)
-        plain.step_lanewise(np.array([10.0]), powers)
+        plain.step_lanewise(np.array([10.0]), plain.drive(powers))
         assert fresh.t_package.tolist() == plain.t_package.tolist()
         assert fresh.deltas.tolist() == plain.deltas.tolist()
 
