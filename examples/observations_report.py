@@ -22,7 +22,9 @@ def main(total: int = 300_000) -> int:
     campaign = TestPipeline(fleet, library, seed=1).run()
     print("collecting the catalog SDC-record corpus ...")
     corpus = build_catalog_corpus(catalog, library)
-    print(f"  {len(corpus)} records from {len(corpus.settings())} settings\n")
+    settings = {record.setting for record in corpus.records}
+    settings.update(record.setting for record in corpus.consistency_records)
+    print(f"  {len(corpus)} records from {len(settings)} settings\n")
 
     report = check_all_observations(
         fleet, campaign, catalog, library, corpus=corpus

@@ -5,9 +5,11 @@ ten thousand records in the paper, hundreds of thousands in the
 synthetic fleet corpora — and the scalar analysis modules
 (:mod:`repro.analysis.bitflips`, :mod:`repro.analysis.precision`) pay a
 Python-level loop per record, per bit, per setting.  This module is the
-columnar fast path: a :class:`RecordFrame` lowers a
-:class:`~repro.testing.records.RecordStore` into NumPy columns *once*,
-and every figure kernel becomes a handful of whole-column operations.
+columnar fast path: a :class:`RecordFrame` reads a
+:class:`~repro.testing.records.RecordStore`'s record columns as the
+runner emitted them (expected/actual words, one context row per burst)
+without building a record object, and every figure kernel becomes a
+handful of whole-column operations.
 
 Every kernel is **bit-identical** to its scalar counterpart under the
 same corpus:
@@ -33,14 +35,14 @@ is exactly integer order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..cpu.features import DataType
 from ..perf.bitops import popcount_u64
-from ..testing.records import RecordStore, SDCRecord, SettingKey
+from ..testing.records import RecordStore, SettingKey
 from .bitflips import PATTERN_THRESHOLD, BitflipHistogram
 from .precision import PrecisionSummary
 
@@ -58,8 +60,6 @@ __all__ = [
     "empirical_cdf_frame",
     "summarize_precision_frame",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 #: Stable dtype→code mapping shared by every frame.
 _DTYPE_ORDER: Tuple[DataType, ...] = tuple(DataType)
@@ -185,68 +185,52 @@ class RecordFrame:
 
     @classmethod
     def from_store(cls, store: RecordStore) -> "RecordFrame":
-        return cls.from_records(store.records)
+        """The frame over a store's record columns, taken as they are.
 
-    @classmethod
-    def from_records(cls, records: Sequence[SDCRecord]) -> "RecordFrame":
-        n = len(records)
-        expected_lo = np.empty(n, np.uint64)
-        expected_hi = np.empty(n, np.uint64)
-        actual_lo = np.empty(n, np.uint64)
-        actual_hi = np.empty(n, np.uint64)
-        dtype_code = np.empty(n, np.int16)
-        setting_code = np.empty(n, np.int32)
-        processor_code = np.empty(n, np.int32)
-        testcase_code = np.empty(n, np.int32)
-
+        Codes are assigned per burst (one context row per burst of
+        records) in first-appearance order, then repeated over the
+        burst's rows.
+        """
+        columns = store.records.columns()
+        n_bursts = len(columns.bursts)
+        burst_dtype = np.empty(n_bursts, np.int16)
+        burst_setting = np.empty(n_bursts, np.int32)
+        burst_processor = np.empty(n_bursts, np.int32)
+        burst_testcase = np.empty(n_bursts, np.int32)
         settings: Dict[SettingKey, int] = {}
         processors: Dict[str, int] = {}
         testcases: Dict[str, int] = {}
         dtype_codes = _DTYPE_CODE
-        for row, record in enumerate(records):
-            expected = record.expected_bits
-            actual = record.actual_bits
-            expected_lo[row] = expected & _MASK64
-            expected_hi[row] = expected >> 64
-            actual_lo[row] = actual & _MASK64
-            actual_hi[row] = actual >> 64
-            dtype_code[row] = dtype_codes[record.dtype]
-            processor_id = record.processor_id
-            testcase_id = record.testcase_id
-            key = (processor_id, testcase_id)
-            code = settings.get(key)
-            if code is None:
-                code = len(settings)
-                settings[key] = code
-            setting_code[row] = code
-            pcode = processors.get(processor_id)
-            if pcode is None:
-                pcode = len(processors)
-                processors[processor_id] = pcode
-            processor_code[row] = pcode
-            tcode = testcases.get(testcase_id)
-            if tcode is None:
-                tcode = len(testcases)
-                testcases[testcase_id] = tcode
-            testcase_code[row] = tcode
-
-        mask_lo = expected_lo ^ actual_lo
-        mask_hi = expected_hi ^ actual_hi
-        precision_loss = _precision_loss_column(
-            expected_lo, expected_hi, actual_lo, actual_hi, dtype_code
-        )
+        for index, burst in enumerate(columns.bursts):
+            processor_id, testcase_id = burst[0], burst[1]
+            burst_dtype[index] = dtype_codes[burst[5]]
+            burst_setting[index] = settings.setdefault(
+                (processor_id, testcase_id), len(settings)
+            )
+            burst_processor[index] = processors.setdefault(
+                processor_id, len(processors)
+            )
+            burst_testcase[index] = testcases.setdefault(
+                testcase_id, len(testcases)
+            )
+        counts = columns.counts
+        expected_lo, expected_hi = columns.expected_lo, columns.expected_hi
+        actual_lo, actual_hi = columns.actual_lo, columns.actual_hi
+        dtype_code = np.repeat(burst_dtype, counts)
         return cls(
             expected_lo=expected_lo,
             expected_hi=expected_hi,
             actual_lo=actual_lo,
             actual_hi=actual_hi,
-            mask_lo=mask_lo,
-            mask_hi=mask_hi,
+            mask_lo=expected_lo ^ actual_lo,
+            mask_hi=expected_hi ^ actual_hi,
             dtype_code=dtype_code,
-            setting_code=setting_code,
-            processor_code=processor_code,
-            testcase_code=testcase_code,
-            precision_loss=precision_loss,
+            setting_code=np.repeat(burst_setting, counts),
+            processor_code=np.repeat(burst_processor, counts),
+            testcase_code=np.repeat(burst_testcase, counts),
+            precision_loss=_precision_loss_column(
+                expected_lo, expected_hi, actual_lo, actual_hi, dtype_code
+            ),
             settings=tuple(settings),
             processors=tuple(processors),
             testcases=tuple(testcases),

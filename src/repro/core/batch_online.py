@@ -257,6 +257,10 @@ def simulate_online_batch(
     drive_key = None
     engagements = 0
     track = obs is not None
+    # Core temperatures are read once per step, after it: their masked
+    # maximum is both the step's max-temperature sample and the next
+    # step's `hottest`, and the SDC gate reads the same array.
+    hottest = thermal.max_core_temp(active_mask)
     with span(
         obs, "online.simulate_batch", lanes=n, steps=steps,
         protected=protected, control=control, mode="batch",
@@ -268,7 +272,6 @@ def simulate_online_batch(
                 raise ConfigurationError(
                     "requested_utilization must be in [0, 1]"
                 )
-            hottest = thermal.max_core_temp(active_mask)
             if protected:
                 if not np.all(np.isfinite(hottest)):
                     raise ConfigurationError("temperature_c must be finite")
@@ -332,13 +335,12 @@ def simulate_online_batch(
                 ))
                 drive_key = granted_key
             thermal.step(dt_s, drive)
-            np.maximum(
-                max_temp, thermal.max_core_temp(active_mask), out=max_temp
-            )
+            temps = thermal.core_temps()
+            hottest = np.where(active_mask, temps, -np.inf).max(axis=1)
+            np.maximum(max_temp, hottest, out=max_temp)
             # -- SDC sampling: vectorized gate, scalar math on survivors ------
             if len(e_rows):
                 usage_e = e_usage_base * granted[e_lane]
-                temps = thermal.core_temps()
                 temp_e = temps[e_lane, e_core]
                 passing = (
                     (usage_e > 0.0)

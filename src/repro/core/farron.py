@@ -209,22 +209,12 @@ class Farron:
         plan = self.scheduler.targeted_plan(processor_id, boundary.boundary_c)
         targeted = self.framework.execute(plan, entry.masked_processor())
         self._record_round("targeted", targeted)
-        defective_cores: Set[int] = {
-            record.pcore_id for record in targeted.store.records
-        }
-        defective_cores.update(
-            record.pcore_id for record in targeted.store.consistency_records
-        )
+        defective_cores = targeted.store.pcore_ids()
         # Fall back to the triggering round's records if the targeted
         # round got unlucky — a detection with no located core would
         # otherwise leave a known-bad processor online unmasked.
         if not defective_cores:
-            defective_cores = {
-                record.pcore_id for record in report.store.records
-            }
-            defective_cores.update(
-                record.pcore_id for record in report.store.consistency_records
-            )
+            defective_cores = report.store.pcore_ids()
         status = self.pool.apply_core_verdict(processor_id, defective_cores)
         return status, tuple(sorted(defective_cores))
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..faults.bitflip import PatternBitflip, PositionBiasedBitflip
 from ..perf.exact_rng import VectorPCG64, derive_seed_batch
@@ -162,7 +160,8 @@ def _core_multiplier_sums(
     """``sum(_core_multipliers(n, name).values())`` for each pair.
 
     Every name's substream is replayed lane-parallel through
-    :mod:`repro.perf.exact_rng`.  ``10.0 ** x`` stays Python's float
+    :mod:`repro.perf.exact_rng`, all of its draws at once by
+    closed-form jump-ahead.  ``10.0 ** x`` stays Python's float
     pow (libm; NumPy's vectorised power may differ in the last ulp) and
     the sum stays Python's ``sum()`` over ``[1.0, m1, ...]``, which is
     compensated from Python 3.12 on, so each total equals the scalar
@@ -177,9 +176,7 @@ def _core_multiplier_sums(
     ))
     low, high = _MULTIPLIER_LOG10
     width = max(n_cores) - 1
-    draws = np.stack(
-        [streams.uniform(low, high) for _ in range(width)], axis=1
-    ).tolist()
+    draws = streams.uniform_block(low, high, width).tolist()
     pow10 = (10.0).__pow__
     for lane, row in zip(lanes, draws):
         sums[lane] = sum([1.0, *map(pow10, row[:n_cores[lane] - 1])])

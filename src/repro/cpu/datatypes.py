@@ -10,19 +10,28 @@ native Python/NumPy portable representation.
 
 Precision loss (Figure 4(e)-(h)) is the relative error
 ``|actual - expected| / |expected|`` computed on decoded values.
+
+Record columns hold the same patterns as uint64 low/high word pairs
+(only ``float64x`` has a high word): :func:`encode_words` encodes a
+whole burst of values through NumPy where that is bit-exact, and
+:func:`split_words` splits Python-int patterns into the pair.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import DataTypeError
 from .features import DataType
 
 __all__ = [
     "encode",
+    "encode_words",
+    "split_words",
     "decode",
     "flip",
     "xor_mask",
@@ -72,6 +81,110 @@ def encode(value, dtype: DataType) -> int:
     if not 0 <= value < (1 << width):
         raise DataTypeError(f"{value} out of range for {dtype}")
     return value
+
+
+#: A column of patterns as (low 64 bits, high bits or ``None``).
+Words = Tuple[np.ndarray, Optional[np.ndarray]]
+
+_MASK64 = (1 << 64) - 1
+_U64 = np.uint64
+
+
+def split_words(patterns: Sequence[int], width: int) -> Words:
+    """``width``-bit patterns as uint64 low words, plus high words.
+
+    The high word is ``None`` for widths of at most 64 bits.
+    """
+    if width <= 64:
+        return np.array(patterns, dtype=np.uint64), None
+    return (
+        np.array([bits & _MASK64 for bits in patterns], dtype=np.uint64),
+        np.array([bits >> 64 for bits in patterns], dtype=np.uint64),
+    )
+
+
+def encode_words(values: Sequence, dtype: DataType) -> Words:
+    """``[encode(v, dtype) for v in values]`` as :func:`split_words` words.
+
+    Floats convert as whole columns: float64 reinterprets, float32
+    narrows with the C cast ``struct`` performs, and float64x builds
+    from each double's sign, exponent and fraction.  Integers convert
+    after one type and range check per column.  Any value the column
+    path cannot prove exact (a float32 overflow, a NaN, a non-``int``
+    or out-of-range integer) sends the burst through :func:`encode`,
+    which returns or raises exactly what it always does.
+    """
+    words = _encode_column(values, dtype)
+    if words is None:
+        return split_words(
+            [encode(value, dtype) for value in values], dtype.width
+        )
+    return words
+
+
+def _encode_column(values: Sequence, dtype: DataType) -> Optional[Words]:
+    if dtype.is_float:
+        doubles = np.array(values, dtype=np.float64)
+        if dtype is DataType.FLOAT64:
+            return doubles.view(np.uint64), None
+        if dtype is DataType.FLOAT32:
+            with np.errstate(over="ignore", invalid="ignore"):
+                singles = doubles.astype(np.float32)
+            if np.any(np.isnan(doubles) | (
+                np.isinf(singles) & np.isfinite(doubles)
+            )):
+                return None
+            return singles.view(np.uint32).astype(np.uint64), None
+        return _float80_words(doubles.view(np.uint64))
+    if not all(type(value) is int for value in values):
+        return None
+    width = dtype.width
+    if dtype is DataType.INT16 or dtype is DataType.INT32:
+        low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    else:
+        low, high = 0, (1 << width) - 1
+    if len(values) and (min(values) < low or max(values) > high):
+        return None
+    if width == 64:
+        return np.array(values, dtype=np.uint64), None
+    ints = np.array(values, dtype=np.int64)
+    return (ints & ((1 << width) - 1)).astype(np.uint64), None
+
+
+def _float80_words(bits: np.ndarray) -> Words:
+    """x87 extended words of doubles given as their uint64 patterns.
+
+    The column form of :func:`_encode_float80`: a normal double keeps
+    its fraction under an explicit integer bit and rebiases its
+    exponent; a subnormal one normalizes its fraction by its bit
+    length; zeros keep their sign, infinities and NaNs take the
+    all-ones exponent (a NaN the quiet-NaN significand).
+    """
+    sign = (bits >> _U64(63)) << _U64(15)
+    exponent = (bits >> _U64(52)) & _U64(0x7FF)
+    fraction = bits & _U64((1 << 52) - 1)
+    high = sign | (exponent + _U64(FLOAT64X_BIAS - 1023))
+    low = _U64(1 << 63) | (fraction << _U64(11))
+    zero_exponent = exponent == 0
+    subnormal = np.flatnonzero(zero_exponent & (fraction != 0))
+    if subnormal.size:
+        # frexp of an integer-valued double returns its bit length.
+        length = np.frexp(fraction[subnormal].astype(np.float64))[1]
+        high[subnormal] = sign[subnormal] | (
+            length + (FLOAT64X_BIAS - 1075)
+        ).astype(np.uint64)
+        low[subnormal] = fraction[subnormal] << (64 - length).astype(
+            np.uint64
+        )
+    zero = zero_exponent & (fraction == 0)
+    high[zero] = sign[zero]
+    low[zero] = 0
+    special = exponent == 0x7FF
+    high[special] = sign[special] | _U64(0x7FFF)
+    low[special] = np.where(
+        fraction[special] != 0, _U64(3 << 62), _U64(1 << 63)
+    )
+    return low, high
 
 
 def decode(bits: int, dtype: DataType):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +54,29 @@ class BitflipModel(abc.ABC):
     def sample_mask(self, dtype: DataType, rng: np.random.Generator) -> int:
         """Return a non-zero XOR mask that fits in ``dtype.width`` bits."""
 
+    def mask_sampler(
+        self, dtype: DataType
+    ) -> Callable[[np.random.Generator], int]:
+        """:meth:`sample_mask` bound to ``dtype``.
+
+        Models override it to look up their per-dtype tables once, when
+        the sampler is built, instead of once per mask.
+        """
+        sample = self.sample_mask
+        return lambda rng: sample(dtype, rng)
+
+    def sample_masks(
+        self, dtype: DataType, rng: np.random.Generator, count: int
+    ) -> List[int]:
+        """``count`` masks for one burst of ``dtype`` errors.
+
+        Equal to ``count`` calls of :meth:`sample_mask`, masks and
+        generator end state alike, with one :meth:`mask_sampler` per
+        burst.
+        """
+        draw = self.mask_sampler(dtype)
+        return [draw(rng) for _ in range(count)]
+
 
 def _sample_flip_count(
     probs: Sequence[float], rng: np.random.Generator, max_bits: int
@@ -66,6 +89,30 @@ def _sample_flip_count(
         return 2
     # ">2" resolves to 3-4 flips, capped by the representation width.
     return min(int(rng.integers(3, 5)), max_bits)
+
+
+def _uniform_mask(
+    probs: Sequence[float], rng: np.random.Generator, width: int
+) -> int:
+    """A mask of ``probs``-distributed size at uniform distinct positions."""
+    count = _sample_flip_count(probs, rng, width)
+    positions = rng.choice(width, size=count, replace=False)
+    mask = 0
+    for pos in positions:
+        mask |= 1 << int(pos)
+    return mask
+
+
+def _sample_position(
+    low: int, high: int, mean: float, sd: float, rng: np.random.Generator
+) -> int:
+    """One Gaussian bit index in ``[low, high]``, redrawn up to 64 times
+    before a uniform fallback."""
+    for _ in range(64):
+        pos = int(round(rng.normal(mean, sd)))
+        if low <= pos <= high:
+            return pos
+    return int(rng.integers(low, high + 1))
 
 
 #: How often a float flip lands in the fraction field, per type.
@@ -116,49 +163,60 @@ class PositionBiasedBitflip(BitflipModel):
         if not 0.0 <= self.fraction_bias <= 1.0:
             raise ConfigurationError("fraction_bias must be in [0,1]")
 
-    def _position_range(self, dtype: DataType, rng: np.random.Generator) -> Tuple[int, int]:
-        """Inclusive (low, high) bit-index range to draw from."""
-        width = dtype.width
-        if dtype.is_float:
-            bias = min(self.fraction_bias, _FRACTION_BIAS[dtype])
-            if rng.random() < bias:
-                _, fraction_bits = dtype.float_fields
-                guard = _FRACTION_GUARD[dtype]
-                return 0, max(fraction_bits - 1 - guard, 1)
-        return 0, width - 1
-
-    def _sample_position(self, low: int, high: int, rng: np.random.Generator) -> int:
+    def _range(self, low: int, high: int) -> Tuple[int, int, float, float]:
+        """An inclusive bit-index range with its Gaussian mean and sd."""
         span = high - low + 1
-        mean = low + self.center * (span - 1)
-        sd = self.spread * span
-        for _ in range(64):
-            pos = int(round(rng.normal(mean, sd)))
-            if low <= pos <= high:
-                return pos
-        return int(rng.integers(low, high + 1))
+        return low, high, low + self.center * (span - 1), self.spread * span
+
+    def _layout(self, dtype: DataType):
+        """Per-dtype draw constants of a numeric mask.
+
+        ``(bias, fraction_range, full_range)``: a float draws the
+        fraction range with probability ``bias`` (Observation 7), an
+        integer always draws the full range (``bias`` is ``None``).
+        """
+        full = self._range(0, dtype.width - 1)
+        if not dtype.is_float:
+            return None, None, full
+        _, fraction_bits = dtype.float_fields
+        guard = _FRACTION_GUARD[dtype]
+        return (
+            min(self.fraction_bias, _FRACTION_BIAS[dtype]),
+            self._range(0, max(fraction_bits - 1 - guard, 1)),
+            full,
+        )
+
+    def _numeric_mask(self, layout, rng: np.random.Generator) -> int:
+        bias, fraction, full = layout
+        if bias is not None and rng.random() < bias:
+            low, high, mean, sd = fraction
+        else:
+            low, high, mean, sd = full
+        count = _sample_flip_count(self.flip_count_probs, rng, high - low + 1)
+        positions: set = set()
+        while len(positions) < count:
+            positions.add(_sample_position(low, high, mean, sd, rng))
+        mask = 0
+        for pos in positions:
+            mask |= 1 << pos
+        return mask
 
     def sample_mask(self, dtype: DataType, rng: np.random.Generator) -> int:
         if not dtype.is_numeric:
             # Figure 5: non-numerical data shows no positional
             # preference — "all the positions have comparable amount of
             # bitflips".
-            count = _sample_flip_count(
-                self.flip_count_probs, rng, dtype.width
-            )
-            positions = rng.choice(dtype.width, size=count, replace=False)
-            mask = 0
-            for pos in positions:
-                mask |= 1 << int(pos)
-            return mask
-        low, high = self._position_range(dtype, rng)
-        count = _sample_flip_count(self.flip_count_probs, rng, high - low + 1)
-        positions: set = set()
-        while len(positions) < count:
-            positions.add(self._sample_position(low, high, rng))
-        mask = 0
-        for pos in positions:
-            mask |= 1 << pos
-        return mask
+            return _uniform_mask(self.flip_count_probs, rng, dtype.width)
+        return self._numeric_mask(self._layout(dtype), rng)
+
+    def mask_sampler(
+        self, dtype: DataType
+    ) -> Callable[[np.random.Generator], int]:
+        if not dtype.is_numeric:
+            return super().mask_sampler(dtype)
+        layout = self._layout(dtype)
+        numeric_mask = self._numeric_mask
+        return lambda rng: numeric_mask(layout, rng)
 
 
 @dataclass
@@ -170,13 +228,7 @@ class UniformBitflip(BitflipModel):
     )
 
     def sample_mask(self, dtype: DataType, rng: np.random.Generator) -> int:
-        width = dtype.width
-        count = _sample_flip_count(self.flip_count_probs, rng, width)
-        positions = rng.choice(width, size=count, replace=False)
-        mask = 0
-        for pos in positions:
-            mask |= 1 << int(pos)
-        return mask
+        return _uniform_mask(self.flip_count_probs, rng, dtype.width)
 
 
 @dataclass
@@ -239,6 +291,23 @@ class PatternBitflip(BitflipModel):
             # `cdf.searchsorted(u, side="right")`: same draw, same index.
             return masks[bisect.bisect_right(cdf, rng.random())]
         return self.fallback.sample_mask(dtype, rng)
+
+    def mask_sampler(
+        self, dtype: DataType
+    ) -> Callable[[np.random.Generator], int]:
+        fallback = self.fallback.mask_sampler(dtype)
+        if not self.patterns.get(dtype):
+            return fallback
+        masks, cdf = self._table(dtype)
+        probability = self.pattern_probability
+        bisect_right = bisect.bisect_right
+
+        def draw(rng: np.random.Generator) -> int:
+            if rng.random() < probability:
+                return masks[bisect_right(cdf, rng.random())]
+            return fallback(rng)
+
+        return draw
 
 
 @dataclass

@@ -208,10 +208,16 @@ def _split128(hi: np.ndarray, lo: np.ndarray) -> list[np.ndarray]:
     return [lo & _M32, lo >> _U32, hi & _M32, hi >> _U32]
 
 
-def _mul128_const(limbs: list[np.ndarray]) -> list[np.ndarray]:
-    """(value * PCG multiplier) mod 2**128 on 32-bit limbs."""
+def _mul128_const(
+    limbs: list[np.ndarray], mult: tuple = _MULT_LIMBS
+) -> list[np.ndarray]:
+    """(value * multiplier) mod 2**128 on 32-bit limbs.
+
+    ``mult`` defaults to the PCG multiplier; its limbs may be arrays
+    that broadcast against ``limbs`` (one multiplier per column).
+    """
     s0, s1, s2, s3 = limbs
-    m0, m1, m2, m3 = _MULT_LIMBS
+    m0, m1, m2, m3 = mult
     # Column 0
     p = s0 * m0
     r0 = p & _M32
@@ -252,6 +258,48 @@ def _add128(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
         out.append(total & _M32)
         carry = total >> _U32
     return out
+
+
+def _limbs128(values: list[int]) -> tuple:
+    """Little-endian 32-bit limb arrays of 128-bit integers."""
+    return tuple(
+        np.array([(v >> (32 * i)) & 0xFFFFFFFF for v in values], np.uint64)
+        for i in range(4)
+    )
+
+
+def _jump_limbs(width: int) -> tuple:
+    """Limbs of a^k and of sum_{j<k} a^j mod 2**128, for k = 1..width.
+
+    Stepping a PCG64 state ``s`` k times gives
+    ``a^k * s + (sum_{j<k} a^j) * inc``, so these two columns turn k
+    lockstep rounds into one multiply-add.
+    """
+    mask = (1 << 128) - 1
+    powers, sums = [], []
+    power, total = 1, 0
+    for _ in range(width):
+        total = (total + power) & mask
+        power = (power * _PCG_MULT) & mask
+        powers.append(power)
+        sums.append(total)
+    return _limbs128(powers), _limbs128(sums)
+
+
+def _xsl_rr(state: list[np.ndarray]) -> np.ndarray:
+    """PCG64's XSL-RR output of 128-bit states held as limbs."""
+    lo = state[0] | (state[1] << _U32)
+    hi = state[2] | (state[3] << _U32)
+    rot = state[3] >> np.uint64(26)  # state >> 122
+    xored = hi ^ lo
+    # rotr64; (64 - rot) & 63 keeps the shift defined when rot == 0.
+    left = (np.uint64(64) - rot) & np.uint64(63)
+    return (xored >> rot) | (xored << left)
+
+
+def _to_double(out: np.ndarray) -> np.ndarray:
+    """NumPy's ``next_double``: the top 53 bits scaled into [0, 1)."""
+    return (out >> np.uint64(11)).astype(np.float64) * _TO_DOUBLE
 
 
 class VectorPCG64:
@@ -305,23 +353,37 @@ class VectorPCG64:
         else:
             for limb, new in zip(self._state, state):
                 limb[idx] = new
-        lo = state[0] | (state[1] << _U32)
-        hi = state[2] | (state[3] << _U32)
-        rot = state[3] >> np.uint64(26)  # state >> 122
-        xored = hi ^ lo
-        # rotr64; (64 - rot) & 63 keeps the shift defined when rot == 0.
-        left = (np.uint64(64) - rot) & np.uint64(63)
-        return (xored >> rot) | (xored << left)
+        return _xsl_rr(state)
+
+    def next64_block(self, width: int) -> np.ndarray:
+        """``[size, width]`` outputs of ``width`` :meth:`next64` rounds.
+
+        Closed-form jump-ahead: round k reads
+        ``a^k * s + (sum_{j<k} a^j) * inc`` of the start state ``s``,
+        so all rounds of all lanes are one multiply-add over
+        ``[size, width]`` limb arrays.  Every lane advances ``width``
+        steps, as ``width`` lockstep rounds would.
+        """
+        powers, sums = _jump_limbs(width)
+        state = _add128(
+            _mul128_const([limb[:, None] for limb in self._state], powers),
+            _mul128_const([limb[:, None] for limb in self._inc], sums),
+        )
+        self._state = [limb[:, -1].copy() for limb in state]
+        return _xsl_rr(state)
 
     def next_double(self, idx: np.ndarray | None = None) -> np.ndarray:
-        out = self.next64(idx)
-        return (out >> np.uint64(11)).astype(np.float64) * _TO_DOUBLE
+        return _to_double(self.next64(idx))
 
     def uniform(
         self, low: float, high: float, idx: np.ndarray | None = None
     ) -> np.ndarray:
         """Per-lane equivalent of ``Generator.uniform(low, high)``."""
         return low + (high - low) * self.next_double(idx)
+
+    def uniform_block(self, low: float, high: float, width: int) -> np.ndarray:
+        """``[size, width]``: ``width`` :meth:`uniform` rounds at once."""
+        return low + (high - low) * _to_double(self.next64_block(width))
 
     def normal(
         self, scale: float, idx: np.ndarray | None = None

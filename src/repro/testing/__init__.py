@@ -8,7 +8,13 @@ from .library import (
     build_library,
 )
 from .alttoolchain import ALT_TOOLCHAIN_SIZE, build_open_library
-from .records import ConsistencyRecord, RecordStore, SDCRecord, SettingKey
+from .records import (
+    ConsistencyRecord,
+    RecordStore,
+    SDCRecord,
+    SDCRecords,
+    SettingKey,
+)
 from .runner import HEAT_THROTTLE, TestcaseRun, ToolchainRunner
 from .framework import PlanEntry, TestFramework, TestPlan, ToolchainReport
 from .batch import BatchScreeningEngine, screening_record_frame
@@ -32,6 +38,7 @@ __all__ = [
     "ConsistencyRecord",
     "RecordStore",
     "SDCRecord",
+    "SDCRecords",
     "SettingKey",
     "HEAT_THROTTLE",
     "TestcaseRun",

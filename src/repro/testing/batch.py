@@ -29,7 +29,10 @@ established for batched engines:
   settings) and replays the sparse surviving events through the exact
   scalar helpers — :class:`~repro.faults.trigger.CompiledSetting`
   sampling and ``ToolchainRunner._emit_records`` operand/bitflip
-  draws — in scalar window → core → setting order;
+  draws — in scalar window → core → setting order.  Each burst lands
+  in the lane's run as record columns, which the lane's report store
+  takes chunk by chunk; :func:`screening_record_frame` reads those
+  columns as they are;
 * heterogeneous plans run in lockstep global windows: every lane
   advances by its own ``min(WINDOW_S, remaining)`` window each
   iteration
@@ -61,6 +64,7 @@ from ..thermal.batch import BatchPackageThermalModel
 from ..thermal.stress import PREHEAT_DT_S, PREHEAT_TIMEOUT_S, STRESS_HEAT_FACTOR
 from .framework import TestPlan, ToolchainReport
 from .library import TestcaseLibrary
+from .records import RecordStore
 from .runner import HEAT_THROTTLE, WINDOW_S, TestcaseRun, ToolchainRunner
 from .testcase import ConsistencyKind
 
@@ -489,15 +493,14 @@ class BatchScreeningEngine:
 def screening_record_frame(reports: Sequence[ToolchainReport]):
     """Column layout of a screening's computation-SDC records.
 
-    The batched engine materializes the same ``SDCRecord`` stream as
-    the scalar runner, so the columnar analytics layer consumes it
-    directly: this stacks every report's store into one
-    :class:`~repro.analysis.columnar.RecordFrame` (struct-of-arrays,
-    record order = lane order then store order).
+    The batched engine emits the same record columns as the scalar
+    runner, so the columnar analytics layer takes them as they are:
+    one :class:`~repro.analysis.columnar.RecordFrame` over every
+    report's store (record order = lane order then store order).
     """
     from ..analysis.columnar import RecordFrame
 
-    records = []
+    stacked = RecordStore()
     for report in reports:
-        records.extend(report.store.records)
-    return RecordFrame.from_records(records)
+        stacked.extend(report.store.records)
+    return RecordFrame.from_store(stacked)

@@ -4,9 +4,9 @@ Two fidelities share one trigger law:
 
 * :meth:`ToolchainRunner.run_testcase` co-simulates the thermal model
   and statistical error arrival (Poisson with the setting's occurrence
-  frequency), materializing each error's corrupted value through the
-  defect's bitflip model.  This is how month-scale test campaigns run
-  in milliseconds while still producing bit-accurate SDC records.
+  frequency), corrupting each error's value through the defect's
+  bitflip model.  This is how month-scale test campaigns run in
+  milliseconds while still producing bit-accurate SDC records.
 * :meth:`ToolchainRunner.run_at_fixed_temperature` holds temperature
   constant — the §5 methodology of preheating to a desired temperature
   and measuring occurrence frequency there (Figure 8's sweeps).
@@ -15,6 +15,14 @@ Thermal coupling details the paper leans on are reproduced: cores under
 test heat the shared package (busy-neighbour effect), heat persists
 across consecutive testcases (test-order effect), and per-core heat is
 throttled at a realistic ceiling.
+
+Every engine emits through :meth:`ToolchainRunner._emit_records`.  A
+computation burst becomes one context row plus expected/actual word
+columns in the run's :class:`~repro.testing.records.SDCRecords`:
+operands drawn in one batch, each result executed scalar, the results
+encoded as one column and the masks drawn per burst in per-record
+order.  ``SDCRecord`` objects are built later, and only for callers
+that iterate the records.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from ..cpu.processor import Processor
 from ..faults.injector import FaultInjector
 from ..faults.trigger import TriggerModel
 from ..thermal.model import PackageThermalModel
-from .records import ConsistencyRecord, RecordStore, SDCRecord
+from .records import ConsistencyRecord, RecordStore, SDCRecords
 from .testcase import ConsistencyKind, Testcase
 
 __all__ = ["TestcaseRun", "ToolchainRunner", "HEAT_THROTTLE", "WINDOW_S"]
@@ -59,7 +67,9 @@ class TestcaseRun:
     processor_id: str
     testcase_id: str
     duration_s: float
-    records: List[SDCRecord] = field(default_factory=list)
+    #: Computation records: the runner's column buffers, viewed as a
+    #: sequence of :class:`~repro.testing.records.SDCRecord`.
+    records: SDCRecords = field(default_factory=SDCRecords)
     consistency_records: List[ConsistencyRecord] = field(default_factory=list)
     start_temp_c: float = 0.0
     end_temp_c: float = 0.0
@@ -227,52 +237,7 @@ class ToolchainRunner:
             for pcore_id in defect.core_ids
         )
 
-    # -- record materialization ---------------------------------------------
-
-    def _materialize_records(
-        self,
-        testcase: Testcase,
-        defect: Defect,
-        mnemonic: str,
-        pcore_id: int,
-        count: int,
-        temperature_c: float,
-        time_s: float,
-    ) -> List[SDCRecord]:
-        instruction = DEFAULT_ISA[mnemonic]
-        dtype = instruction.dtype
-        # `FaultInjector.materialize`'s checks depend only on (defect,
-        # dtype): run them once per burst, then corrupt each result
-        # with the same encode → sample_mask → XOR sequence.
-        sample_mask = self.injector.bitflip_for(defect, dtype).sample_mask
-        rng = self._rng
-        arity = instruction.arity
-        # One batched draw for the whole burst instead of per-operand
-        # generator round trips.
-        flat = datatypes.random_values(
-            rng, _operand_dtype(instruction), count * arity
-        )
-        records = []
-        for index in range(count):
-            operands = flat[index * arity:(index + 1) * arity]
-            expected_bits = datatypes.encode(
-                instruction.execute(*operands), dtype
-            )
-            records.append(
-                SDCRecord(
-                    processor_id=self.processor.processor_id,
-                    testcase_id=testcase.testcase_id,
-                    pcore_id=pcore_id,
-                    defect_id=defect.defect_id,
-                    instruction=mnemonic,
-                    dtype=dtype,
-                    expected_bits=expected_bits,
-                    actual_bits=expected_bits ^ sample_mask(dtype, rng),
-                    temperature_c=temperature_c,
-                    time_s=time_s,
-                )
-            )
-        return records
+    # -- record emission -------------------------------------------------------
 
     def _emit_records(
         self,
@@ -287,29 +252,57 @@ class ToolchainRunner:
     ) -> None:
         """Append one setting's burst of ``count`` errors to ``run``.
 
-        The single emission path of every engine: computation settings
-        materialize one record per error; a consistency burst carries
-        no per-error payload, so it is one frozen record repeated
-        ``count`` times (equal to ``count`` separately built records).
+        The single emission path of every engine.  A computation burst
+        draws its operands in one batch, executes each one scalar, then
+        draws one mask per record through the bitflip model's
+        :meth:`~repro.faults.bitflip.BitflipModel.sample_masks` — the
+        draw order of ``count`` ``FaultInjector.materialize`` calls —
+        and appends the expected and actual words to ``run.records``'
+        columns under one shared context row.  A consistency burst
+        carries no per-error payload, so it is one frozen record
+        repeated ``count`` times (equal to ``count`` separately built
+        records).
         """
-        if mnemonic is not None:
-            run.records.extend(
-                self._materialize_records(
-                    testcase, defect, mnemonic, pcore_id,
-                    count, temperature_c, time_s,
-                )
+        processor_id = self.processor.processor_id
+        if mnemonic is None:
+            record = ConsistencyRecord(
+                processor_id=processor_id,
+                testcase_id=testcase.testcase_id,
+                pcore_id=pcore_id,
+                defect_id=defect.defect_id,
+                kind=testcase.consistency_kind.value,
+                temperature_c=temperature_c,
+                time_s=time_s,
             )
+            run.consistency_records.extend([record] * count)
             return
-        record = ConsistencyRecord(
-            processor_id=self.processor.processor_id,
-            testcase_id=testcase.testcase_id,
-            pcore_id=pcore_id,
-            defect_id=defect.defect_id,
-            kind=testcase.consistency_kind.value,
-            temperature_c=temperature_c,
-            time_s=time_s,
+        instruction = DEFAULT_ISA[mnemonic]
+        dtype = instruction.dtype
+        # `FaultInjector.materialize`'s checks depend only on (defect,
+        # dtype): run them once per burst.
+        bitflip = self.injector.bitflip_for(defect, dtype)
+        rng = self._rng
+        arity = instruction.arity
+        operands = datatypes.random_values(
+            rng, _operand_dtype(instruction), count * arity
         )
-        run.consistency_records.extend([record] * count)
+        results = list(map(
+            instruction.execute,
+            *(operands[k::arity] for k in range(arity)),
+        ))
+        expected_lo, expected_hi = datatypes.encode_words(results, dtype)
+        mask_lo, mask_hi = datatypes.split_words(
+            bitflip.sample_masks(dtype, rng, count), dtype.width
+        )
+        run.records.append_burst(
+            (processor_id, testcase.testcase_id, pcore_id,
+             defect.defect_id, mnemonic, dtype, temperature_c, time_s),
+            (expected_lo, expected_hi),
+            (
+                expected_lo ^ mask_lo,
+                None if mask_hi is None else expected_hi ^ mask_hi,
+            ),
+        )
 
     # -- main entry points ------------------------------------------------------
 

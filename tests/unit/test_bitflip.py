@@ -177,3 +177,54 @@ class TestIID:
             hits[flipped_positions(model.sample_mask(DataType.INT16, rng))[0]] += 1
         assert min(hits) > 0
         assert max(hits) < 3 * min(hits)
+
+
+def _burst_models():
+    from repro.cpu import full_catalog
+
+    pattern = PatternBitflip(
+        patterns={DataType.FLOAT64: [(0b1, 1.0), (0b110, 0.5)]},
+        pattern_probability=0.7,
+        fallback=PositionBiasedBitflip(),
+    )
+    nested = PatternBitflip(
+        patterns={DataType.INT32: [(0b1000, 1.0)]},
+        pattern_probability=0.5,
+        fallback=pattern,
+    )
+    models = [
+        PositionBiasedBitflip(),
+        PositionBiasedBitflip(center=0.9, spread=0.5, fraction_bias=0.2),
+        UniformBitflip(),
+        IIDBitflip(),
+        pattern,
+        nested,
+    ]
+    catalog = {
+        defect.defect_id: defect.bitflip
+        for processor in full_catalog().values()
+        for defect in processor.defects
+        if defect.bitflip is not None
+    }
+    return models + list(catalog.values())
+
+
+class TestSampleMasks:
+    """A burst's masks equal ``count`` single draws, stream included."""
+
+    @pytest.mark.parametrize(
+        "model", _burst_models(), ids=lambda model: type(model).__name__
+    )
+    def test_equals_repeated_sample_mask(self, model):
+        for dtype in DataType:
+            for seed, count in ((0, 1), (1, 7), (2, 120)):
+                single = substream(seed, "sample-masks", str(dtype))
+                burst = substream(seed, "sample-masks", str(dtype))
+                expected = [model.sample_mask(dtype, single) for _ in range(count)]
+                assert model.sample_masks(dtype, burst, count) == expected
+                assert burst.bit_generator.state == single.bit_generator.state
+
+    def test_zero_count_draws_nothing(self, rng):
+        before = rng.bit_generator.state
+        assert PositionBiasedBitflip().sample_masks(DataType.FLOAT32, rng, 0) == []
+        assert rng.bit_generator.state == before

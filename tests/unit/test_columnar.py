@@ -6,6 +6,7 @@ same integers, same doubles, same dict shapes — on corpora covering
 every dtype (including 80-bit float64x) and on degenerate inputs.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -209,8 +210,98 @@ def test_frame_setting_order_matches_scalar_grouping(store, frame):
     assert list(frame.settings) == list(store.by_setting())
 
 
+def _frame_from_records(records):
+    """The per-record frame builder that ``from_store`` replaced: every
+    record taken apart field by field into the columns."""
+    from repro.analysis.columnar import _DTYPE_CODE, _precision_loss_column
+
+    n = len(records)
+    expected_lo = np.empty(n, np.uint64)
+    expected_hi = np.empty(n, np.uint64)
+    actual_lo = np.empty(n, np.uint64)
+    actual_hi = np.empty(n, np.uint64)
+    dtype_code = np.empty(n, np.int16)
+    setting_code = np.empty(n, np.int32)
+    processor_code = np.empty(n, np.int32)
+    testcase_code = np.empty(n, np.int32)
+    settings, processors, testcases = {}, {}, {}
+    mask64 = (1 << 64) - 1
+    for row, record in enumerate(records):
+        expected_lo[row] = record.expected_bits & mask64
+        expected_hi[row] = record.expected_bits >> 64
+        actual_lo[row] = record.actual_bits & mask64
+        actual_hi[row] = record.actual_bits >> 64
+        dtype_code[row] = _DTYPE_CODE[record.dtype]
+        setting_code[row] = settings.setdefault(record.setting, len(settings))
+        processor_code[row] = processors.setdefault(
+            record.processor_id, len(processors)
+        )
+        testcase_code[row] = testcases.setdefault(
+            record.testcase_id, len(testcases)
+        )
+    return RecordFrame(
+        expected_lo=expected_lo,
+        expected_hi=expected_hi,
+        actual_lo=actual_lo,
+        actual_hi=actual_hi,
+        mask_lo=expected_lo ^ actual_lo,
+        mask_hi=expected_hi ^ actual_hi,
+        dtype_code=dtype_code,
+        setting_code=setting_code,
+        processor_code=processor_code,
+        testcase_code=testcase_code,
+        precision_loss=_precision_loss_column(
+            expected_lo, expected_hi, actual_lo, actual_hi, dtype_code
+        ),
+        settings=tuple(settings),
+        processors=tuple(processors),
+        testcases=tuple(testcases),
+    )
+
+
+def _assert_frames_identical(frame, reference):
+    for field in dataclasses.fields(RecordFrame):
+        value, expected = getattr(frame, field.name), getattr(
+            reference, field.name
+        )
+        if isinstance(expected, np.ndarray):
+            assert value.dtype == expected.dtype, field.name
+            assert value.tobytes() == expected.tobytes(), field.name
+        else:
+            assert value == expected, field.name
+
+
+def test_from_store_matches_per_record_frame(store, frame):
+    _assert_frames_identical(frame, _frame_from_records(list(store.records)))
+
+
+def test_from_store_takes_runner_columns(catalog, library):
+    """Column-emitted records (every computation dtype the catalog
+    corrupts, float64x included) give the per-record frame bit for bit,
+    through a store and stacked across screening reports alike."""
+    from repro.testing import ToolchainRunner, screening_record_frame
+    from repro.testing.framework import ToolchainReport
+
+    reports = []
+    for name in ("MIX1", "FPU1", "SIMD1", "CNST1"):
+        runner = ToolchainRunner(catalog[name], seed=4)
+        report = ToolchainReport(processor_id=name)
+        for testcase in library:
+            if runner.can_ever_fail(testcase):
+                runner.run_at_fixed_temperature(
+                    testcase, 78.0, 600.0, store=report.store
+                )
+        reports.append(report)
+    records = [r for report in reports for r in report.store.records]
+    assert DataType.FLOAT64X in {record.dtype for record in records}
+    reference = _frame_from_records(records)
+    _assert_frames_identical(screening_record_frame(reports), reference)
+    stacked = RecordStore(records=records)
+    _assert_frames_identical(RecordFrame.from_store(stacked), reference)
+
+
 def test_empty_frame_kernels():
-    frame = RecordFrame.from_records([])
+    frame = RecordFrame.from_store(RecordStore())
     assert len(frame) == 0
     assert flip_direction_fraction_frame(frame) == 0.0
     assert pattern_proportions_by_setting_frame(frame) == {}

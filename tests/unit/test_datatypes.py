@@ -1,6 +1,7 @@
 """Unit tests for bit-level codecs (including 80-bit extended floats)."""
 
 import math
+import struct
 
 import pytest
 
@@ -8,10 +9,12 @@ from repro.cpu import DataType
 from repro.cpu.datatypes import (
     decode,
     encode,
+    encode_words,
     flip,
     flipped_positions,
     popcount,
     relative_precision_loss,
+    split_words,
     xor_mask,
 )
 from repro.errors import DataTypeError
@@ -173,3 +176,91 @@ class TestFloat64xBeyondDoubleRange:
         )
         assert scalar == columnar
         assert scalar.max == math.inf
+
+
+class TestColumnEncoder:
+    """``encode_words`` is ``encode`` over a burst, word for word."""
+
+    @staticmethod
+    def _patterns(values, dtype):
+        low, high = encode_words(values, dtype)
+        if high is None:
+            return [int(word) for word in low]
+        return [(int(h) << 64) | int(l) for l, h in zip(low, high)]
+
+    def _assert_matches(self, values, dtype):
+        assert self._patterns(values, dtype) == [
+            encode(value, dtype) for value in values
+        ]
+
+    FLOATS = (
+        0.0, -0.0, math.inf, -math.inf,
+        5e-324, -5e-324,                      # smallest subnormal double
+        2.2250738585072009e-308,              # largest subnormal double
+        2.2250738585072014e-308,              # smallest normal double
+        1.401298464324817e-45,                # smallest subnormal float32
+        1.1754942106924411e-38,               # largest subnormal float32
+        7.006492321624085e-46,                # float32 tie: rounds to 0
+        2.1019476964872256e-45,               # float32 tie: rounds to even
+        1.0000000596046448,                   # float32 tie: 1 + 2**-24
+        1.0000001788139343,                   # float32 tie: 1 + 3 * 2**-24
+        3.4028234663852886e38,                # float32 max
+        1.5, -1024.125, math.pi, 1e30, -1e-310,
+    )
+
+    @pytest.mark.parametrize(
+        "dtype", [DataType.FLOAT32, DataType.FLOAT64, DataType.FLOAT64X]
+    )
+    def test_float_specials(self, dtype):
+        wide = () if dtype is DataType.FLOAT32 else (1e300, -1.7e308)
+        self._assert_matches([*self.FLOATS, *wide], dtype)
+
+    @pytest.mark.parametrize("dtype", [DataType.FLOAT64, DataType.FLOAT64X])
+    def test_nan_payloads(self, dtype):
+        nans = [
+            struct.unpack("<d", struct.pack("<Q", bits))[0]
+            for bits in (0x7FF8000000000000, 0xFFF8000000000001,
+                         0x7FF0000000000001)
+        ]
+        self._assert_matches(nans, dtype)
+
+    def test_float32_nan_and_overflow_take_the_scalar_codec(self):
+        self._assert_matches([1.5, math.nan, -math.nan], DataType.FLOAT32)
+        with pytest.raises(OverflowError):
+            encode_words([1.0, 3.4028235677973366e38], DataType.FLOAT32)
+
+    @pytest.mark.parametrize("dtype", [
+        d for d in DataType if not d.is_float
+    ], ids=str)
+    def test_integer_extremes(self, dtype):
+        width = dtype.width
+        if dtype in (DataType.INT16, DataType.INT32):
+            low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        else:
+            low, high = 0, (1 << width) - 1
+        self._assert_matches(
+            sorted({low, high, low + 1, high - 1, 0, 1, high // 2}), dtype
+        )
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([0, 2**31], DataType.INT32),
+        ([0, -1], DataType.UINT32),
+        ([0, -1], DataType.BIN64),
+        ([0, 2**64], DataType.BIN64),
+        ([0, True], DataType.INT32),
+        ([0, 1.0], DataType.BYTE),
+    ])
+    def test_rejects_what_encode_rejects(self, values, dtype):
+        with pytest.raises(DataTypeError):
+            encode_words(values, dtype)
+
+    def test_empty_burst(self):
+        low, high = encode_words([], DataType.FLOAT64X)
+        assert low.size == 0 and high.size == 0
+
+    def test_split_words(self):
+        patterns = [0, 1, (1 << 79) | 5, (1 << 64) - 1]
+        low, high = split_words(patterns, 80)
+        assert [(int(h) << 64) | int(l) for l, h in zip(low, high)] == patterns
+        low, high = split_words(patterns[:2], 64)
+        assert high is None and low.tolist() == [0, 1]

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cpu import DEFAULT_ISA, Feature, Processor, datatypes
 from repro.errors import ConfigurationError
-from repro.testing import RecordStore, SDCRecord, ToolchainRunner
+from repro.testing import RecordStore, SDCRecord, TestcaseRun, ToolchainRunner
 from repro.testing.records import ConsistencyRecord
 from repro.testing.runner import _operand_dtype
 
@@ -369,3 +369,43 @@ class TestFixedTemperatureParity:
             record for run in runs for record in run.consistency_records
         ]
         assert store.consistency_records
+
+
+class TestBurstEmissionParity:
+    def test_every_catalog_instruction_matches_reference(
+        self, catalog, library
+    ):
+        """A column-emitted burst materializes the records, and leaves
+        the stream where, ``count`` ``FaultInjector.materialize`` calls
+        would."""
+        dtypes = set()
+        for processor in catalog.values():
+            for defect in processor.active_defects():
+                if defect.is_consistency:
+                    continue
+                pcore_id = min(defect.core_ids)
+                for mnemonic in defect.instructions:
+                    testcase = next(
+                        tc for tc in library if tc.uses_instruction(mnemonic)
+                    )
+                    runner = ToolchainRunner(processor, seed=9)
+                    reference = ToolchainRunner(processor, seed=9)
+                    run = TestcaseRun(
+                        processor.processor_id, testcase.testcase_id, 1.0
+                    )
+                    runner._emit_records(
+                        run, testcase, defect, mnemonic, pcore_id,
+                        40, 77.5, 0.0,
+                    )
+                    assert list(run.records) == _reference_materialize(
+                        reference, testcase, defect, mnemonic, pcore_id,
+                        40, 77.5,
+                    )
+                    assert (
+                        runner._rng.bit_generator.state
+                        == reference._rng.bit_generator.state
+                    )
+                    dtypes.add(DEFAULT_ISA[mnemonic].dtype)
+        assert {d.value for d in dtypes} >= {
+            "i32", "ui32", "f32", "f64", "f64x", "bin64"
+        }
