@@ -5,6 +5,9 @@ Launches a real daemon subprocess, drives concurrent traffic at it,
 SIGKILLs and restarts it twice mid-campaign, and then asserts the full
 robustness contract in one pass:
 
+* each kill lands while acknowledged jobs are still unfinished, and at
+  least one campaign resumes from a snapshot (a ``start`` entry with
+  ``resume: true`` in the journal);
 * every acknowledged job survives the kills and reaches ``done``;
 * the reference job's verdict is bit-identical to a direct in-process
   :class:`~repro.resilience.campaign.ResilientCampaign` run;
@@ -27,7 +30,6 @@ import argparse
 import os
 import shutil
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -40,20 +42,22 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.errors import ObservabilityError  # noqa: E402
 from repro.obs import read_trace_segments  # noqa: E402
 from repro.resilience import CampaignSpec, ResilientCampaign  # noqa: E402
-from repro.service import Rejected, ServiceClient  # noqa: E402
+from repro.service import (  # noqa: E402
+    Rejected,
+    ServiceClient,
+    replay_journal,
+)
 from repro.testing import build_library  # noqa: E402
 
+#: 570 faulty CPUs in 143 shards, each snapshotted: every job runs long
+#: enough that the queued jobs are still in flight at both SIGKILLs.
 SPEC = dict(
-    total_processors=2500,
+    total_processors=20_000,
     fleet_seed=9,
     pipeline_seed=13,
     failure_rate_scale=80.0,
     shard_size=4,
 )
-
-#: Per-shard chaos delay keeps the reference campaign in flight long
-#: enough for both SIGKILLs to land mid-campaign deterministically.
-SLOW_CHAOS = {"schedule": {str(shard): ["delay"] for shard in range(64)}}
 
 
 def log(message: str) -> None:
@@ -109,15 +113,13 @@ def drive(state_dir: Path) -> int:
         # Concurrent-ish admission: the slow reference job plus filler
         # jobs up to the queue bound, then saturation must answer 429.
         acked = []
-        ack = client.submit(dict(SPEC, job_id="reference", chaos=SLOW_CHAOS))
+        ack = client.submit(dict(SPEC, job_id="reference"))
         acked.append(ack["job_id"])
         log(f"acked reference (seq {ack['seq']})")
         rejections = 0
         for index in range(max_queue + 8):
             try:
-                ack = client.submit(
-                    dict(SPEC, job_id=f"filler-{index}", chaos=SLOW_CHAOS)
-                )
+                ack = client.submit(dict(SPEC, job_id=f"filler-{index}"))
                 acked.append(ack["job_id"])
             except Rejected as rejection:
                 assert rejection.status == 429, rejection.status
@@ -144,14 +146,26 @@ def drive(state_dir: Path) -> int:
             log(f"SIGKILL round {round_index}: daemon dead, restarting")
             daemon = start_daemon(state_dir, max_queue)
             client = wait_ready(state_dir)
+            states = {}
             for job_id in acked:
-                if client.job(job_id) is None:
+                record = client.job(job_id)
+                if record is None:
                     raise SystemExit(
                         f"FAIL: acknowledged job {job_id} lost by SIGKILL"
                     )
+                states[job_id] = record["state"]
+            unfinished = [
+                job_id for job_id, state in states.items() if state != "done"
+            ]
+            if not unfinished:
+                raise SystemExit(
+                    f"FAIL: SIGKILL round {round_index} came after every "
+                    f"job had finished"
+                )
             log(
                 f"SIGKILL round {round_index}: all {len(acked)} acked "
-                f"jobs survived"
+                f"jobs survived, {len(unfinished)} without a verdict yet "
+                f"(reference {states['reference']})"
             )
 
         # Every acknowledged job completes; the reference bit-matches.
@@ -185,6 +199,17 @@ def drive(state_dir: Path) -> int:
             daemon.wait(timeout=30)
 
     # Post-mortem checks on the state directory.
+    resumed = sorted({
+        entry.job
+        for entry in replay_journal(state_dir / "journal")
+        if entry.kind == "start" and entry.data.get("resume") is True
+    })
+    if not resumed:
+        raise SystemExit(
+            "FAIL: no campaign resumed from a snapshot; the kills never "
+            "landed mid-campaign"
+        )
+    log(f"resumed from a snapshot after a kill: {', '.join(resumed)}")
     snapshot = state_dir / "metrics.prom"
     if not snapshot.exists():
         raise SystemExit("FAIL: drain left no metrics snapshot")

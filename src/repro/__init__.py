@@ -20,8 +20,8 @@ substrate plus a real implementation of its mitigation system:
 * :mod:`repro.core` — **Farron**, the paper's mitigation system, plus
   the Alibaba baseline and the §7.2 evaluation harness;
 * :mod:`repro.resilience` — sharded, checkpointed campaigns that
-  resume after a process death, and chaos self-injection that proves
-  it, for month-scale campaigns.
+  resume bit-identically after a process death or a damaged snapshot,
+  for month-scale campaigns.
 
 Quickstart::
 
@@ -66,7 +66,6 @@ from .fleet import FleetSpec, TestPipeline, generate_fleet
 from .resilience import (
     CampaignHealthReport,
     CampaignSpec,
-    ChaosInjector,
     CheckpointStore,
     ResilientCampaign,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "generate_fleet",
     "CampaignHealthReport",
     "CampaignSpec",
-    "ChaosInjector",
     "CheckpointStore",
     "ResilientCampaign",
     "AlibabaBaseline",

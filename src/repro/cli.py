@@ -199,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
              "restart never resurrects a deleted verdict (default: keep "
              "everything)",
     )
-    serve.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="chaos-testing hook: comma-separated action:point:nth, e.g. "
-             "'kill:shard_done:3,tear_journal:journal_append:2' "
-             "(simulated SIGKILL at exact lifecycle points; test use)",
-    )
 
     report = sub.add_parser(
         "obs-report", parents=[obs],
@@ -434,7 +428,6 @@ def _cmd_salvage(args, obs=None) -> int:
 def _cmd_serve(args, obs=None) -> int:
     import asyncio
 
-    from .resilience import ChaosInjector
     from .service import ReproService
 
     service = ReproService(
@@ -442,7 +435,6 @@ def _cmd_serve(args, obs=None) -> int:
         host=args.host,
         port=args.port,
         obs=obs,
-        chaos=ChaosInjector.from_spec(args.chaos),
         max_queue=args.max_queue,
         max_active=args.max_active,
         checkpoint_every=args.checkpoint_every,

@@ -95,17 +95,20 @@ def feature_proportions(
     """Figure 2: proportion of faulty CPUs per defective feature.
 
     Proportions can sum past 1 because one defect may span multiple
-    features (MIX1-style fused vector/FPU faults).
+    features (MIX1-style fused vector/FPU faults).  Keys follow
+    :class:`Feature`'s declaration order, never the frozenset's hash
+    order, so the printed figure does not depend on ``PYTHONHASHSEED``.
     """
+    features = [f for f in Feature if f in VULNERABLE_FEATURES]
     processors = _detected_processors(result, population)
     if not processors:
-        return {f: 0.0 for f in VULNERABLE_FEATURES}
+        return {f: 0.0 for f in features}
     return {
         feature: sum(
             1 for p in processors if feature in p.defective_features()
         )
         / len(processors)
-        for feature in VULNERABLE_FEATURES
+        for feature in features
     }
 
 

@@ -21,7 +21,7 @@ simulators via a keyword-only ``obs=None`` parameter:
   stays machine-readable.
 """
 
-from .context import Observability, observed_sleep, span
+from .context import Observability, span
 from .logconf import logging_setup
 from .metrics import DEFAULT_BUCKETS, MetricsRegistry, parse_prometheus_text
 from .procmem import (
@@ -57,7 +57,6 @@ __all__ = [
     "record_memory",
     "load_metrics",
     "logging_setup",
-    "observed_sleep",
     "parse_prometheus_text",
     "read_trace",
     "read_trace_segments",

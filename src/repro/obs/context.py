@@ -26,7 +26,7 @@ from typing import Optional
 from .metrics import DEFAULT_BUCKETS, MetricsRegistry
 from .tracing import JsonlTraceSink, ListTraceSink, NullTracer, Tracer
 
-__all__ = ["Observability", "span", "observed_sleep"]
+__all__ = ["Observability", "span"]
 
 _NULL_CONTEXT = contextlib.nullcontext()
 
@@ -41,22 +41,6 @@ def span(obs: Optional["Observability"], name: str, **attrs: object):
     if obs is None:
         return _NULL_CONTEXT
     return obs.tracer.span(name, **attrs)
-
-
-def observed_sleep(
-    obs: Optional["Observability"], seconds: float, reason: str
-) -> None:
-    """``time.sleep`` that is counted and traced when telemetry is on.
-
-    A chaos delay would otherwise vanish into a silent sleep; this
-    makes every one visible as ``repro_sleep_seconds_total{reason=...}``
-    plus a ``sleep`` trace event, without changing the slept duration.
-    """
-    if obs is not None:
-        obs.inc("repro_sleep_seconds_total", seconds, reason=reason)
-        obs.tracer.event("sleep", reason=reason, seconds=seconds)
-    if seconds > 0:
-        time.sleep(seconds)
 
 
 class Observability:
@@ -186,8 +170,6 @@ _HELP = {
         "Checkpoint container operations, by op (save/load/fallback).",
     "repro_health_events_total":
         "Campaign health events mirrored from CampaignHealthReport.",
-    "repro_sleep_seconds_total":
-        "Seconds slept in chaos delays, by reason.",
     "repro_online_steps_total":
         "Online-simulation control steps, by mode (scalar/batch).",
     "repro_online_sdc_total":

@@ -1,14 +1,14 @@
-"""Resilient campaign execution: checkpoint/resume and chaos.
+"""Resilient campaign execution: checkpoint and resume.
 
 The fleet engines in :mod:`repro.fleet` compute; this package keeps
 them alive for month-scale campaigns on unreliable infrastructure —
-sharded execution, periodic self-checking snapshots, deterministic
-resume past torn or bit-rotted snapshots, and a seeded chaos injector
-that proves all of it preserves bit-identical results.
+sharded execution, periodic self-checking snapshots, and deterministic
+resume past torn or bit-rotted snapshots.  The chaos suite
+(``tests/chaos/``) kills campaign processes and damages their
+snapshots from outside, and proves every verdict stays bit-identical.
 """
 
 from .campaign import CampaignSpec, ResilientCampaign
-from .chaos import FAULT_KINDS, ChaosInjector
 from .checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
@@ -21,8 +21,6 @@ from .health import CampaignHealthReport, HealthEvent
 __all__ = [
     "CampaignSpec",
     "ResilientCampaign",
-    "FAULT_KINDS",
-    "ChaosInjector",
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
     "CheckpointStore",

@@ -11,14 +11,15 @@ a production deployment could actually run for 32 months:
   stage cursor, partial detections, and the **exact draw position** of
   the pipeline's Bernoulli substream — is snapshotted through
   :mod:`repro.resilience.checkpoint`;
-* every injected fault, snapshot, snapshot fallback and resume lands
-  in a :class:`~repro.resilience.health.CampaignHealthReport`.
+* every snapshot, snapshot fallback and resume lands in a
+  :class:`~repro.resilience.health.CampaignHealthReport`.
 
 Because checkpoints record the counted stream's exact position, a
 campaign whose process dies and which resumes from its newest usable
 snapshot produces a :class:`~repro.fleet.pipeline.FleetStudyResult`
 **bit-identical** to an uninterrupted run at the same seed — the
-invariant the chaos suite (``tests/chaos/``) enforces.
+invariant the chaos suite (``tests/chaos/``) enforces by killing
+campaign processes and damaging their snapshots.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from typing import Dict, Optional
 
-from ..obs.context import observed_sleep, span
+from ..obs.context import span
 from ..obs.procmem import record_memory
 from ..errors import ConfigurationError
 from ..fleet.frame import generate_fleet
@@ -34,14 +35,8 @@ from ..fleet.pipeline import Detection, FleetStudyResult, PipelineConfig
 from ..fleet.population import FleetPopulation, FleetSpec
 from ..fleet.vectorized import VectorizedTestPipeline
 from ..testing.library import TestcaseLibrary
-from .chaos import ChaosInjector
 from .checkpoint import CheckpointStore
-from .health import (
-    KIND_CHECKPOINT,
-    KIND_FAULT,
-    KIND_RESUME,
-    CampaignHealthReport,
-)
+from .health import KIND_CHECKPOINT, KIND_RESUME, CampaignHealthReport
 
 __all__ = ["CampaignSpec", "ResilientCampaign"]
 
@@ -136,7 +131,6 @@ class ResilientCampaign:
         shard_size: int = 256,
         checkpoint_store: Optional[CheckpointStore] = None,
         checkpoint_every: int = 1,
-        chaos: Optional[ChaosInjector] = None,
         health: Optional[CampaignHealthReport] = None,
         obs=None,
     ):
@@ -150,12 +144,11 @@ class ResilientCampaign:
         self.shard_size = shard_size
         self.store = checkpoint_store
         self.checkpoint_every = checkpoint_every
-        self.chaos = chaos
         self.health = health if health is not None else CampaignHealthReport()
         self.obs = obs
         if obs is not None:
             # Bridge health into the telemetry stream: every event it
-            # records, injected faults included, is counted and traced.
+            # records is counted and traced.
             self.health.observer = obs
         # The engine records each shard's range metrics itself.
         self._vectorized = VectorizedTestPipeline(
@@ -320,22 +313,9 @@ class ResilientCampaign:
             self.obs, "checkpoint.save",
             shard=shard, cursor=self._cursor, draws=self._stream.consumed,
         ):
-            path = self.store.save(self._payload())
+            self.store.save(self._payload())
         if self.obs is not None:
             self.obs.inc("repro_checkpoint_total", op="save")
-        if self.chaos is not None:
-            self.chaos.visit("checkpoint_done")
-            for kind in ("torn_checkpoint", "corrupt_byte"):
-                if self._injects(shard, kind):
-                    self.chaos.damage(path, kind)
-
-    def _injects(self, shard: int, kind: str) -> bool:
-        """Whether the chaos schedule fires ``kind`` on ``shard`` now;
-        the one place a fired fault is recorded."""
-        if self.chaos is None or not self.chaos.fires(shard, kind):
-            return False
-        self.health.record(KIND_FAULT, f"injected {kind}", shard=shard)
-        return True
 
     # -- execution ----------------------------------------------------------
 
@@ -346,20 +326,6 @@ class ResilientCampaign:
     @property
     def done(self) -> bool:
         return self._cursor >= len(self.population.faulty)
-
-    def _execute_shard(self, start: int, stop: int, shard: int) -> FleetStudyResult:
-        """One shard on the vectorized engine, after any chaos delay."""
-        shard_result = FleetStudyResult(
-            population_total=self.population.total,
-            arch_counts=dict(self.population.arch_counts),
-        )
-        with span(
-            self.obs, "campaign.shard", shard=shard, start=start, stop=stop,
-        ):
-            if self._injects(shard, "delay"):
-                observed_sleep(self.obs, self.chaos.delay_s, "chaos_delay")
-            self._vectorized.run_range(start, stop, shard_result)
-        return shard_result
 
     def step(self) -> bool:
         """Execute exactly one shard and apply the checkpoint policy;
@@ -376,7 +342,14 @@ class ResilientCampaign:
         start = self._cursor
         stop = min(start + self.shard_size, faulty_count)
         shard = start // self.shard_size
-        shard_result = self._execute_shard(start, stop, shard)
+        shard_result = FleetStudyResult(
+            population_total=self.population.total,
+            arch_counts=dict(self.population.arch_counts),
+        )
+        with span(
+            self.obs, "campaign.shard", shard=shard, start=start, stop=stop,
+        ):
+            self._vectorized.run_range(start, stop, shard_result)
         self.result.detections.extend(shard_result.detections)
         self.result.undetected_ids.extend(shard_result.undetected_ids)
         self._cursor = stop
@@ -387,8 +360,6 @@ class ResilientCampaign:
         ):
             self._checkpoint(shard)
             self._shards_since_checkpoint = 0
-        if self.chaos is not None:
-            self.chaos.visit("shard_done")
         return self._cursor < faulty_count
 
     def checkpoint_now(self) -> None:

@@ -3,16 +3,16 @@
 Production fleet scanners (Meta's at-scale SDC screens, Google's
 SiliFuzz) treat the test infrastructure itself as unreliable: hosts
 stall, scanners crash, snapshots rot, runs resume.  What keeps partial
-results trustworthy is a structured audit trail — every fault seen,
-every snapshot written or skipped, every resume — attached to the
-campaign result instead of scattered through logs.
+results trustworthy is a structured audit trail — every snapshot
+written or skipped, every resume — attached to the campaign result
+instead of scattered through logs.
 
 :class:`CampaignHealthReport` is that trail.  The resilient campaign
-layer and the chaos suite append :class:`HealthEvent` records to one
-report; it serializes into the checkpoint payload so a resumed run
-keeps the full history.  Checkpoints written before shard retries and
-engine degradation were retired may carry ``retry`` and
-``degradation`` events; they load like any other kind.
+layer appends :class:`HealthEvent` records to one report; it
+serializes into the checkpoint payload so a resumed run keeps the full
+history.  Checkpoints written before shard retries, engine degradation
+and in-process fault injection were retired may carry ``retry``,
+``degradation`` and ``fault`` events; they load like any other kind.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = ["HealthEvent", "CampaignHealthReport"]
 #: Event kinds recorded by the resilience layer.  Kept as plain strings
 #: (not an enum) so new layers can record domain-specific kinds without
 #: touching this module; these are the ones the core layer emits.
-KIND_FAULT = "fault"  #: a fault was observed or injected
 KIND_CHECKPOINT = "checkpoint"  #: a snapshot was written
 KIND_CHECKPOINT_FALLBACK = "checkpoint_fallback"  #: a corrupt snapshot was skipped
 KIND_RESUME = "resume"  #: a campaign continued from a snapshot
@@ -94,10 +93,6 @@ class CampaignHealthReport:
         return [event for event in self.events if event.kind == kind]
 
     @property
-    def faults(self) -> int:
-        return self.count(KIND_FAULT)
-
-    @property
     def checkpoints_written(self) -> int:
         return self.count(KIND_CHECKPOINT)
 
@@ -108,7 +103,6 @@ class CampaignHealthReport:
     def summary(self) -> str:
         """One human line per counter, for CLI output."""
         return (
-            f"faults={self.faults} "
             f"checkpoints={self.checkpoints_written} resumes={self.resumes}"
         )
 

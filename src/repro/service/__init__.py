@@ -17,9 +17,10 @@ Layering, bottom-up:
   (recover → announce → serve → drain) and the in-thread test harness.
 * :mod:`~repro.service.client` — stdlib blocking client.
 
-``repro serve --chaos`` process deaths come from the one
-:class:`~repro.resilience.chaos.ChaosInjector`, which also fires each
-job's scheduled campaign faults.
+The daemon carries no fault injection.  The chaos suite
+(``tests/chaos/``) kills it from outside: with real SIGKILLs, and at
+exact lifecycle points through a launcher that wraps the daemon's own
+functions before it boots.
 """
 
 from .client import Rejected, ServiceClient, read_endpoint

@@ -22,7 +22,8 @@ reported (that was the in-flight append when that incarnation died —
 by definition unacknowledged), while any other damaged line raises
 :class:`~repro.errors.JournalCorruptError` unless the caller opts into
 salvage mode, which truncates replay of that segment at the first bad
-line and reports the damage.
+line and reports the damage.  The chaos suite proves the rule by
+tearing a live segment's tail mid-line and killing the daemon.
 
 Entry schema (the ``data`` payload is per-kind)::
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .. import sealed
 from ..errors import JournalCorruptError, JournalError
@@ -101,19 +102,9 @@ class JournalWriter:
     fsyncs the journal directory so the new entry name itself is
     durable.  Every append is flushed and fsynced before :meth:`append`
     returns — the returned sequence number is the acknowledgment token.
-
-    ``post_append`` is the chaos hook: the service test suite installs
-    a callable here to tear the freshly written tail or kill the
-    process at the exact pre/post-durability boundaries.
     """
 
-    def __init__(
-        self,
-        directory: os.PathLike,
-        *,
-        start_seq: int = 1,
-        post_append: Optional[Callable[[Path, int], None]] = None,
-    ):
+    def __init__(self, directory: os.PathLike, *, start_seq: int = 1):
         self.directory = Path(directory)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -124,7 +115,6 @@ class JournalWriter:
         self.path = sealed.next_numbered(self.directory, _PREFIX, _SUFFIX)
         self._seq = int(start_seq)
         self._log: Optional[sealed.SealedLog] = None
-        self.post_append = post_append
 
     def append(
         self, kind: str, job: Optional[str] = None, **data: object
@@ -147,8 +137,6 @@ class JournalWriter:
                 f"cannot append to journal {self.path}: {error}"
             ) from error
         self._seq = seq + 1
-        if self.post_append is not None:
-            self.post_append(self.path, seq)
         return seq
 
     def close(self) -> None:

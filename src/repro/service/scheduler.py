@@ -28,7 +28,11 @@ one shard per step.  The asyncio side never blocks on campaign work,
 and the drain path stops every job **between** shards, checkpoints,
 and leaves the rest, queued jobs untouched, to the next incarnation.
 A job that raises fails on its own; its worker goes on to the next
-job.
+job.  The daemon injects no faults of its own: the chaos suite's
+launcher (``tests/chaos/killpoints.py``) kills it at exact points by
+wrapping :meth:`CampaignScheduler._journal_append` and
+:meth:`CampaignScheduler.drain` among others, so a rename here must
+follow there.
 
 :func:`parse_retention` parses the ``--retain-verdicts`` grammar shared
 by the CLI and :class:`~repro.service.server.ReproService`, and
@@ -47,7 +51,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import (
     AdmissionError,
@@ -58,7 +62,6 @@ from ..errors import (
 )
 from ..obs.context import span
 from ..resilience.campaign import CampaignSpec, ResilientCampaign
-from ..resilience.chaos import ChaosInjector, parse_job_chaos
 from ..resilience.checkpoint import (
     CheckpointStore,
     read_checkpoint,
@@ -93,7 +96,7 @@ _JOB_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 _AUTO_ID_RE = re.compile(r"^job-(\d{6,})$")
 
 #: Spec keys a submission may carry besides the CampaignSpec fields.
-_SUBMIT_EXTRAS = ("job_id", "chaos")
+_SUBMIT_EXTRAS = ("job_id",)
 
 
 # -- verdict retention -------------------------------------------------------
@@ -206,9 +209,6 @@ class JobRecord:
     spec: Optional[CampaignSpec]
     state: str = JOB_QUEUED
     submitted_seq: int = 0
-    #: Campaign-level chaos schedule ({shard: [kinds]}), test-only.
-    chaos_schedule: Optional[Dict[int, Tuple[str, ...]]] = None
-    chaos_seed: int = 0
     error: Optional[str] = None
     recovered: bool = False
     #: Journal seq of the verdict entry (retention orders by this).
@@ -245,7 +245,6 @@ class CampaignScheduler:
         retry_after_s: float = 1.0,
         retain_verdicts=None,
         obs=None,
-        chaos: Optional[ChaosInjector] = None,
     ):
         if max_queue < 1:
             raise ConfigurationError("max_queue must be >= 1")
@@ -263,7 +262,6 @@ class CampaignScheduler:
             floor_s=retry_after_s, cap_s=max(60.0, retry_after_s)
         )
         self.obs = obs
-        self.chaos = chaos
         self._gc_lock = threading.Lock()
         self.jobs: Dict[str, JobRecord] = {}
         self.replay_report = ReplayReport()
@@ -296,8 +294,8 @@ class CampaignScheduler:
             journal_dir, salvage=True, report=self.replay_report
         )
         max_seq = 0
-        # Jobs whose journaled spec or chaos schedule no longer parses,
-        # with why.  Each keeps its id and fails unless it finished.
+        # Jobs whose journaled spec no longer parses, with why.  Each
+        # keeps its id and fails unless it finished.
         unrunnable: Dict[str, str] = {}
         for entry in entries:
             max_seq = max(max_seq, entry.seq)
@@ -320,24 +318,13 @@ class CampaignScheduler:
                     record.spec = CampaignSpec.from_dict(entry.data["spec"])
                 except (KeyError, TypeError, ConfigurationError) as error:
                     unrunnable[job_id] = f"unusable journaled spec ({error})"
-                else:
-                    if "chaos" in entry.data:
-                        try:
-                            record.chaos_schedule, record.chaos_seed = (
-                                parse_job_chaos(entry.data["chaos"])
-                            )
-                        except ConfigurationError as error:
-                            # E.g. a fault kind an older release knew.
-                            unrunnable[job_id] = (
-                                f"unusable journaled chaos schedule ({error})"
-                            )
-                if job_id in unrunnable:
                     self.replay_report.problems.append(
                         f"job {job_id}: {unrunnable[job_id]}"
                     )
                 # Entries from older releases may also carry ``exec``
-                # hints (pool worker count, engine pin) and specs with
-                # retired keys; replay ignores both.
+                # hints (pool worker count, engine pin), ``chaos``
+                # schedules and specs with retired keys; replay ignores
+                # all three.
                 self.jobs[job_id] = record
                 self._order.append(job_id)
             elif entry.kind == "start" and job_id in self.jobs:
@@ -385,15 +372,7 @@ class CampaignScheduler:
                     # (re-)queue; its checkpoint store carries any
                     # resume point.
                     record.state = JOB_QUEUED
-        self._journal = JournalWriter(
-            journal_dir,
-            start_seq=max_seq + 1,
-            post_append=(
-                (lambda path, _seq: self.chaos.visit("journal_append", path))
-                if self.chaos is not None
-                else None
-            ),
-        )
+        self._journal = JournalWriter(journal_dir, start_seq=max_seq + 1)
         if self.obs is not None:
             for _ in self.replay_report.problems:
                 self.obs.inc(
@@ -445,8 +424,6 @@ class CampaignScheduler:
         self._draining = True
         started = time.monotonic()
         self._stop_event.set()
-        if self.chaos is not None:
-            self.chaos.visit("drain")
         if self._queue is not None:
             for _ in self._workers:
                 self._queue.put_nowait(None)
@@ -532,10 +509,7 @@ class CampaignScheduler:
                 raise ConfigurationError(
                     "job_id must match [A-Za-z0-9][A-Za-z0-9._-]{0,63}"
                 )
-        chaos = body.get("chaos")
-        if chaos is not None:
-            chaos = parse_job_chaos(chaos)
-        return {"spec": spec, "job_id": job_id, "chaos": chaos}
+        return {"spec": spec, "job_id": job_id}
 
     async def submit(self, body: Dict[str, object]) -> JobRecord:
         """Admit one job: validate, journal (fsync), queue, return.
@@ -571,32 +545,16 @@ class CampaignScheduler:
                     f"job id {job_id!r} already exists", status=409
                 )
             record = JobRecord(job_id=job_id, spec=normalized["spec"])
-            if normalized["chaos"] is not None:
-                record.chaos_schedule, record.chaos_seed = normalized["chaos"]
             # Reserve the id before the (await-ing) journal write so a
             # concurrent duplicate submission cannot race past the check.
             self.jobs[job_id] = record
             self._order.append(job_id)
-        if self.chaos is not None:
-            self.chaos.visit("submit_pre_ack")
-        journal_data: Dict[str, object] = {
-            "spec": record.spec.to_dict(),
-        }
-        if record.chaos_schedule is not None:
-            journal_data["chaos"] = {
-                "schedule": {
-                    str(shard): kinds
-                    for shard, kinds in record.chaos_schedule.items()
-                },
-                "seed": record.chaos_seed,
-            }
+        spec = record.spec.to_dict()
         try:
             record.submitted_seq = await asyncio.get_running_loop(
             ).run_in_executor(
                 None,
-                lambda: self._journal_append(
-                    "submit", job_id, **journal_data
-                ),
+                lambda: self._journal_append("submit", job_id, spec=spec),
             )
         except Exception:
             with self._id_lock:
@@ -604,8 +562,6 @@ class CampaignScheduler:
                 if job_id in self._order:
                     self._order.remove(job_id)
             raise
-        if self.chaos is not None:
-            self.chaos.visit("submit_post_ack")
         self._queue.put_nowait(job_id)
         if self.obs is not None:
             self.obs.inc("repro_service_jobs_total", event="submitted")
@@ -707,16 +663,6 @@ class CampaignScheduler:
                 self._active -= 1
                 self._update_gauges()
 
-    def _job_chaos(self, record: JobRecord) -> Optional[ChaosInjector]:
-        """The job's schedule plus the daemon's ``--chaos`` deaths."""
-        if self.chaos is not None:
-            return self.chaos.for_job(
-                record.chaos_schedule or {}, record.chaos_seed
-            )
-        if record.chaos_schedule:
-            return ChaosInjector(record.chaos_schedule, seed=record.chaos_seed)
-        return None
-
     def _run_job(self, record: JobRecord) -> None:
         """Drive one job to verdict/failure/suspension (worker thread).
 
@@ -753,7 +699,6 @@ class CampaignScheduler:
                 self.library, payload, fallbacks,
                 spec=record.spec,
                 checkpoint_store=store,
-                chaos=self._job_chaos(record),
                 checkpoint_every=self.checkpoint_every,
                 obs=self.obs,
             )

@@ -10,7 +10,7 @@ server into one process with a deliberate lifecycle:
    recovered daemon).
 2. **Announce** — bind (``port=0`` picks a free port) and atomically
    write ``<state-dir>/endpoint.json`` with host/port/pid, the
-   discovery file the chaos suite and operators poll.
+   discovery file the test suites and operators poll.
 3. **Serve** — keep-alive HTTP with per-request read timeouts; campaign
    shards execute on the scheduler's thread pool.
 4. **Drain** — SIGTERM/SIGINT flip readiness to 503, stop admitting,
@@ -35,7 +35,6 @@ from typing import Optional, Tuple
 
 from ..errors import ServiceError
 from ..obs import Observability, record_memory
-from ..resilience.chaos import ChaosInjector
 from ..sealed import atomic_write
 from ..testing import build_library
 from .api import ServiceApi, RequestError, read_request, render_response
@@ -60,7 +59,6 @@ class ReproService:
         port: int = 0,
         library=None,
         obs: Optional[Observability] = None,
-        chaos: Optional[ChaosInjector] = None,
         max_queue: int = 64,
         max_active: int = 1,
         checkpoint_every: int = 2,
@@ -75,7 +73,6 @@ class ReproService:
         self.host = host
         self._requested_port = port
         self.obs = obs if obs is not None else Observability()
-        self.chaos = chaos
         self.request_timeout_s = request_timeout_s
         self.max_body_bytes = max_body_bytes
         self.scheduler = CampaignScheduler(
@@ -88,7 +85,6 @@ class ReproService:
             retry_after_s=retry_after_s,
             retain_verdicts=retain_verdicts,
             obs=self.obs,
-            chaos=chaos,
         )
         self.api = ServiceApi(self.scheduler, self, obs=self.obs)
         self._server: Optional[asyncio.base_events.Server] = None

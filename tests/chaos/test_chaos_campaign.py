@@ -1,10 +1,11 @@
 """Chaos acceptance: campaigns survive real harness faults.
 
-The invariant under test: a campaign whose process dies, whose newest
-snapshots are torn or bit-rotted, or whose shards stall, produces a
+The invariant under test: a campaign whose process dies, or whose
+newest snapshots are torn or bit-rotted, produces a
 :class:`FleetStudyResult` **bit-identical** to the fault-free run at
-the same seed, and the health report enumerates every injected fault
-and every recovery action taken.
+the same seed, and the health report names every snapshot it skipped
+and every resume.  The tests damage snapshots on disk themselves,
+between ``step()`` calls (:mod:`tests.chaos.damage`).
 """
 
 import json
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -21,17 +23,18 @@ from repro.fleet import FleetSpec, TestPipeline, generate_fleet
 from repro.resilience import (
     CampaignHealthReport,
     CampaignSpec,
-    ChaosInjector,
     CheckpointStore,
     ResilientCampaign,
     read_checkpoint,
 )
-from repro.resilience.chaos import KILL_EXIT_CODE
+
+from .damage import damage, draw_schedule
+from .killpoints import KILL_EXIT_CODE
 
 REPO = Path(__file__).resolve().parents[2]
 
 #: 10k-CPU acceptance fleet; the scale multiplier gives ~200 faulty
-#: CPUs so shards/checkpoints/chaos all have something to chew on.
+#: CPUs so shards, snapshots and damage all have something to chew on.
 SPEC = CampaignSpec(
     total_processors=10_000,
     fleet_seed=7,
@@ -72,7 +75,7 @@ def test_fault_free_campaign_matches_pipeline(fleet, library, baseline, tmp_path
     )
     assert_bit_identical(campaign.run(), baseline)
     assert campaign.health.checkpoints_written >= 1
-    assert campaign.health.faults == 0
+    assert campaign.health.count("checkpoint_fallback") == 0
     assert store.paths(), "snapshots must be on disk"
 
 
@@ -88,23 +91,23 @@ STUDY_SPEC = CampaignSpec(
 #: no atexit handlers, no flushes.
 CRASHING_CHILD = """
 import json, os, sys
-from repro.resilience import (
-    CampaignSpec, ChaosInjector, CheckpointStore, ResilientCampaign,
-)
-from repro.resilience.chaos import KILL_EXIT_CODE
+import numpy as np
+from repro.resilience import CampaignSpec, CheckpointStore, ResilientCampaign
 from repro.testing import build_library
+from tests.chaos.damage import DAMAGE_KINDS, damage
+from tests.chaos.killpoints import KILL_EXIT_CODE
 
 directory, spec, shards = sys.argv[1], sys.argv[2], int(sys.argv[3])
+store = CheckpointStore(directory)
 campaign = ResilientCampaign.from_spec(
     CampaignSpec.from_dict(json.loads(spec)), build_library(),
-    checkpoint_store=CheckpointStore(directory),
-    checkpoint_every=1,
-    chaos=ChaosInjector(
-        {shards - 1: ["torn_checkpoint", "corrupt_byte"]}, seed=5
-    ),
+    checkpoint_store=store, checkpoint_every=1,
 )
 for _ in range(shards):
     assert campaign.step(), "the death must come mid-campaign"
+rng = np.random.default_rng(5)
+for kind in DAMAGE_KINDS:
+    damage(store.paths()[-1], kind, rng)
 os._exit(KILL_EXIT_CODE)
 """
 
@@ -145,37 +148,58 @@ def test_acceptance_chaos_campaign_bit_identical(tmp_path, capsys):
 
 @pytest.mark.parametrize("chaos_seed", [101, 202, 303])
 def test_seeded_chaos_matrix(library, baseline, tmp_path, chaos_seed):
-    """CI's fixed seed matrix: random schedules of every fault kind on
-    a campaign dropped halfway, as a dead process leaves it, and
-    reopened with the same injector the way the daemon reopens a job."""
+    """CI's fixed seed matrix: a seeded schedule tears and bit-rots
+    snapshots, and the campaign dies right after each damaged one and
+    halfway through.  Each time it is reopened from disk, as the daemon
+    reopens a job, past the damaged snapshots or from scratch.  Each
+    fault lands once, like a real one that does not recur when the
+    reopened campaign re-runs its shard."""
     faulty = len(baseline.detections) + len(baseline.undetected_ids)
     shard_count = -(-faulty // SPEC.shard_size)
-    chaos = ChaosInjector.seeded(chaos_seed, shard_count, rate=0.3)
-    chaos.delay_s = 0.001
+    schedule = draw_schedule(chaos_seed, shard_count, rate=0.3)
+    deaths = set(schedule) | {shard_count // 2}
+    rng = np.random.default_rng(chaos_seed)
     store = CheckpointStore(tmp_path)
-    dropped = ResilientCampaign.from_spec(
-        SPEC, library, checkpoint_store=store, chaos=chaos,
-        checkpoint_every=1,
+    campaign = ResilientCampaign.from_spec(
+        SPEC, library, checkpoint_store=store, checkpoint_every=1,
     )
-    for _ in range(shard_count // 2):
-        dropped.step()
-
-    fallbacks = CampaignHealthReport()
-    payload = store.load_latest(fallbacks)
-    if payload is None:
-        # Both retained snapshots are damaged: there is nothing to
-        # resume, and the job starts over.
-        with pytest.raises(ConfigurationError, match="no usable checkpoint"):
-            ResilientCampaign.resume(store, library)
-    reopened = ResilientCampaign.open(
-        library, payload, fallbacks, spec=SPEC, checkpoint_store=store,
-        chaos=chaos, checkpoint_every=1, health=dropped.health,
-    )
-    assert_bit_identical(reopened.run(), baseline)
-    assert not chaos.pending()
-    health = reopened.health
-    assert health.faults == sum(len(k) for k in chaos.schedule.values())
-    assert health.resumes == (payload is not None)
+    hit, damaged = set(), set()
+    skipped = resumes = 0
+    while not campaign.done:
+        shard = campaign.cursor // SPEC.shard_size
+        campaign.step()
+        if shard in hit:
+            continue
+        hit.add(shard)
+        for kind in schedule.get(shard, ()):
+            damage(store.paths()[-1], kind, rng)
+            damaged.add(store.paths()[-1].name)
+        if shard not in deaths:
+            continue
+        retained = [path.name for path in reversed(store.paths())]
+        unusable = 0
+        while unusable < len(retained) and retained[unusable] in damaged:
+            unusable += 1
+        fallbacks = CampaignHealthReport()
+        payload = store.load_latest(fallbacks)
+        assert fallbacks.count("checkpoint_fallback") == unusable
+        if payload is None:
+            # Every retained snapshot is damaged: there is nothing to
+            # resume, and the campaign starts over.
+            assert unusable == len(retained)
+            with pytest.raises(ConfigurationError, match="no usable"):
+                ResilientCampaign.resume(store, library)
+        skipped += unusable
+        resumes += payload is not None
+        campaign = ResilientCampaign.open(
+            library, payload, fallbacks, spec=SPEC, checkpoint_store=store,
+            checkpoint_every=1, health=campaign.health,
+        )
+    assert_bit_identical(campaign.result, baseline)
+    assert hit == set(range(shard_count))
+    assert skipped >= len(schedule) > 0
+    assert campaign.health.count("checkpoint_fallback") == skipped
+    assert campaign.health.resumes == resumes
 
 
 def test_resume_requires_checkpoint(library, tmp_path):

@@ -1,24 +1,31 @@
 """A daemon job runs the same campaign as a direct ``ResilientCampaign``.
 
-A ``repro serve`` job whose chaos schedule stalls two shards, tears one
-snapshot and bit-rots another must land what a direct
-:class:`~repro.resilience.ResilientCampaign` lands for the same spec,
-schedule and checkpoint interval: the same result and the same health
-report.  Every injected fault reaches telemetry exactly once, as a
-``health.fault`` trace event and in
-``repro_health_events_total{kind="fault"}``.
+A ``repro serve`` job drained after its second shard, whose newest
+snapshot then tears on disk, must resume in the next incarnation to
+what a direct :class:`~repro.resilience.ResilientCampaign` lands when it
+is dropped at the same shard, takes the same damage and is reopened:
+the same result and the same health report, down to the skipped
+snapshot's name.  The skipped snapshot and the resume each reach
+telemetry exactly once.
 """
+
+import shutil
+import threading
+
+import numpy as np
 
 from repro.obs import ListTraceSink, MetricsRegistry, Observability, Tracer
 from repro.resilience import (
+    CampaignHealthReport,
     CampaignSpec,
-    ChaosInjector,
     CheckpointStore,
     ResilientCampaign,
 )
 from repro.service import ServiceClient, ServiceThread
 
-#: ~35 faulty CPUs in 5 shards, so every scheduled fault lands.
+from .damage import damage
+
+#: ~35 faulty CPUs in 5 shards.
 SPEC = dict(
     total_processors=1500,
     fleet_seed=3,
@@ -26,54 +33,80 @@ SPEC = dict(
     failure_rate_scale=80.0,
     shard_size=8,
 )
-
-SCHEDULE = {
-    0: ["delay"],
-    1: ["torn_checkpoint"],
-    2: ["delay"],
-    3: ["corrupt_byte"],
-}
-CHAOS_SEED = 7
+DROPPED_AFTER = 2
 CHECKPOINT_EVERY = 1
 
 
-def test_daemon_job_matches_direct_supervised_run(tmp_path, library):
-    direct = ResilientCampaign.from_spec(
-        CampaignSpec(**SPEC),
-        library,
-        checkpoint_store=CheckpointStore(tmp_path / "direct"),
-        chaos=ChaosInjector(SCHEDULE, seed=CHAOS_SEED),
-        checkpoint_every=CHECKPOINT_EVERY,
+def tear_newest(store):
+    damage(store.paths()[-1], "torn_checkpoint", np.random.default_rng(7))
+
+
+def test_daemon_job_matches_direct_supervised_run(
+    tmp_path, library, monkeypatch
+):
+    # The direct run uses the directory the daemon gives the job, so
+    # the health trail's skipped-snapshot detail agrees byte for byte.
+    state = tmp_path / "state"
+    store = CheckpointStore(state / "jobs" / "supervised" / "ckpt")
+    dropped = ResilientCampaign.from_spec(
+        CampaignSpec(**SPEC), library,
+        checkpoint_store=store, checkpoint_every=CHECKPOINT_EVERY,
+    )
+    for _ in range(DROPPED_AFTER):
+        dropped.step()
+    tear_newest(store)
+    fallbacks = CampaignHealthReport()
+    payload = store.load_latest(fallbacks)
+    direct = ResilientCampaign.open(
+        library, payload, fallbacks, spec=CampaignSpec(**SPEC),
+        checkpoint_store=store, checkpoint_every=CHECKPOINT_EVERY,
     )
     result = direct.run()
     health = direct.health
+    assert health.count("checkpoint_fallback") == 1
+    assert health.resumes == 1
+    shutil.rmtree(state)
+
+    # The daemon's first incarnation holds the job after its shard
+    # DROPPED_AFTER until drain begins, so the job stops right there.
     sink = ListTraceSink()
     obs = Observability(MetricsRegistry(), Tracer(sink))
+    handle = ServiceThread(
+        state, library=library,
+        checkpoint_every=CHECKPOINT_EVERY, obs=obs,
+    ).start()
+    draining = handle.service.scheduler._stop_event
+    held = threading.Event()
+    step = ResilientCampaign.step
+
+    def held_step(campaign):
+        more = step(campaign)
+        if campaign.cursor == DROPPED_AFTER * SPEC["shard_size"]:
+            held.set()
+            assert draining.wait(timeout=60), "drain never began"
+        return more
+
+    monkeypatch.setattr(ResilientCampaign, "step", held_step)
+    client = ServiceClient("127.0.0.1", handle.port)
+    client.submit(dict(SPEC, job_id="supervised"))
+    assert held.wait(timeout=60)
+    handle.stop()
+    monkeypatch.undo()
+    assert len(store.paths()) == DROPPED_AFTER
+    tear_newest(store)
+
     with ServiceThread(
-        tmp_path / "state", library=library,
+        state, library=library,
         checkpoint_every=CHECKPOINT_EVERY, obs=obs,
     ) as handle:
         client = ServiceClient("127.0.0.1", handle.port)
-        client.submit(dict(
-            SPEC, job_id="supervised",
-            chaos={
-                "schedule": {
-                    str(shard): kinds for shard, kinds in SCHEDULE.items()
-                },
-                "seed": CHAOS_SEED,
-            },
-        ))
         verdict = client.wait_verdict("supervised", timeout_s=120)
 
-    faults = sum(len(kinds) for kinds in SCHEDULE.values())
     assert verdict["result"] == result.to_dict()
     assert verdict["health"] == health.to_dict()
-    assert health.faults == faults
-    assert health.resumes == 0
-
     names = [record["name"] for record in sink.records]
-    assert names.count("health.fault") == faults
-    assert not [name for name in names if name.startswith("chaos.")]
-    assert obs.metrics.value(
-        "repro_health_events_total", kind="fault"
-    ) == faults
+    for kind in ("checkpoint_fallback", "resume"):
+        assert names.count(f"health.{kind}") == 1
+        assert obs.metrics.value(
+            "repro_health_events_total", kind=kind
+        ) == 1

@@ -5,14 +5,14 @@ before a submission's ack, mid-shard, right after a checkpoint, while
 tearing its own journal tail, or mid-drain — and restarted on the same
 ``--state-dir`` finishes every acknowledged job with a verdict
 **bit-identical** to an uninterrupted run's.  Kills are driven two
-ways: deterministically via the ``--chaos`` hook-point injector
-(``os._exit(137)`` at exact lifecycle points external ``kill -9``
-could only hit by luck), and non-deterministically with real SIGKILLs.
+ways: deterministically through the :mod:`tests.chaos.killpoints`
+launcher (``os._exit(137)`` at exact lifecycle points external
+``kill -9`` could only hit by luck), and non-deterministically with
+real SIGKILLs.
 A concurrent-client stress run checks the admission path never loses
 or duplicates a job id under ≥32 in-flight submissions.
 """
 
-import json
 import os
 import signal
 import socket
@@ -25,9 +25,15 @@ from pathlib import Path
 import pytest
 
 from repro.resilience import CampaignSpec, ResilientCampaign
-from repro.service import ServiceClient, ServiceThread
-from repro.resilience.chaos import KILL_EXIT_CODE
+from repro.service import (
+    ReplayReport,
+    ServiceClient,
+    ServiceThread,
+    replay_journal,
+)
 from repro.testing import build_library
+
+from .killpoints import KILL_EXIT_CODE
 
 #: ~35 faulty CPUs across several shards; small enough that one
 #: uninterrupted pass is sub-second, structured enough that every kill
@@ -41,6 +47,12 @@ SPEC = dict(
 )
 
 REPO = Path(__file__).resolve().parents[2]
+KILLPOINTS = Path(__file__).resolve().with_name("killpoints.py")
+
+#: One shard per CPU, each held back by the launcher: the campaign
+#: stays in flight while the test signals the daemon.
+SLOW = dict(SPEC, shard_size=1)
+STEP_SLEEP = "0.05"
 
 @pytest.fixture(scope="module")
 def library():
@@ -55,16 +67,20 @@ def expected_result(library):
     return campaign.result.to_dict()
 
 
-def start_daemon(state_dir, chaos=None, extra=()):
+def start_daemon(state_dir, kill="", step_sleep="0"):
+    """``repro serve`` on ``state_dir``, through the kill-point launcher
+    when a death or a per-step sleep is asked for."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
+    launcher = ["-m", "repro"]
+    if kill or float(step_sleep):
+        launcher = [
+            str(KILLPOINTS), "--kill", kill, "--step-sleep", step_sleep,
+        ]
     cmd = [
-        sys.executable, "-m", "repro", "serve",
+        sys.executable, *launcher, "serve",
         "--state-dir", str(state_dir), "--checkpoint-every", "1",
     ]
-    if chaos:
-        cmd += ["--chaos", chaos]
-    cmd += list(extra)
     return subprocess.Popen(
         cmd, env=env, cwd=REPO,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -93,7 +109,7 @@ def submit_expecting_death(client, body):
 
 
 class TestKillMatrix:
-    """Deterministic SIGKILL points via the --chaos injector."""
+    """Deterministic SIGKILL points via the kill-point launcher."""
 
     @pytest.mark.parametrize("chaos_point", [
         "kill:shard_done:2",            # mid-campaign, between shards
@@ -104,7 +120,7 @@ class TestKillMatrix:
     def test_restart_parity_after_kill(
         self, tmp_path, chaos_point, expected_result
     ):
-        daemon = start_daemon(tmp_path, chaos=chaos_point)
+        daemon = start_daemon(tmp_path, kill=chaos_point)
         try:
             client = wait_ready(tmp_path)
             submit_expecting_death(client, dict(SPEC, job_id="victim"))
@@ -113,7 +129,11 @@ class TestKillMatrix:
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait(30)
-        # Same state dir, no chaos: the job must finish bit-identically.
+        if chaos_point.startswith("tear_journal:"):
+            report = ReplayReport()
+            replay_journal(tmp_path / "journal", report=report)
+            assert any("torn tail" in p for p in report.problems)
+        # Same state dir, no kill: the job must finish bit-identically.
         daemon = start_daemon(tmp_path)
         try:
             client = wait_ready(tmp_path)
@@ -129,7 +149,7 @@ class TestKillMatrix:
         """Death before the journal append: the client got no ack, and
         correspondingly the restarted daemon knows nothing of the job —
         the other consistent outcome of the crash contract."""
-        daemon = start_daemon(tmp_path, chaos="kill:submit_pre_ack:1")
+        daemon = start_daemon(tmp_path, kill="kill:submit_pre_ack:1")
         try:
             client = wait_ready(tmp_path)
             ack = submit_expecting_death(client, dict(SPEC, job_id="ghost"))
@@ -152,7 +172,7 @@ class TestKillMatrix:
         the client sees a dead connection, yet the job is journaled and
         must survive — 'acknowledged' is defined by the fsync, and the
         ack the client never read was already durable."""
-        daemon = start_daemon(tmp_path, chaos="kill:submit_post_ack:1")
+        daemon = start_daemon(tmp_path, kill="kill:submit_post_ack:1")
         try:
             client = wait_ready(tmp_path)
             ack = submit_expecting_death(client, dict(SPEC, job_id="durable"))
@@ -173,16 +193,20 @@ class TestKillMatrix:
             assert daemon.wait(timeout=60) == 0
 
     def test_kill_mid_drain(self, tmp_path, expected_result):
-        """SIGTERM starts a graceful drain; the injector kills inside
-        it.  The next incarnation still owes (and pays) the verdict."""
-        slow = dict(
-            SPEC, shard_size=1, job_id="draining",
-            chaos={"schedule": {str(s): ["delay"] for s in range(40)}},
+        """SIGTERM starts a graceful drain; the launcher kills on its
+        entry.  The next incarnation still owes (and pays) the verdict."""
+        daemon = start_daemon(
+            tmp_path, kill="kill:drain:1", step_sleep=STEP_SLEEP
         )
-        daemon = start_daemon(tmp_path, chaos="kill:drain:1")
         try:
             client = wait_ready(tmp_path)
-            client.submit(slow)
+            client.submit(dict(SLOW, job_id="draining"))
+            # Drain once the campaign has a snapshot to resume from.
+            snapshots = tmp_path / "jobs" / "draining" / "ckpt"
+            deadline = time.monotonic() + 60
+            while not list(snapshots.glob("*.ckpt")):
+                assert time.monotonic() < deadline, "no snapshot landed"
+                time.sleep(0.01)
             daemon.send_signal(signal.SIGTERM)
             assert daemon.wait(timeout=60) == KILL_EXIT_CODE
         finally:
@@ -206,22 +230,19 @@ class TestRealSigkill:
         """The acceptance-criteria run: real ``SIGKILL`` (twice) while a
         campaign is in flight, restart on the same state dir each time,
         and the final verdict equals the uninterrupted run's."""
-        slow = dict(
-            SPEC, shard_size=1, job_id="survivor",
-            chaos={"schedule": {str(s): ["delay"] for s in range(40)}},
-        )
-        daemon = start_daemon(tmp_path)
+        daemon = start_daemon(tmp_path, step_sleep=STEP_SLEEP)
         client = wait_ready(tmp_path)
-        client.submit(slow)
+        client.submit(dict(SLOW, job_id="survivor"))
         for round_index in range(2):
             # Let the campaign make some progress, then murder it.
             time.sleep(0.15 * (round_index + 1))
             daemon.send_signal(signal.SIGKILL)
             assert daemon.wait(timeout=60) == -signal.SIGKILL
-            daemon = start_daemon(tmp_path)
+            daemon = start_daemon(tmp_path, step_sleep=STEP_SLEEP)
             client = wait_ready(tmp_path)
             record = client.job("survivor")
             assert record is not None, "SIGKILL lost an acknowledged job"
+            assert record["state"] != "done", "the kill came too late"
         try:
             verdict = client.wait_verdict("survivor", timeout_s=120)
             assert verdict["result"] == expected_result

@@ -1,8 +1,14 @@
 """Unit tests for fleet population, topology, pipeline, and stats."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cpu import SDCType
+from repro.cpu import VULNERABLE_FEATURES, Feature, SDCType
 from repro.errors import ConfigurationError
 from repro.fleet import (
     FleetSpec,
@@ -15,6 +21,29 @@ from repro.fleet import (
 )
 from repro.rng import substream
 from repro.units import permyriad
+
+
+REPO = Path(__file__).resolve().parents[2]
+
+#: Figure 2's key order after a campaign that found faulty CPUs and
+#: after one that found none.
+FEATURE_ORDER_CHILD = """
+import json
+from repro.fleet import FleetSpec, TestPipeline, generate_fleet, stats
+from repro.fleet.pipeline import FleetStudyResult
+from repro.testing import build_library
+
+fleet = generate_fleet(
+    FleetSpec(total_processors=1500, seed=3, failure_rate_scale=80.0)
+)
+found = TestPipeline(fleet, build_library(), seed=5).run()
+assert found.detections
+empty = FleetStudyResult(fleet.total, dict(fleet.arch_counts))
+print(json.dumps([
+    [str(f) for f in stats.feature_proportions(result, fleet)]
+    for result in (found, empty)
+]))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +173,21 @@ class TestPipelineCampaign:
         datatypes = stats.datatype_proportions(result, small_fleet)
         assert datatypes
         assert all(0.0 <= v <= 1.0 for v in datatypes.values())
+
+    def test_feature_order_ignores_hash_seed(self):
+        """Figure 2 lists features in ``Feature``'s declaration order on
+        both return paths, whatever ``PYTHONHASHSEED`` orders the
+        ``VULNERABLE_FEATURES`` frozenset by."""
+        expected = [str(f) for f in Feature if f in VULNERABLE_FEATURES]
+        for hash_seed in ("0", "1"):
+            child = subprocess.run(
+                [sys.executable, "-c", FEATURE_ORDER_CHILD],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed,
+                         PYTHONPATH=str(REPO / "src")),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert child.returncode == 0, child.stderr
+            assert json.loads(child.stdout) == [expected, expected]
 
     def test_ineffective_testcases(self, result):
         # Observation 11: the vast majority of testcases never fire.

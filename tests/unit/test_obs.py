@@ -32,7 +32,6 @@ from repro.obs import (
     iter_spans,
     load_metrics,
     logging_setup,
-    observed_sleep,
     parse_prometheus_text,
     read_trace,
     read_trace_segments,
@@ -462,27 +461,14 @@ class TestObsReportReadsRotatedTraces:
 
 
 class TestObservabilityContext:
-    def test_observed_sleep_counts_without_sleeping(self):
-        obs = Observability.in_memory()
-        observed_sleep(obs, 0.0, "chaos_delay")
-        observed_sleep(obs, 0.0, "chaos_delay")
-        assert obs.metrics.value(
-            "repro_sleep_seconds_total", reason="chaos_delay"
-        ) == 0.0
-        events = [
-            r for r in obs.tracer._sink.records if r["kind"] == "event"
-        ]
-        assert len(events) == 2 and events[0]["name"] == "sleep"
-        observed_sleep(None, 0.0, "chaos_delay")  # no-op without obs
-
     def test_health_observer_bridge(self):
         obs = Observability.in_memory()
         health = CampaignHealthReport()
         health.observer = obs
-        health.record("fault", "injected delay", shard=3)
+        health.record("checkpoint_fallback", "skipped campaign-000002.ckpt")
         health.record("resume", "resumed at cursor 24", shard=3)
         assert obs.metrics.value(
-            "repro_health_events_total", kind="fault"
+            "repro_health_events_total", kind="checkpoint_fallback"
         ) == 1.0
         assert obs.metrics.value(
             "repro_health_events_total", kind="resume"
@@ -491,7 +477,7 @@ class TestObservabilityContext:
             r["name"] for r in obs.tracer._sink.records
             if r["kind"] == "event"
         ]
-        assert names == ["health.fault", "health.resume"]
+        assert names == ["health.checkpoint_fallback", "health.resume"]
         # The observer is a class-level default, never serialized.
         assert "observer" not in health.to_dict()
 

@@ -1,7 +1,8 @@
 """Unit tests for the resilience primitives.
 
-Counted RNG streams, checkpoint self-checks and rotation, chaos
-scheduling, health-trail compatibility, and configuration validation.
+Counted RNG streams, checkpoint self-checks and rotation, the chaos
+suite's kill-point counters, health-trail compatibility, and
+configuration validation.
 """
 
 import json
@@ -20,7 +21,6 @@ from repro.fleet.pipeline import PipelineConfig, StageConfig
 from repro.resilience import (
     CampaignHealthReport,
     CampaignSpec,
-    ChaosInjector,
     CheckpointStore,
     HealthEvent,
     ResilientCampaign,
@@ -28,6 +28,7 @@ from repro.resilience import (
     write_checkpoint,
 )
 from repro.rng import CountedStream, substream
+from tests.chaos.killpoints import KillPoints
 
 
 # -- CountedStream ---------------------------------------------------------
@@ -217,42 +218,26 @@ def test_fresh_start_records_skipped_snapshots(library, tmp_path):
     assert fresh.health.resumes == 0
 
 
-# -- chaos injector --------------------------------------------------------
-
-
-def test_chaos_rejects_unknown_kind():
-    with pytest.raises(ConfigurationError, match="unknown chaos fault"):
-        ChaosInjector({0: ["meteor_strike"]})
-
-
-def test_chaos_fires_each_fault_once():
-    chaos = ChaosInjector({2: ["corrupt_byte"]})
-    assert chaos.fires(1, "corrupt_byte") is False
-    assert chaos.fires(2, "corrupt_byte") is True
-    assert chaos.fires(2, "corrupt_byte") is False  # faults do not recur
-    assert chaos.fired == {(2, "corrupt_byte")}
-    assert chaos.pending() == {}
+# -- kill-point counters ---------------------------------------------------
 
 
 def test_job_injectors_share_exact_visit_counts():
-    """Job threads count hook visits in the daemon's counters without
-    losing an update, so ``--chaos`` kills land on the exact visit."""
+    """Job threads count kill-point visits in the launcher's one set of
+    counters without losing an update, so a kill lands on the exact
+    visit."""
     import sys
     import threading
 
-    daemon = ChaosInjector.from_spec("kill:drain:1")
-    jobs = [daemon.for_job({0: ["delay"]}) for _ in range(8)]
+    points = KillPoints([("kill", "drain", 1)])
 
-    def visit_many(job):
+    def visit_many():
         for _ in range(2000):
-            job.visit("shard_done")
+            points.visit("shard_done")
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [
-            threading.Thread(target=visit_many, args=(job,)) for job in jobs
-        ]
+        threads = [threading.Thread(target=visit_many) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -260,35 +245,7 @@ def test_job_injectors_share_exact_visit_counts():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert daemon._visits == {"shard_done": 8 * 2000}
-    assert all(job.exits == [("kill", "drain", 1)] for job in jobs)
-
-
-def test_chaos_seeded_schedule_is_deterministic():
-    a = ChaosInjector.seeded(42, shard_count=20, rate=0.4)
-    b = ChaosInjector.seeded(42, shard_count=20, rate=0.4)
-    assert a.schedule == b.schedule
-    assert a.schedule  # rate 0.4 over 120 slots: practically certain
-    assert ChaosInjector.seeded(43, shard_count=20, rate=0.4).schedule != a.schedule
-
-
-def test_chaos_records_into_health(library):
-    """The campaign records each fired fault once; the injector holds
-    no report of its own."""
-    chaos = ChaosInjector({0: ["delay"]}, delay_s=0.0)
-    campaign = ResilientCampaign.from_spec(
-        CampaignSpec(
-            total_processors=1500, fleet_seed=3, failure_rate_scale=80.0,
-            shard_size=8,
-        ),
-        library,
-        chaos=chaos,
-    )
-    campaign.step()  # shard 0: the delay fires
-    campaign.step()  # shard 1: nothing left to fire
-    assert campaign.health.faults == 1
-    assert campaign.health.of_kind("fault")[0].detail == "injected delay"
-    assert not hasattr(chaos, "health") and not hasattr(chaos, "obs")
+    assert points.visits == {"shard_done": 8 * 2000}
 
 
 # -- health report ---------------------------------------------------------
@@ -296,18 +253,21 @@ def test_chaos_records_into_health(library):
 
 def test_health_report_round_trip():
     report = CampaignHealthReport()
-    report.record("fault", "injected delay", shard=3)
+    report.record("checkpoint_fallback", "skipped campaign-000002.ckpt")
     report.record("resume", "resumed at cursor 24", shard=3)
     clone = CampaignHealthReport.from_dict(report.to_dict())
     assert clone.events == report.events
-    assert clone.events[0] == HealthEvent("fault", "injected delay", shard=3)
-    assert clone.summary() == "faults=1 checkpoints=0 resumes=1"
+    assert clone.events[1] == HealthEvent(
+        "resume", "resumed at cursor 24", shard=3
+    )
+    assert clone.summary() == "checkpoints=0 resumes=1"
 
 
 def test_resume_keeps_retired_health_event_kinds(library, tmp_path):
     """A snapshot written while shards could still be retried and
-    degraded carries ``retry`` and ``degradation`` events; it resumes
-    to the uninterrupted result and keeps them in its trail."""
+    degraded, and faults injected in process, carries ``retry``,
+    ``degradation`` and ``fault`` events; it resumes to the
+    uninterrupted result and keeps them in its trail."""
     spec = CampaignSpec(
         total_processors=1500, fleet_seed=3, failure_rate_scale=80.0,
         shard_size=8,
@@ -320,6 +280,8 @@ def test_resume_keeps_retired_health_event_kinds(library, tmp_path):
         {"kind": "retry", "detail": "attempt 1", "shard": 1, "item": None},
         {"kind": "degradation", "detail": "vectorized -> scalar",
          "shard": 1, "item": None},
+        {"kind": "fault", "detail": "injected corrupt_byte", "shard": 1,
+         "item": None},
     ]
     store = CheckpointStore(tmp_path)
     store.save(payload)
@@ -329,9 +291,12 @@ def test_resume_keeps_retired_health_event_kinds(library, tmp_path):
     assert result.detections == direct.detections
     assert result.undetected_ids == direct.undetected_ids
     health = resumed.health
-    assert (health.count("retry"), health.count("degradation")) == (1, 1)
+    assert [
+        health.count(kind) for kind in ("retry", "degradation", "fault")
+    ] == [1, 1, 1]
     assert health.resumes == 1
     assert "retries" not in health.summary()
+    assert "faults" not in health.summary()
 
 
 # -- dt_s validation in simulators -----------------------------------------

@@ -1,7 +1,9 @@
 """Unit tests for the ``repro serve`` daemon stack.
 
 Covers the journal's crash contract (torn tails vs corruption), the
-chaos-spec grammar, the scheduler's recovery state machine, and the
+kill-spec grammar of the chaos suite's launcher, the scheduler's
+recovery state machine (journals written while ``/submit`` still took
+a ``chaos`` field included), and the
 in-process HTTP API end to end — including the acceptance-criteria
 behaviors: verdict parity with a direct campaign run, a saturated
 admission queue answering 429 with Retry-After while losing nothing,
@@ -40,7 +42,6 @@ from repro.resilience import (
     ResilientCampaign,
     write_checkpoint,
 )
-from repro.resilience.chaos import ChaosInjector, parse_chaos_spec
 from repro.sealed import canonical
 from repro.service import (
     JournalWriter,
@@ -58,6 +59,7 @@ from repro.service.scheduler import (
     CampaignScheduler,
 )
 from repro.testing import build_library
+from tests.chaos.killpoints import parse_kill_spec
 
 #: Small but non-trivial: ~35 faulty CPUs, several shards.
 SPEC = dict(
@@ -72,6 +74,13 @@ SPEC = dict(
 #: the in-process restart loop.  The second is spelled in two pieces so
 #: that a search for its name finds no live use.
 RETIRED_KINDS = ("exception", "parity" + "_trip", "kill")
+
+#: The kinds a ``/submit`` ``chaos`` schedule could name until the
+#: field itself went.
+LAST_FAULT_KINDS = ("delay", "torn_checkpoint", "corrupt_byte")
+
+#: What admission says about a ``chaos`` key: the 400 of any unknown key.
+UNKNOWN_CHAOS = r"unknown submission fields: \['chaos'\]"
 
 #: ~173 faulty CPUs: each job runs long enough (a few shards of real
 #: work) that jobs admitted together overlap in time.
@@ -207,12 +216,15 @@ class TestJournal:
         assert zlib.crc32(canonical(record)) == claimed
 
 
-# -- chaos spec grammar ------------------------------------------------------
+# -- kill spec grammar -------------------------------------------------------
 
 
 class TestChaosSpec:
+    """The launcher in ``tests/chaos/killpoints.py`` checks every name,
+    so a mistyped kill point fails the launch instead of never firing."""
+
     def test_parse_valid(self):
-        actions = parse_chaos_spec(
+        actions = parse_kill_spec(
             "kill:shard_done:5, tear_journal:journal_append:3"
         )
         assert actions == [
@@ -228,12 +240,12 @@ class TestChaosSpec:
         "kill:shard_done",           # wrong arity
     ])
     def test_parse_rejects(self, bad):
-        with pytest.raises(ConfigurationError):
-            parse_chaos_spec(bad)
+        with pytest.raises(ValueError):
+            parse_kill_spec(bad)
 
     def test_from_spec_empty_is_none(self):
-        assert ChaosInjector.from_spec(None) is None
-        assert ChaosInjector.from_spec("  ") is None
+        assert parse_kill_spec("") == []
+        assert parse_kill_spec("  ") == []
 
 
 # -- scheduler recovery state machine ---------------------------------------
@@ -314,9 +326,8 @@ class TestRecovery:
         self, tmp_path, library
     ):
         """An acknowledged job whose journaled spec no longer parses
-        stays ``failed`` under its own id, as one whose chaos schedule
-        no longer parses does: its client learns so, and the id is
-        never given to another job."""
+        stays ``failed`` under its own id: its client learns so, and
+        the id is never given to another job."""
         with self._journal(tmp_path) as journal:
             journal.append(
                 "submit", job="nightly", spec={"total_processors": -4}
@@ -340,59 +351,35 @@ class TestRecovery:
             )
             assert again.status == 409
 
-    def test_unusable_journaled_chaos_is_reported_not_fatal(
-        self, tmp_path, library
-    ):
-        spec = CampaignSpec(**SPEC).to_dict()
-        with self._journal(tmp_path) as journal:
-            journal.append(
-                "submit", job="job-000001", spec=spec,
-                chaos={"schedule": {"0": ["meteor"]}, "seed": 0},
-            )
-            journal.append("submit", job="job-000002", spec=spec)
-        scheduler = CampaignScheduler(tmp_path, library)
-        assert scheduler.pending_jobs() == ["job-000002"]
-        assert any(
-            "unusable journaled chaos schedule" in p
-            for p in scheduler.replay_report.problems
-        )
-
-    @pytest.mark.parametrize("kind", ["meteor", "kill"])
-    def test_unusable_journaled_chaos_keeps_its_id_as_failed(
-        self, tmp_path, library, kind
-    ):
-        """An acknowledged job whose journaled schedule no longer parses
-        (an unknown kind, or one an older release knew) stays ``failed``
-        under its own id: its client learns so, and the id is never
-        issued to another job."""
+    @pytest.mark.parametrize("schedule", [
+        {"0": ["delay"]},    # a kind /submit took until it lost the field
+        {"0": ["meteor"]},   # never a kind
+        {"1": ["kill"]},     # a kind retired before the field
+    ], ids=["valid", "meteor", "kill"])
+    def test_journaled_chaos_is_ignored(self, tmp_path, library, schedule):
+        """A journal written while ``/submit`` took a ``chaos`` field
+        boots with the job queued and nothing to report, and the job
+        lands the verdict of its spec alone: a schedule never changed
+        a verdict."""
         with self._journal(tmp_path) as journal:
             journal.append(
                 "submit", job="job-000001",
                 spec=CampaignSpec(**SPEC).to_dict(),
-                chaos={"schedule": {"0": [kind]}, "seed": 0},
+                chaos={"schedule": schedule, "seed": 0},
             )
+        scheduler = CampaignScheduler(tmp_path, library)
+        assert scheduler.pending_jobs() == ["job-000001"]
+        assert scheduler.replay_report.problems == []
         with ServiceThread(tmp_path, library=library) as handle:
             client = ServiceClient("127.0.0.1", handle.port)
-            record = client.job("job-000001")
-            assert record["state"] == JOB_FAILED
-            assert "chaos schedule" in record["error"]
-            assert repr(kind) in record["error"]
-            reply = client._request("GET", "/verdicts/job-000001")
-            assert reply.status == 200
-            assert reply.json() == {
-                "status": JOB_FAILED, "error": record["error"],
-            }
-            assert client.submit(dict(SPEC))["job_id"] == "job-000002"
-            again = client._request(
-                "POST", "/submit", body=dict(SPEC, job_id="job-000001")
-            )
-            assert again.status == 409
+            verdict = client.wait_verdict("job-000001", timeout_s=120)
+        assert verdict["result"] == _direct_result(SPEC, library)
 
     def test_finished_job_with_retired_chaos_keeps_its_verdict(
         self, tmp_path, library
     ):
-        """A job that scheduled a retired kind and finished before the
-        kind was retired still serves its verdict."""
+        """A job journaled with a ``chaos`` schedule that finished
+        before the field was retired still serves its verdict."""
         spec = CampaignSpec(**SPEC).to_dict()
         verdict = tmp_path / "jobs" / "job-000001" / "verdict.json"
         verdict.parent.mkdir(parents=True)
@@ -428,7 +415,7 @@ class TestSubmission:
             scheduler.parse_submission(dict(SPEC, job_id="x" * 80))
 
     def test_bad_chaos_rejected(self, scheduler):
-        with pytest.raises(ConfigurationError, match="chaos"):
+        with pytest.raises(ConfigurationError, match=UNKNOWN_CHAOS):
             scheduler.parse_submission(dict(SPEC, chaos=[1, 2]))
 
     def test_spec_validation_propagates(self, scheduler):
@@ -443,7 +430,8 @@ class TestSubmission:
         {"schedule": {"0": ["delay"]}, "seed": "7"},  # non-integer seed
     ] + [{"schedule": {"0": [kind]}} for kind in RETIRED_KINDS])
     def test_bad_chaos_schedule_rejected(self, scheduler, chaos):
-        with pytest.raises(ConfigurationError, match="chaos"):
+        """Any ``chaos`` field, whatever it schedules, is an unknown key."""
+        with pytest.raises(ConfigurationError, match=UNKNOWN_CHAOS):
             scheduler.parse_submission(dict(SPEC, chaos=chaos))
 
 
@@ -539,9 +527,9 @@ class TestApi:
 
 
 class TestChaosAdmission:
-    """``/submit`` parses a job's chaos schedule with the injector's
-    parser: a schedule it would refuse is a 400, and nothing reaches
-    the journal or the job thread."""
+    """``/submit`` takes no ``chaos`` field: a body that carries one,
+    whatever it schedules, gets the 400 of any unknown key, and
+    nothing reaches the journal or a job thread."""
 
     def test_unknown_fault_kind_is_400_and_never_journaled(
         self, tmp_path, library
@@ -555,76 +543,76 @@ class TestChaosAdmission:
                 chaos={"schedule": {"0": ["meteor"]}},
             ))
             assert reply.status == 400
-            assert "unknown chaos fault" in reply.json()["error"]
+            assert reply.json()["error"] == (
+                "unknown submission fields: ['chaos']"
+            )
             # The job thread is still alive for the next job.
             client.submit(dict(SPEC, job_id="after"))
             assert client.wait_verdict("after", timeout_s=120)
         jobs = {entry.job for entry in replay_journal(tmp_path / "journal")}
         assert "meteor" not in jobs and "after" in jobs
 
-    def test_non_integer_shard_is_400(self, tmp_path, library):
-        with ServiceThread(
-            tmp_path, library=library, checkpoint_every=1
-        ) as handle:
-            client = ServiceClient("127.0.0.1", handle.port)
-            reply = client._request("POST", "/submit", body=dict(
-                SPEC, job_id="shardless",
-                chaos={"schedule": {"x": ["delay"]}},
+    def test_non_integer_shard_is_400(self, service):
+        reply = service._request("POST", "/submit", body=dict(
+            SPEC, job_id="shardless",
+            chaos={"schedule": {"x": ["delay"]}},
+        ))
+        assert reply.status == 400
+        assert "unknown submission fields" in reply.json()["error"]
+        assert service.job("shardless") is None
+
+    def test_retired_fault_kinds_are_400(self, service):
+        """The kinds retired with shard retries, the scalar fallback and
+        the in-process restart loop are refused, and so are the ones a
+        schedule could name until the field went."""
+        for kind in RETIRED_KINDS + LAST_FAULT_KINDS:
+            job_id = f"retired-{kind}".replace("_", "-")
+            reply = service._request("POST", "/submit", body=dict(
+                SPEC, job_id=job_id, chaos={"schedule": {"0": [kind]}},
             ))
             assert reply.status == 400
-            assert "chaos shard" in reply.json()["error"]
-            assert client.job("shardless") is None
+            assert "unknown submission fields" in reply.json()["error"]
+            assert service.job(job_id) is None
 
-    def test_retired_fault_kinds_are_400(self, tmp_path, library):
-        """Shard retries, the scalar fallback and the in-process restart
-        loop are gone, and so are the kinds that only reached them."""
-        with ServiceThread(
-            tmp_path, library=library, checkpoint_every=1
-        ) as handle:
-            client = ServiceClient("127.0.0.1", handle.port)
-            for kind in RETIRED_KINDS:
-                reply = client._request("POST", "/submit", body=dict(
-                    SPEC, job_id=f"retired-{kind}".replace("_", "-"),
-                    chaos={"schedule": {"0": [kind]}},
-                ))
-                assert reply.status == 400
-                assert "unknown chaos fault" in reply.json()["error"]
-                assert kind in reply.json()["error"]
-            assert client.jobs()["jobs"] == []
+
+def hold_steps(monkeypatch, until: threading.Event) -> None:
+    """Hold every campaign shard until ``until`` is set, so a job stays
+    in flight, deterministically, while the test acts."""
+    step = ResilientCampaign.step
+
+    def held_step(campaign):
+        assert until.wait(timeout=60), "held shard never released"
+        return step(campaign)
+
+    monkeypatch.setattr(ResilientCampaign, "step", held_step)
 
 
 class TestAdmissionControl:
     def test_saturated_queue_answers_429_and_loses_nothing(
-        self, tmp_path, library
+        self, tmp_path, library, monkeypatch
     ):
-        # A chaos delay on every shard keeps the first job in flight
-        # long enough to observe saturation deterministically.
-        slow = dict(
-            SPEC, shard_size=1,
-            chaos={"schedule": {
-                str(shard): ["delay"] for shard in range(40)
-            }},
-        )
+        # The first job's shards are held, so it stays in flight while
+        # the queue saturates.
+        release = threading.Event()
+        hold_steps(monkeypatch, release)
         with ServiceThread(
             tmp_path, library=library, max_queue=1, checkpoint_every=1000
         ) as handle:
             client = ServiceClient("127.0.0.1", handle.port)
-            ack = client.submit(dict(slow, job_id="hog"))
-            assert ack["state"] == "queued"
-            saw_429 = False
-            for attempt in range(50):
-                try:
-                    client.submit(dict(SPEC, job_id=f"extra-{attempt}"))
-                except Rejected as rejection:
-                    assert rejection.status == 429
-                    assert rejection.retry_after_s >= 1.0
-                    saw_429 = True
-                    break
-            assert saw_429, "never saw a 429 from a saturated queue"
+            try:
+                ack = client.submit(dict(SPEC, job_id="hog"))
+                assert ack["state"] == "queued"
+                with pytest.raises(Rejected) as rejection:
+                    client.submit(dict(SPEC, job_id="extra"))
+                assert rejection.value.status == 429
+                assert rejection.value.retry_after_s >= 1.0
+            finally:
+                release.set()
             # The daemon is alive and the acknowledged job completes.
             assert client.healthz()
             verdict = client.wait_verdict("hog", timeout_s=120)
             assert verdict["status"] == "done"
+            assert client.job("extra") is None
 
     def test_draining_daemon_answers_503(self, tmp_path, library):
         handle = ServiceThread(
@@ -644,19 +632,20 @@ class TestAdmissionControl:
 
 
 class TestGracefulDrain:
-    def test_drain_suspends_and_restart_resumes(self, tmp_path, library):
-        slow = dict(
-            SPEC, shard_size=1, job_id="suspended",
-            chaos={"schedule": {
-                str(shard): ["delay"] for shard in range(40)
-            }},
-        )
+    def test_drain_suspends_and_restart_resumes(
+        self, tmp_path, library, monkeypatch
+    ):
         handle = ServiceThread(
             tmp_path, library=library, checkpoint_every=1
         ).start()
+        # The job's first shard waits for the drain, so the drain lands
+        # mid-campaign, right after it.
+        hold_steps(monkeypatch, handle.service.scheduler._stop_event)
         client = ServiceClient("127.0.0.1", handle.port)
-        client.submit(slow)
+        client.submit(dict(SPEC, shard_size=1, job_id="suspended"))
+        _wait_state(client, "suspended", "running")
         handle.stop()  # graceful drain mid-campaign
+        monkeypatch.undo()
         # Metrics snapshot lands on drain.
         assert (tmp_path / "metrics.prom").exists()
         # Next incarnation on the same state dir finishes the job.
@@ -668,32 +657,36 @@ class TestGracefulDrain:
             assert record is not None
             assert record["recovered"] is True
             verdict = client.wait_verdict("suspended", timeout_s=120)
+        starts = [
+            entry.data["resume"]
+            for entry in replay_journal(tmp_path / "journal")
+            if entry.kind == "start"
+        ]
+        assert starts == [False, True]
         direct = ResilientCampaign.from_spec(
             CampaignSpec(**dict(SPEC, shard_size=1)), library
         )
         direct.run()
         assert verdict["result"] == direct.result.to_dict()
 
-    def test_drain_leaves_queued_jobs_unstarted(self, tmp_path, library):
+    def test_drain_leaves_queued_jobs_unstarted(
+        self, tmp_path, library, monkeypatch
+    ):
         """Draining behind a running job neither journals nor builds
         the jobs queued after it; the next incarnation runs them to the
         in-process campaign's result."""
-        slow = dict(
-            SPEC, shard_size=1, job_id="running",
-            chaos={"schedule": {
-                str(shard): ["delay"] for shard in range(40)
-            }},
-        )
         queued = [f"queued-{index}" for index in range(3)]
         handle = ServiceThread(
             tmp_path, library=library, checkpoint_every=1
         ).start()
+        hold_steps(monkeypatch, handle.service.scheduler._stop_event)
         client = ServiceClient("127.0.0.1", handle.port)
-        client.submit(slow)
+        client.submit(dict(SPEC, shard_size=1, job_id="running"))
         for job_id in queued:
             client.submit(dict(SPEC, job_id=job_id))
         _wait_state(client, "running", "running")
         handle.stop()
+        monkeypatch.undo()
         started = {
             entry.job
             for entry in replay_journal(tmp_path / "journal")
